@@ -62,7 +62,6 @@ from .qhgraph import (
     qh_distance,
     qh_distance_exact,
     qh_distance_many,
-    qh_length_distance,
 )
 from .spaces import (
     ComponentBall,

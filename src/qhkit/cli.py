@@ -50,28 +50,38 @@ from .spaces import component_ball
 
 
 def _parse_point(text: str) -> complex:
-    x, y = (float(t) for t in text.split(","))
+    try:
+        x, y = (float(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"point must be X,Y, got {text!r}") from None
     return complex(x, y)
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:
-    vals = tuple(float(t) for t in text.split(","))
-    if len(vals) != 4:
-        raise ConfigurationError("bbox must be x0,x1,y0,y1")
-    return vals
+    try:
+        x0, x1, y0, y1 = (float(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"bbox must be x0,x1,y0,y1, got {text!r}") from None
+    return x0, x1, y0, y1
 
 
 def _load_config(path: Optional[str]) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
 
 
 def _resolve_seed(args, config: dict) -> int:
     env = os.environ.get("QH_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigurationError(f"QH_SEED must be an integer, got {env!r}") from None
     if getattr(args, "seed", None) is not None:
         return args.seed
     return int(config.get("seed", 7))

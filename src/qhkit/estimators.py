@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .maps import HalfPlaneShearMap, InversionMap, MapSpec
-from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball
+from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball, sample_pairs
 
 _N_DIRECTIONS = 64  # deterministic angular resolution for L_f / l_f probing
 
@@ -347,14 +347,7 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
     scatter (grid search on alpha; max-ratio is the faithful envelope).
     k_src and k_img are distance backends (mesh or analytic oracle).
     """
-    rng = random.Random(spec.seed)
-    pairs: list[tuple[complex, complex]] = []
-    for _ in range(spec.count):
-        x = k_src.sample_point(rng)
-        y = k_src.sample_point(rng)
-        while abs(x - y) <= COORD_TOL:
-            y = k_src.sample_point(rng)
-        pairs.append((x, y))
+    pairs = sample_pairs(k_src.sample_point, random.Random(spec.seed), spec.count)
 
     image_pairs = [(f.eval(x), f.eval(y)) for x, y in pairs]
     ts = k_src.distance_pairs(pairs)
@@ -466,6 +459,21 @@ def _ring_probes(z: complex, r: float, n: int, region: Region,
     return pts
 
 
+def _ring_extent(f: MapSpec, region: Region, z: complex, r: float, alpha: float,
+                 probes: int) -> Optional[tuple[float, float]]:
+    """(diam f(closed B), dist(f(closed B), f(alpha-sphere))) for B = B(z, r)
+    from the probe rings, or None when fewer than 3 probes land on either."""
+    ball_pts = _ring_probes(z, r, probes, region, [r, 0.75 * r, 0.5 * r, 0.25 * r])
+    ring_pts = [p for p in _ring_probes(z, r, 2 * probes, region, [alpha * r])
+                if p != z]
+    if len(ball_pts) < 3 or len(ring_pts) < 3:
+        return None
+    S = np.array([f.eval(p) for p in ball_pts])
+    T = np.array([f.eval(p) for p in ring_pts])
+    return (float(np.max(np.abs(S[:, None] - S[None, :]))),
+            float(np.min(np.abs(S[:, None] - T[None, :]))))
+
+
 def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
                   probes: int = 16) -> PropertyReport:
     """Envelope of diam f(closed B) / dist(f(closed B), boundary f(alpha B)).
@@ -490,19 +498,11 @@ def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
         if r <= 0.0 or not math.isfinite(r):
             skipped += 1
             continue
-        ball_pts = _ring_probes(z, r, probes, region, [r, 0.75 * r, 0.5 * r, 0.25 * r])
-        ring_pts = [p for p in _ring_probes(z, r, 2 * probes, region, [alpha * r])
-                    if p != z]
-        if len(ball_pts) < 3 or len(ring_pts) < 3:
+        extent = _ring_extent(f, region, z, r, alpha, probes)
+        if extent is None or extent[1] <= 0.0:
             skipped += 1
             continue
-        S = np.array([f.eval(p) for p in ball_pts])
-        T = np.array([f.eval(p) for p in ring_pts])
-        diam = float(np.max(np.abs(S[:, None] - S[None, :])))
-        dist = float(np.min(np.abs(S[:, None] - T[None, :])))
-        if dist <= 0.0:
-            skipped += 1
-            continue
+        diam, dist = extent
         ratio = diam / dist
         best = _ratio_track(best, ratio, {"z": _pt(z), "r": r, "diam": diam,
                                           "dist": dist, "ratio": ratio})
@@ -543,15 +543,9 @@ def replay_witness(f: MapSpec, report: PropertyReport,
         fx = f.eval(x)
         return abs(fx - f.eval(y)) / f.image_region.boundary_distance(fx)
     if report.property == "ring":
-        z, r = complex(*w["z"]), w["r"]
-        alpha = report.meta["alpha"]
-        probes = report.meta["probes"]
-        region = f.source_region
-        ball_pts = _ring_probes(z, r, probes, region, [r, 0.75 * r, 0.5 * r, 0.25 * r])
-        ring_pts = [p for p in _ring_probes(z, r, 2 * probes, region, [alpha * r])
-                    if p != z]
-        S = np.array([f.eval(p) for p in ball_pts])
-        T = np.array([f.eval(p) for p in ring_pts])
-        return float(np.max(np.abs(S[:, None] - S[None, :])) /
-                     np.min(np.abs(S[:, None] - T[None, :])))
+        extent = _ring_extent(f, f.source_region, complex(*w["z"]), w["r"],
+                              report.meta["alpha"], report.meta["probes"])
+        if extent is None:
+            raise ConfigurationError("ring witness has too few probes inside the region")
+        return extent[0] / extent[1]
     raise ConfigurationError(f"unknown property {report.property!r}")

@@ -35,6 +35,7 @@ from .spaces import (
     Region,
     as_point,
     component_ball,
+    sample_pairs,
 )
 
 # Same-level stencil: all Chebyshev-<=3 offsets plus the (4,1)/(4,3) ray
@@ -70,19 +71,14 @@ class QhMesh:
 
     def __init__(self, region: Region, grading: float, metric: str,
                  coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
-                 rows: np.ndarray, cols: np.ndarray, weights: np.ndarray,
-                 stats: dict):
+                 graph: sp.csr_matrix, stats: dict):
         self.region = region
         self.grading = grading
         self.metric = metric
         self.coords = coords
         self.delta = delta
         self.spacing = spacing
-        self._rows = rows
-        self._cols = cols
-        self._weights = weights
-        n = len(coords)
-        self.graph = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
+        self.graph = graph  # symmetric CSR: each undirected edge stored both ways
         self.stats = stats
         # Filled by the builders: plane quadtree lookup or complex registry.
         self._leaf_lookup: dict = {}
@@ -102,7 +98,7 @@ class QhMesh:
 
     @property
     def edge_count(self) -> int:
-        return len(self._weights) // 2
+        return self.graph.nnz // 2
 
     def delta_at(self, z: complex) -> float:
         if self.metric == "length":
@@ -219,8 +215,8 @@ def _build_plane_mesh(region: Region, grading: float,
                     pairs.add((u, v) if u < v else (v, u))
     pairs.update(_cross_depth_pairs(leaf_lookup, max_depth))
 
-    mesh = _assemble_mesh(region, grading, metric, coords, delta, spacing, pairs)
-    mesh._leaf_lookup = leaf_lookup
+    mesh, remap = _assemble_mesh(region, grading, metric, coords, delta, spacing, pairs)
+    mesh._leaf_lookup = {k: int(remap[v]) for k, v in leaf_lookup.items() if remap[v] >= 0}
     mesh._origin = (x0, y0)
     mesh._root_size = s0
     mesh._depths = sorted(by_depth)
@@ -265,7 +261,9 @@ def _cross_depth_pairs(leaf_lookup: dict, max_depth: int) -> set[tuple[int, int]
 
 def _assemble_mesh(region: Region, grading: float, metric: str,
                    coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
-                   pairs: set[tuple[int, int]]) -> QhMesh:
+                   pairs: set[tuple[int, int]]) -> tuple[QhMesh, np.ndarray]:
+    """The mesh over the largest component, and the old-to-new node id map
+    (-1 for dropped nodes)."""
     if pairs:
         pu = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
         pv = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
@@ -278,33 +276,23 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
     lengths = np.abs(coords[pu] - coords[pv])
     w = lengths * (1.0 / delta[pu] + 1.0 / delta[pv]) / 2.0
 
-    rows = np.concatenate([pu, pv])
-    cols = np.concatenate([pv, pu])
-    weights = np.concatenate([w, w])
-
     n = len(coords)
-    graph = sp.csr_matrix((weights, (rows, cols)), shape=(n, n))
+    graph = sp.csr_matrix((np.concatenate([w, w]),
+                           (np.concatenate([pu, pv]), np.concatenate([pv, pu]))),
+                          shape=(n, n))
     ncomp, labels = connected_components(graph, directed=False)
     stats = {"nodes": n, "edges": len(pu), "components": int(ncomp), "dropped_nodes": 0}
+    remap = np.arange(n)
     if ncomp > 1:
-        sizes = np.bincount(labels)
-        keep = labels == np.argmax(sizes)
-        remap = -np.ones(n, dtype=np.int64)
-        remap[keep] = np.arange(int(keep.sum()))
-        emask = keep[pu] & keep[pv]
-        pu, pv, w = remap[pu[emask]], remap[pv[emask]], w[emask]
+        keep = labels == np.argmax(np.bincount(labels))
+        graph = graph[keep][:, keep]
         coords, delta, spacing = coords[keep], delta[keep], spacing[keep]
-        rows = np.concatenate([pu, pv])
-        cols = np.concatenate([pv, pu])
-        weights = np.concatenate([w, w])
-        stats["dropped_nodes"] = int(n - keep.sum())
+        remap = np.full(n, -1)
+        remap[keep] = np.arange(len(coords))
+        stats["dropped_nodes"] = n - len(coords)
         stats["nodes"] = len(coords)
-        stats["edges"] = len(pu)
-        kept_old = np.flatnonzero(keep)
-        stats["_remap"] = {int(old): int(new) for new, old in enumerate(kept_old)}
-    mesh = QhMesh(region, grading, metric, coords, delta, spacing,
-                  rows, cols, weights, stats)
-    return mesh
+        stats["edges"] = graph.nnz // 2
+    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), remap
 
 
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
@@ -350,15 +338,12 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
 
-    mesh = _assemble_mesh(region, grading, metric,
-                          np.array(coords, dtype=np.complex128),
-                          np.array(delta, dtype=np.float64),
-                          np.array(spacing, dtype=np.float64), pairs)
-    remap = mesh.stats.pop("_remap", None)
-    if remap is not None:
-        registry = [(cuts, [remap.get(i, -1) if i >= 0 else -1 for i in ids])
-                    for cuts, ids in registry]
-    mesh._piece_registry = registry
+    mesh, remap = _assemble_mesh(region, grading, metric,
+                                 np.array(coords, dtype=np.complex128),
+                                 np.array(delta, dtype=np.float64),
+                                 np.array(spacing, dtype=np.float64), pairs)
+    mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
+                            for cuts, ids in registry]
     return mesh
 
 
@@ -394,7 +379,7 @@ def _piece_cuts(region: CurveRegion, seg, grading: float, max_depth: int) -> lis
 @dataclass
 class _Attachment:
     """How a query point hooks into the mesh: an exact node or anchor edges."""
-    point: complex
+    point: complex                           # the node's coordinate for an exact node
     node: Optional[int]                      # exact mesh node id, if any
     anchors: list[tuple[int, float]] = field(default_factory=list)  # (node, weight)
     spacing: float = 0.0
@@ -405,10 +390,15 @@ def _attach(mesh: QhMesh, z: complex) -> _Attachment:
     z = mesh.region.require_member(as_point(z), "query point")
     nid = mesh.exact_node(z)
     if nid is not None:
-        return _Attachment(z, nid, [], float(mesh.spacing[nid]), float(mesh.delta[nid]))
+        return _node_attachment(mesh, nid)
     if mesh._piece_registry:
         return _attach_complex(mesh, z)
     return _attach_plane(mesh, z)
+
+
+def _node_attachment(mesh: QhMesh, nid: int) -> _Attachment:
+    return _Attachment(complex(mesh.coords[nid]), nid, [], float(mesh.spacing[nid]),
+                       float(mesh.delta[nid]))
 
 
 def _attach_plane(mesh: QhMesh, z: complex) -> _Attachment:
@@ -445,8 +435,7 @@ def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
     pos = bisect_left(cuts, s)
     for k in (pos - 1, pos, pos + 1):
         if 0 <= k < len(cuts) and abs(cuts[k] - s) <= 1e-12 and ids[k] >= 0:
-            nid = ids[k]
-            return _Attachment(z, nid, [], float(mesh.spacing[nid]), float(mesh.delta[nid]))
+            return _node_attachment(mesh, ids[k])
     dz = mesh.delta_at(z)
     anchors = []
     spacing = 0.0
@@ -471,117 +460,118 @@ def _canonical(x: complex, y: complex) -> bool:
 def qh_distance(m: QhMesh, x, y) -> PathResult:
     """Mesh quasihyperbolic distance between two region points.
 
-    Query points are wired into the mesh as temporary nodes with trapezoid
-    weights, so the reported distance is for the exact endpoints.  It
-    converges to k_G as the grading factor shrinks; restricting to graph
-    paths biases it upward, and trapezoid quadrature can offset a sliver of
-    that on edges where 1/delta is concave.
+    A query point that is not a mesh node joins the mesh through trapezoid
+    edges to its anchors (the host cell's node and its mesh neighbours that
+    it sees along a segment inside G), so the reported distance is for the
+    exact endpoints.  Endpoints a few cells apart also compare the straight
+    segment between them.  The distance converges to k_G as the grading
+    factor shrinks; restricting to graph paths biases it upward, and
+    trapezoid quadrature can offset a sliver of that on edges where 1/delta
+    is concave.
     """
     return qh_distance_many(m, [(x, y)])[0]
 
 
-def qh_length_distance(m_length: QhMesh, x, y) -> PathResult:
-    """qh_distance against a mesh built with metric="length" (the k'_G graph)."""
-    return qh_distance_many(m_length, [(x, y)])[0]
-
-
 def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
-    """Batched qh_distance: one augmented graph, one multi-source Dijkstra."""
-    pairs = [(as_point(a), as_point(b)) for a, b in pairs]
-    todo = [(a, b) if _canonical(a, b) else (b, a) for a, b in pairs]
-    swapped = [not _canonical(a, b) for a, b in pairs]
+    """qh_distance for each pair, with one multi-source Dijkstra for the batch.
 
-    attachments: dict[tuple[float, float], _Attachment] = {}
-    for a, b in todo:
-        for p in (a, b):
-            k = QhMesh._ckey(p)
-            if k not in attachments:
-                attachments[k] = _attach(m, p)
+    Each answer is the one qh_distance gives for its pair alone: a source
+    that is not a mesh node gets its own appended CSR row of out-edges to
+    its anchors, so no pair's endpoints are on another pair's paths; a
+    target is resolved as the minimum of dist[a] + w(a, target) over its
+    anchors.
+    """
+    atts: dict[tuple[float, float], _Attachment] = {}
+
+    def attach(p: complex) -> _Attachment:
+        k = QhMesh._ckey(p)
+        if k not in atts:
+            atts[k] = _attach(m, p)
+        return atts[k]
+
+    todo = []
+    for a, b in pairs:
+        a, b = as_point(a), as_point(b)
+        swap = not _canonical(a, b)
+        if swap:
+            a, b = b, a
+        todo.append((a, b, attach(a), attach(b), swap))
 
     n = m.node_count
-    extra_ids: dict[tuple[float, float], int] = {}
-    ex_rows: list[int] = []
-    ex_cols: list[int] = []
-    ex_w: list[float] = []
-    aug_coords: list[complex] = []
-
-    def vertex_id(p: complex) -> int:
-        att = attachments[QhMesh._ckey(p)]
-        if att.node is not None:
-            return att.node
-        k = QhMesh._ckey(p)
-        if k not in extra_ids:
-            vid = n + len(aug_coords)
-            extra_ids[k] = vid
-            aug_coords.append(att.point)
-            for a, w in att.anchors:
-                ex_rows.extend((vid, a))
-                ex_cols.extend((a, vid))
-                ex_w.extend((w, w))
-        return extra_ids[k]
-
-    direct: set[tuple[int, int]] = set()
-    resolved = []
-    for a, b in todo:
-        ia, ib = vertex_id(a), vertex_id(b)
-        resolved.append((ia, ib, a, b))
-        att_a, att_b = attachments[QhMesh._ckey(a)], attachments[QhMesh._ckey(b)]
-        near = abs(a - b) <= 3.0 * max(att_a.spacing, att_b.spacing)
-        key = (min(ia, ib), max(ia, ib))
-        if ia != ib and near and key not in direct and m.region.segment_inside(a, b):
-            w = m.edge_weight(a, att_a.delta, b, att_b.delta)
-            ex_rows.extend((ia, ib))
-            ex_cols.extend((ib, ia))
-            ex_w.extend((w, w))
-            direct.add(key)
-
-    total = n + len(aug_coords)
-    if ex_rows:
-        rows = np.concatenate([m._rows, np.array(ex_rows, dtype=np.int64)])
-        cols = np.concatenate([m._cols, np.array(ex_cols, dtype=np.int64)])
-        data = np.concatenate([m._weights, np.array(ex_w, dtype=np.float64)])
-        graph = sp.csr_matrix((data, (rows, cols)), shape=(total, total))
-    else:
-        graph = m.graph
-
-    sources = sorted({ia for ia, ib, _, _ in resolved if ia != ib})
+    vertex: dict[tuple[float, float], int] = {}  # source point -> graph vertex
+    appended: list[_Attachment] = []              # sources with their own CSR row
+    for a, _, att_a, att_b, _ in todo:
+        k = QhMesh._ckey(a)
+        if att_a is not att_b and k not in vertex:
+            vertex[k] = n + len(appended) if att_a.node is None else att_a.node
+            if att_a.node is None:
+                appended.append(att_a)
+    sources = sorted(set(vertex.values()))
     if sources:
-        dist, pred = dijkstra(graph, directed=True, indices=sources,
-                              return_predecessors=True)
-        src_row = {s: r for r, s in enumerate(sources)}
+        dist, pred = dijkstra(_with_source_rows(m.graph, appended), directed=True,
+                              indices=sources, return_predecessors=True)
+        row_of = {s: r for r, s in enumerate(sources)}
 
-    def coord_of(vid: int) -> complex:
-        return m.coords[vid] if vid < n else aug_coords[vid - n]
+    def coord_of(v: int) -> complex:
+        return m.coords[v] if v < n else appended[v - n].point
 
     results = []
-    for (ia, ib, a, b), swap in zip(resolved, swapped):
-        sp_a = attachments[QhMesh._ckey(a)].spacing
-        sp_b = attachments[QhMesh._ckey(b)].spacing
-        spacing = (sp_b, sp_a) if swap else (sp_a, sp_b)
-        if ia == ib:
-            pt = (b, a) if swap else (a, b)
-            results.append(PathResult(0.0, (pt[0],), 0.0, spacing))
+    for a, b, att_a, att_b, swap in todo:
+        spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
+        if att_a is att_b:
+            results.append(PathResult(0.0, (b if swap else a,), 0.0, spacing))
             continue
-        row = src_row[ia]
-        d = float(dist[row, ib])
+        src = vertex[QhMesh._ckey(a)]
+        r = row_of[src]
+        # Candidates (distance, last graph vertex, final point off the graph).
+        if att_b.node is not None:
+            best = (dist[r, att_b.node], att_b.node, None)
+        else:
+            best = min(((dist[r, v] + w, v, att_b.point) for v, w in att_b.anchors),
+                       key=lambda c: c[0])
+        pa, pb = att_a.point, att_b.point
+        joined = att_a.node is not None and att_b.node is not None and \
+            att_b.node in m.neighbors(att_a.node)
+        if not joined and abs(pa - pb) <= 3.0 * max(att_a.spacing, att_b.spacing) \
+                and m.region.segment_inside(pa, pb):
+            direct = m.edge_weight(pa, att_a.delta, pb, att_b.delta)
+            if direct < best[0]:
+                best = (direct, src, pb)
+        d, v, tail = best
         if not math.isfinite(d):
             raise ConnectivityError(
                 f"endpoints {a} and {b} lie in different mesh components")
-        chain = [ib]
-        while chain[-1] != ia:
-            p = int(pred[row, chain[-1]])
+        chain = [v]
+        while chain[-1] != src:
+            p = int(pred[r, chain[-1]])
             if p < 0:
                 raise ConnectivityError("predecessor chain broken")
             chain.append(p)
-        chain.reverse()
-        path = tuple(coord_of(v) for v in chain)
+        path = tuple(coord_of(u) for u in reversed(chain))
+        if tail is not None:
+            path += (tail,)
         elen = 0.0
         for p, q in zip(path, path[1:]):
             elen += abs(p - q)
         if swap:
             path = tuple(reversed(path))
-        results.append(PathResult(d, path, elen, spacing))
+        results.append(PathResult(float(d), path, elen, spacing))
     return results
+
+
+def _with_source_rows(graph: sp.csr_matrix, sources: list[_Attachment]) -> sp.csr_matrix:
+    """The mesh graph with one appended row of anchor out-edges per source."""
+    if not sources:
+        return graph
+    ends = graph.indptr[-1] + np.cumsum([len(s.anchors) for s in sources])
+    total = graph.shape[0] + len(sources)
+    return sp.csr_matrix(
+        (np.concatenate([graph.data, [w for s in sources for _, w in s.anchors]]),
+         np.concatenate([graph.indices,
+                         np.array([v for s in sources for v, _ in s.anchors],
+                                  dtype=graph.indices.dtype)]),
+         np.concatenate([graph.indptr, ends.astype(graph.indptr.dtype)])),
+        shape=(total, total))
 
 
 def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
@@ -756,13 +746,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
     violations: list[dict] = []
     rows: list[tuple] = []
 
-    pairs = []
-    for _ in range(count):
-        x = region.sample_point(rng)
-        y = region.sample_point(rng)
-        while abs(x - y) <= COORD_TOL:
-            y = region.sample_point(rng)
-        pairs.append((x, y))
+    pairs = sample_pairs(region.sample_point, rng, count)
     ks = backend.distance_pairs(pairs)
 
     for idx, ((x, y), k) in enumerate(zip(pairs, ks)):
@@ -855,13 +839,7 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     violations: list[dict] = []
     rows: list[tuple] = []
 
-    pairs = []
-    for _ in range(count):
-        x = region.sample_point(rng)
-        y = region.sample_point(rng)
-        while abs(x - y) <= COORD_TOL:
-            y = region.sample_point(rng)
-        pairs.append((x, y))
+    pairs = sample_pairs(region.sample_point, rng, count)
 
     slack = 1.0 + 1e-9
     for idx, (x, y) in enumerate(pairs):

@@ -34,7 +34,7 @@ from .scenarios import (
     frame_space,
     make_region,
 )
-from .spaces import component_ball, length_distance, quasiconvexity_estimate
+from .spaces import component_ball, length_distance, quasiconvexity_estimate, sample_pairs
 
 CLOSED_FORM_TOL = 1e-12
 MESH_TOL = 0.05
@@ -80,15 +80,7 @@ def repro_example_1_1(seed: int = 11, count: int = 100, mesh_pairs: int = 60,
     res = ReproResult("example-1-1", seed)
     f = InversionMap()
     region = f.source_region
-    rng = random.Random(seed)
-
-    pairs = []
-    for _ in range(count):
-        x = region.sample_point(rng)
-        y = region.sample_point(rng)
-        while x == y:
-            y = region.sample_point(rng)
-        pairs.append((x, y))
+    pairs = sample_pairs(region.sample_point, random.Random(seed), count)
     worst = 0.0
     for idx, (x, y) in enumerate(pairs):
         k = qh_distance_exact("punctured", x, y)

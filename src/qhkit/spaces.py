@@ -14,7 +14,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -101,6 +101,43 @@ class Segment:
         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
         q = self.a + d * t
         return t * math.sqrt(L2), abs(z - q)
+
+
+def locate(segments: Sequence[Segment], z, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
+    """(segment index, arclength parameter) of z on the nearest segment within
+    tol, or None when z is off every segment."""
+    z = as_point(z)
+    best = None
+    for i, seg in enumerate(segments):
+        s, d = seg.project(z)
+        if d <= tol and (best is None or d < best[2]):
+            best = (i, s, d)
+    if best is None:
+        return None
+    return best[0], best[1]
+
+
+def point_along(segments: Sequence[Segment], lengths: Sequence[float], u: float) -> complex:
+    """Point at arclength u along the segments laid end to end."""
+    for seg, L in zip(segments, lengths):
+        if u <= L:
+            return seg.point_at(u)
+        u -= L
+    return segments[-1].b
+
+
+def sample_pairs(sample_point: Callable[[random.Random], complex], rng: random.Random,
+                 count: int) -> list[tuple[complex, complex]]:
+    """count seeded pairs (x, y) of distinct points; a y that repeats x is
+    redrawn from the same stream, so the draw order is fixed by the seed."""
+    pairs = []
+    for _ in range(count):
+        x = sample_point(rng)
+        y = sample_point(rng)
+        while abs(x - y) <= COORD_TOL:
+            y = sample_point(rng)
+        pairs.append((x, y))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +234,7 @@ class CurveComplexSpace(SpaceModel):
             raise ConfigurationError("curve complex segments do not form a connected set")
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
-        """(segment index, arclength parameter) of z, or None if off-complex."""
-        z = as_point(z)
-        best = None
-        for i, seg in enumerate(self.segments):
-            s, d = seg.project(z)
-            if d <= tol and (best is None or d < best[2]):
-                best = (i, s, d)
-        if best is None:
-            return None
-        return best[0], best[1]
+        return locate(self.segments, z, tol)
 
     def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
         return self.locate(z, tol) is not None
@@ -265,13 +293,7 @@ class CurveComplexSpace(SpaceModel):
 
     def sample_point(self, rng: random.Random) -> complex:
         lengths = [seg.length for seg in self.segments]
-        total = sum(lengths)
-        u = rng.uniform(0.0, total)
-        for seg, L in zip(self.segments, lengths):
-            if u <= L:
-                return seg.point_at(u)
-            u -= L
-        return self.segments[-1].b
+        return point_along(self.segments, lengths, rng.uniform(0.0, sum(lengths)))
 
 
 # ---------------------------------------------------------------------------
@@ -531,15 +553,7 @@ class CurveRegion(Region):
         self.bounded = True
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
-        z = as_point(z)
-        best = None
-        for i, seg in enumerate(self.pieces):
-            s, d = seg.project(z)
-            if d <= tol and (best is None or d < best[2]):
-                best = (i, s, d)
-        if best is None:
-            return None
-        return best[0], best[1]
+        return locate(self.pieces, z, tol)
 
     def contains(self, z: complex) -> bool:
         z = as_point(z)
@@ -581,15 +595,7 @@ class CurveRegion(Region):
         lengths = [seg.length for seg in self.pieces]
         total = sum(lengths)
         for _ in range(10000):
-            u = rng.uniform(0.0, total)
-            z = None
-            for seg, L in zip(self.pieces, lengths):
-                if u <= L:
-                    z = seg.point_at(u)
-                    break
-                u -= L
-            if z is None:
-                z = self.pieces[-1].b
+            z = point_along(self.pieces, lengths, rng.uniform(0.0, total))
             if self.contains(z):
                 return z
         raise ResolutionError("could not sample a region point clear of the boundary")
@@ -750,13 +756,8 @@ def quasiconvexity_estimate(space: SpaceModel, samples: int, seed: int) -> float
     """Max of d(x, y)/|x - y| over seeded sample pairs; a lower bound for c."""
     if samples < 2:
         raise ConfigurationError("quasiconvexity estimate needs samples >= 2")
-    rng = random.Random(seed)
     best = 1.0
-    for _ in range(samples):
-        x = space.sample_point(rng)
-        y = space.sample_point(rng)
-        while abs(x - y) <= COORD_TOL:  # degenerate pair: resample, same stream
-            y = space.sample_point(rng)
+    for x, y in sample_pairs(space.sample_point, random.Random(seed), samples):
         ratio = space.length_distance(x, y) / abs(x - y)
         if ratio > best:
             best = ratio

@@ -1,6 +1,9 @@
 import json
 import math
 
+import pytest
+
+from qhkit import qh_distance_exact
 from qhkit.cli import main
 
 
@@ -15,6 +18,37 @@ def test_qh_subcommand_prints_oracle(capsys):
                        "--from", "0,1", "--to", "0,2", "--grading", "0.2")
     assert code == 0
     assert "oracle = 0.693147" in out
+
+
+def test_qh_near_mesh_nodes_match_oracle(capsys):
+    # Two joined mesh nodes one cell apart: their edge is counted once.
+    x, y = complex(-0.0546875, 0.2546875), complex(-0.0546875, 0.2703125)
+    code, out, _ = run(capsys, "qh", "--domain", "halfplane",
+                       "--from=-0.0546875,0.2546875", "--to=-0.0546875,0.2703125",
+                       "--grading", "0.1")
+    assert code == 0
+    k = float(out.split(" = ")[1].split()[0])
+    exact = qh_distance_exact("halfplane", x, y)
+    assert abs(k - exact) / exact <= 1e-3
+
+
+@pytest.mark.parametrize("argv", [
+    ("qh", "--domain", "halfplane", "--from", "0;1", "--to", "0,2"),
+    ("check-wqs", "--map", "identity", "--domain", "halfplane", "--count", "5",
+     "--config", "no-such-config.json"),
+])
+def test_bad_input_is_one_line_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_integer_seed_env_is_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("QH_SEED", "seven")
+    code, _, err = run(capsys, "check-wqs", "--map", "identity",
+                       "--domain", "halfplane", "--count", "5")
+    assert code == 1
+    assert err.startswith("error: ") and "QH_SEED" in err and err.count("\n") == 1
 
 
 def test_constants_subcommand(capsys):

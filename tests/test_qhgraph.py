@@ -19,9 +19,9 @@ from qhkit import (
     qh_distance,
     qh_distance_exact,
     qh_distance_many,
-    qh_length_distance,
 )
 from qhkit.scenarios import make_region
+from qhkit.spaces import sample_pairs
 
 from conftest import HP_BBOX
 
@@ -161,6 +161,56 @@ def test_path_qh_length_equals_distance(hp_mesh_01, omega_mesh):
     assert path_qh_length(omega_mesh, r2) == r2.distance
 
 
+@pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
+                                                     ("pp_mesh_005", "punctured"),
+                                                     ("omega_mesh", "omega")])
+def test_batch_answers_equal_single_pair_answers(request, mesh_name, region_name):
+    # A pair's answer must not depend on the other pairs of its batch.
+    mesh = request.getfixturevalue(mesh_name)
+    region = request.getfixturevalue(region_name)
+    pairs = sample_pairs(region.sample_point, random.Random(41), 200)
+    batch = qh_distance_many(mesh, pairs)
+    for (x, y), r in zip(pairs, batch):
+        single = qh_distance(mesh, x, y)
+        assert type(r.distance) is float
+        assert r.distance == single.distance
+        assert r.node_path == single.node_path
+
+
+@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "omega_mesh"])
+def test_adjacent_nodes_distance_is_their_edge(request, mesh_name):
+    # A near pair of joined mesh nodes must not count its edge twice.  A
+    # stencil edge several cells long can lose to the path through the nodes
+    # between, so equality is asserted for one-cell neighbours only.
+    mesh = request.getfixturevalue(mesh_name)
+    rng = random.Random(5)
+    one_cell = 0
+    for _ in range(100):
+        i = rng.randrange(mesh.node_count)
+        nbrs = mesh.neighbors(i)
+        j = int(nbrs[rng.randrange(len(nbrs))])
+        r = qh_distance(mesh, complex(mesh.coords[i]), complex(mesh.coords[j]))
+        assert r.distance <= mesh.graph[i, j]
+        assert r.distance == path_qh_length(mesh, r)
+        if abs(mesh.coords[i] - mesh.coords[j]) <= min(mesh.spacing[i], mesh.spacing[j]):
+            one_cell += 1
+            assert r.distance == mesh.graph[i, j]
+    assert one_cell >= 5
+
+
+def test_pruned_plane_mesh_attaches_queries_to_their_cell():
+    # A comb whose thin tooth falls apart at this depth: the dropped nodes
+    # shift node ids, and a point next to a kept node must still attach to it.
+    comb = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j,
+                          2.9 + 2j, 2j])
+    mesh = build_mesh(comb, 0.3, max_depth=6)
+    assert mesh.stats["dropped_nodes"] > 0
+    rng = random.Random(2)
+    for _ in range(20):
+        c = complex(mesh.coords[rng.randrange(mesh.node_count)])
+        assert qh_distance(mesh, c + 1e-7 * (1 + 1j), c).distance < 1e-5
+
+
 def test_distance_decreases_when_region_grows():
     # Convex ambient: a larger region has larger delta pointwise, so shared
     # edges get smaller qh weight.
@@ -236,7 +286,7 @@ def test_polygon_mesh_builds_and_queries():
 def test_length_metric_collapses_on_halfplane(halfplane, hp_mesh_01):
     mesh_l = build_mesh(halfplane, 0.1, HP_BBOX, metric="length")
     a, b = 1j, 2j
-    assert qh_length_distance(mesh_l, a, b).distance == qh_distance(hp_mesh_01, a, b).distance
+    assert qh_distance(mesh_l, a, b).distance == qh_distance(hp_mesh_01, a, b).distance
 
 
 def test_length_metric_sandwich_on_omega(omega, omega_mesh, omega_mesh_length):
