@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, QhkitError
 from .maps import HalfPlaneShearMap, InversionMap, MapSpec
 from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball, sample_pairs
 
@@ -248,7 +248,8 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
             best = _ratio_track(best, out[0], out[1])
             used += 1
 
-    assert best is not None
+    if best is None:
+        raise ConfigurationError("no admissible triple was sampled")
     return PropertyReport("weak-quasisymmetry", best[0], best[1], used, spec.seed,
                           tuple(witness_rows), 0, {"witness_ts": list(witness_ts)})
 
@@ -282,7 +283,7 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
         if isinstance(region, CurveRegion):
             try:
                 ball = component_ball(region, z, rho, rho / 8.0)
-            except Exception:
+            except QhkitError:
                 continue
             nodes = list(ball.nodes)
             if len(nodes) < 3:

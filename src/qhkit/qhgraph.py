@@ -26,6 +26,7 @@ from .errors import (
     ConfigurationError,
     ConnectivityError,
     MembershipError,
+    QhkitError,
 )
 from .spaces import (
     COORD_TOL,
@@ -80,16 +81,17 @@ class QhMesh:
         self.spacing = spacing
         self.graph = graph  # symmetric CSR: each undirected edge stored both ways
         self.stats = stats
-        # Filled by the builders: plane quadtree lookup or complex registry.
-        self._leaf_lookup: dict = {}
-        self._origin = (0.0, 0.0)
-        self._root_size = 0.0
-        self._depths: list[int] = []
+        # Filled by the builders.  Plane quadtrees: the root cell (x0, y0, size)
+        # and the sorted cell keys, node i owning the i-th.  Curve complexes:
+        # the piece registry and the coordinate index of the nodes.
+        self._root = (0.0, 0.0, 0.0)
+        self._keys = np.zeros(0, dtype=np.int64)
         self._piece_registry: list[tuple[list[float], list[int]]] = []
-        self._coord_index = {self._ckey(c): i for i, c in enumerate(coords)}
+        self._node_of: dict[tuple[float, float], int] = {}
 
     @staticmethod
     def _ckey(z: complex) -> tuple[float, float]:
+        z = complex(z)  # numpy scalars round like Python floats
         return (round(z.real, 10), round(z.imag, 10))
 
     @property
@@ -109,8 +111,21 @@ class QhMesh:
         g = self.graph
         return g.indices[g.indptr[u]:g.indptr[u + 1]]
 
+    def _host_cell(self, z: complex) -> Optional[int]:
+        """The plane-mesh node whose quadtree cell holds z, or None."""
+        x0, y0, s0 = self._root
+        d = np.arange((self._keys[-1] >> (2 * _KEY_BITS)) + 1)
+        # Clipping keeps far points out of int64 overflow; _find rejects them.
+        i, j = np.clip(np.floor(np.array([[z.real - x0], [z.imag - y0]]) / (s0 / (1 << d))),
+                       -1, 1 << _KEY_BITS).astype(np.int64)
+        return next((int(h) for h in _find(self._keys, d, i, j) if h >= 0), None)
+
     def exact_node(self, z: complex) -> Optional[int]:
-        return self._coord_index.get(self._ckey(z))
+        if self._piece_registry:
+            return self._node_of.get(self._ckey(z))
+        host = self._host_cell(z)
+        exact = host is not None and self._ckey(self.coords[host]) == self._ckey(z)
+        return host if exact else None
 
     def edge_weight(self, a: complex, da: float, b: complex, db: float) -> float:
         # Trapezoid rule for the integral of 1/delta along the straight edge.
@@ -125,6 +140,12 @@ class QhMesh:
 # Builders
 # ---------------------------------------------------------------------------
 
+# Plane cells are keyed by one int64, (d, j, i) from the high bits down, so
+# sorting keys sorts cells by depth, then row, then column.
+_KEY_BITS = 25
+MAX_PLANE_DEPTH = _KEY_BITS - 1
+
+
 def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
                bbox: Optional[tuple[float, float, float, float]] = None, *,
                metric: str = "euclidean",
@@ -133,7 +154,8 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
 
     bbox = (x0, x1, y0, y1) clips unbounded plane regions and is mandatory for
     them; curve complexes ignore it.  metric="length" swaps delta_G for the
-    length-metric boundary distance delta'_G in the edge weights.
+    length-metric boundary distance delta'_G in the edge weights.  Plane
+    quadtrees refine to at most MAX_PLANE_DEPTH levels.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -141,7 +163,22 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
         raise ConfigurationError(f"unknown metric {metric!r}")
     if isinstance(region, CurveRegion):
         return _build_complex_mesh(region, grading_factor, metric, max_depth)
+    if max_depth > MAX_PLANE_DEPTH:
+        raise ConfigurationError(f"max_depth must be at most {MAX_PLANE_DEPTH} for plane regions")
     return _build_plane_mesh(region, grading_factor, bbox, metric, max_depth)
+
+
+def _cell_keys(d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return (d << (2 * _KEY_BITS)) | (j << _KEY_BITS) | i
+
+
+def _find(keys: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Index of each cell (d, i, j) in the sorted keys, or -1 for non-leaves."""
+    size = 1 << d
+    k = _cell_keys(d, i, j)
+    pos = np.minimum(np.searchsorted(keys, k), len(keys) - 1)
+    hit = (i >= 0) & (i < size) & (j >= 0) & (j < size) & (keys[pos] == k)
+    return np.where(hit, pos, -1)
 
 
 def _build_plane_mesh(region: Region, grading: float,
@@ -191,88 +228,68 @@ def _build_plane_mesh(region: Region, grading: float,
     if not leaves:
         raise ConfigurationError("bbox does not intersect the region at this grading")
 
-    leaves.sort(key=lambda t: (t[0], t[2], t[1]))
-    coords = np.array([t[3] for t in leaves], dtype=np.complex128)
-    delta = np.array([t[4] for t in leaves], dtype=np.float64)
-    spacing = np.array([s0 / (1 << t[0]) for t in leaves], dtype=np.float64)
+    D, I, J = (np.array(col, dtype=np.int64) for col in list(zip(*leaves))[:3])
+    keys = _cell_keys(D, I, J)
+    order = np.argsort(keys)
+    keys, D, I, J = keys[order], D[order], I[order], J[order]
+    coords = np.array([leaves[k][3] for k in order], dtype=np.complex128)
+    delta = np.array([leaves[k][4] for k in order], dtype=np.float64)
+    spacing = s0 / (1 << D)
     if metric == "length":
         # Plane regions are subsets of a convex space: d = |.| and delta' = delta
         # for the built-in analytic regions; region hook covers the rest.
         delta = np.array([region.length_boundary_distance(z) for z in coords])
 
-    leaf_lookup = {(t[0], t[1], t[2]): idx for idx, t in enumerate(leaves)}
-    by_depth: dict[int, dict[tuple[int, int], int]] = {}
-    for idx, (d, i, j, _, _) in enumerate(leaves):
-        by_depth.setdefault(d, {})[(i, j)] = idx
+    # Same-depth pairs: the stencil offsets are one-sided, so each pair once.
+    ids = np.arange(len(keys))
+    di, dj = (np.array(_BASE_OFFSETS + _RAY_OFFSETS).T)[:, :, None]
+    v = _find(keys, D, I + di, J + dj)
+    u = np.broadcast_to(ids, v.shape)
+    us, vs = [u[v >= 0]], [v[v >= 0]]
+    # Cross-depth pairs: for each leaf and touch direction, the finest strict
+    # ancestor of the neighbour cell that is a leaf.  A neighbour cell that is
+    # itself a leaf has no leaf ancestor, so it is settled at once.  Searching
+    # from the finer side alone finds every touching pair of unequal depths.
+    u = np.repeat(ids, len(_TOUCH_DIRS))
+    dx, dy = np.tile(np.array(_TOUCH_DIRS).T, len(ids))
+    ni, nj, du = I[u] + dx, J[u] + dy, D[u]
+    open_ = _find(keys, du, ni, nj) < 0
+    for k in range(1, int(D.max()) + 1):
+        open_ &= du >= k
+        u, ni, nj, du = u[open_], ni[open_], nj[open_], du[open_]
+        v = _find(keys, du - k, ni >> k, nj >> k)
+        open_ = v < 0
+        us.append(u[~open_])
+        vs.append(v[~open_])
+    pu, pv = _unique_pairs(np.concatenate(us), np.concatenate(vs), len(keys))
 
-    pairs: set[tuple[int, int]] = set()
-    offsets = _BASE_OFFSETS + _RAY_OFFSETS
-    for d, grid in by_depth.items():
-        for (i, j), u in grid.items():
-            for di, dj in offsets:
-                v = grid.get((i + di, j + dj))
-                if v is not None:
-                    pairs.add((u, v) if u < v else (v, u))
-    pairs.update(_cross_depth_pairs(leaf_lookup, max_depth))
-
-    mesh, remap = _assemble_mesh(region, grading, metric, coords, delta, spacing, pairs)
-    mesh._leaf_lookup = {k: int(remap[v]) for k, v in leaf_lookup.items() if remap[v] >= 0}
-    mesh._origin = (x0, y0)
-    mesh._root_size = s0
-    mesh._depths = sorted(by_depth)
+    mesh, keep = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
+    mesh._root = (x0, y0, s0)
+    mesh._keys = keys[keep]
+    g, Dk = mesh.graph, D[keep]
+    rows = np.repeat(Dk, np.diff(g.indptr))
+    mesh.stats["leaves_per_depth"] = {int(d): int(c) for d, c in
+                                      enumerate(np.bincount(Dk)) if c}
+    mesh.stats["cross_depth_edges"] = int(np.count_nonzero(rows != Dk[g.indices])) // 2
     mesh.stats["bbox"] = (x0, x1, y0, y1)
     return mesh
 
 
-def _cross_depth_pairs(leaf_lookup: dict, max_depth: int) -> set[tuple[int, int]]:
-    """Touching leaf pairs across refinement levels (8-directional)."""
-    pairs: set[tuple[int, int]] = set()
-    for (d, i, j), u in leaf_lookup.items():
-        for dx, dy in _TOUCH_DIRS:
-            ni, nj = i + dx, j + dy
-            found = False
-            for k in range(1, d + 1):
-                key = (d - k, ni >> k, nj >> k)
-                if key in leaf_lookup:
-                    v = leaf_lookup[key]
-                    pairs.add((u, v) if u < v else (v, u))
-                    found = True
-                    break
-            if found:
-                continue
-            stack = [(d, ni, nj)]
-            while stack:
-                dd, ii, jj = stack.pop()
-                key = (dd, ii, jj)
-                if key in leaf_lookup:
-                    if dd != d:
-                        v = leaf_lookup[key]
-                        pairs.add((u, v) if u < v else (v, u))
-                    continue
-                if dd >= min(d + 4, max_depth):
-                    continue
-                a_range = (0, 1) if dx == 0 else ((0,) if dx == 1 else (1,))
-                b_range = (0, 1) if dy == 0 else ((0,) if dy == 1 else (1,))
-                for a in a_range:
-                    for b in b_range:
-                        stack.append((dd + 1, 2 * ii + a, 2 * jj + b))
-    return pairs
+def _unique_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct unordered pairs as (lo, hi) arrays, sorted by lo, then hi."""
+    key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+    key = key[np.diff(key, prepend=-1) != 0]
+    return key // n, key % n
 
 
 def _assemble_mesh(region: Region, grading: float, metric: str,
                    coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
-                   pairs: set[tuple[int, int]]) -> tuple[QhMesh, np.ndarray]:
-    """The mesh over the largest component, and the old-to-new node id map
-    (-1 for dropped nodes)."""
-    if pairs:
-        pu = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        pv = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        order = np.lexsort((pv, pu))
-        pu, pv = pu[order], pv[order]
-        ok = region.segments_inside_many(coords[pu], coords[pv])
-        pu, pv = pu[ok], pv[ok]
-    else:
-        pu = pv = np.zeros(0, dtype=np.int64)
+                   pu: np.ndarray, pv: np.ndarray) -> tuple[QhMesh, np.ndarray]:
+    """The mesh over the largest component of the sorted distinct pairs
+    (pu, pv) that pass the segment filter, and the mask of kept nodes."""
+    ok = region.segments_inside_many(coords[pu], coords[pv])
+    rejected = len(pu) - int(np.count_nonzero(ok))
+    pu, pv = pu[ok], pv[ok]
     lengths = np.abs(coords[pu] - coords[pv])
     w = lengths * (1.0 / delta[pu] + 1.0 / delta[pv]) / 2.0
 
@@ -281,18 +298,17 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
                            (np.concatenate([pu, pv]), np.concatenate([pv, pu]))),
                           shape=(n, n))
     ncomp, labels = connected_components(graph, directed=False)
-    stats = {"nodes": n, "edges": len(pu), "components": int(ncomp), "dropped_nodes": 0}
-    remap = np.arange(n)
+    stats = {"nodes": n, "edges": len(pu), "components": int(ncomp), "dropped_nodes": 0,
+             "segment_rejections": rejected}
+    keep = np.ones(n, dtype=bool)
     if ncomp > 1:
         keep = labels == np.argmax(np.bincount(labels))
         graph = graph[keep][:, keep]
         coords, delta, spacing = coords[keep], delta[keep], spacing[keep]
-        remap = np.full(n, -1)
-        remap[keep] = np.arange(len(coords))
         stats["dropped_nodes"] = n - len(coords)
         stats["nodes"] = len(coords)
         stats["edges"] = graph.nnz // 2
-    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), remap
+    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), keep
 
 
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
@@ -302,7 +318,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     delta: list[float] = []
     spacing: list[float] = []
     registry: list[tuple[list[float], list[int]]] = []
-    pairs: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int]] = []
 
     def delta_of(z: complex) -> float:
         if metric == "length":
@@ -332,18 +348,21 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
             spacing[nid] = max(spacing[nid], gap)
         for a, b in zip(ids, ids[1:]):
             if a >= 0 and b >= 0 and a != b:
-                pairs.add((a, b) if a < b else (b, a))
+                pairs.append((a, b))
         registry.append((cuts, ids))
 
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
 
-    mesh, remap = _assemble_mesh(region, grading, metric,
-                                 np.array(coords, dtype=np.complex128),
-                                 np.array(delta, dtype=np.float64),
-                                 np.array(spacing, dtype=np.float64), pairs)
+    pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, len(coords))
+    mesh, keep = _assemble_mesh(region, grading, metric,
+                                np.array(coords, dtype=np.complex128),
+                                np.array(delta, dtype=np.float64),
+                                np.array(spacing, dtype=np.float64), pu, pv)
+    remap = np.where(keep, np.cumsum(keep) - 1, -1)
     mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
                             for cuts, ids in registry]
+    mesh._node_of = {k: int(remap[i]) for k, i in node_of.items() if keep[i]}
     return mesh
 
 
@@ -388,11 +407,9 @@ class _Attachment:
 
 def _attach(mesh: QhMesh, z: complex) -> _Attachment:
     z = mesh.region.require_member(as_point(z), "query point")
-    nid = mesh.exact_node(z)
-    if nid is not None:
-        return _node_attachment(mesh, nid)
     if mesh._piece_registry:
-        return _attach_complex(mesh, z)
+        nid = mesh.exact_node(z)
+        return _node_attachment(mesh, nid) if nid is not None else _attach_complex(mesh, z)
     return _attach_plane(mesh, z)
 
 
@@ -402,17 +419,11 @@ def _node_attachment(mesh: QhMesh, nid: int) -> _Attachment:
 
 
 def _attach_plane(mesh: QhMesh, z: complex) -> _Attachment:
-    x0, y0 = mesh._origin
-    s0 = mesh._root_size
-    host = None
-    for d in mesh._depths:
-        s = s0 / (1 << d)
-        key = (d, int(math.floor((z.real - x0) / s)), int(math.floor((z.imag - y0) / s)))
-        host = mesh._leaf_lookup.get(key)
-        if host is not None:
-            break
+    host = mesh._host_cell(z)
     if host is None:
         raise ConnectivityError(f"query point {z} is not covered by the mesh")
+    if QhMesh._ckey(mesh.coords[host]) == QhMesh._ckey(z):
+        return _node_attachment(mesh, host)
     dz = mesh.delta_at(z)
     cand = [host] + list(mesh.neighbors(host))
     anchors = []
@@ -584,19 +595,13 @@ def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
     path = result.node_path
     if len(path) > 1 and not _canonical(path[0], path[-1]):
         path = tuple(reversed(path))
-    g = mesh.graph
     total = 0.0
     for a, b in zip(path, path[1:]):
-        w = None
         ia, ib = mesh.exact_node(a), mesh.exact_node(b)
-        if ia is not None and ib is not None:
-            row = g.indices[g.indptr[ia]:g.indptr[ia + 1]]
-            hit = np.flatnonzero(row == ib)
-            if len(hit):
-                w = float(g.data[g.indptr[ia]:g.indptr[ia + 1]][hit[0]])
-        if w is None:
-            w = mesh.edge_weight(a, mesh.delta_at(a), b, mesh.delta_at(b))
-        total += w
+        if ia is not None and ib is not None and ib in mesh.neighbors(ia):
+            total += float(mesh.graph[ia, ib])
+        else:
+            total += mesh.edge_weight(a, mesh.delta_at(a), b, mesh.delta_at(b))
     return total
 
 
@@ -612,9 +617,7 @@ def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     the flat metric of the log-cylinder.
     """
     x, y = as_point(x), as_point(y)
-    name = domain if isinstance(domain, str) else \
-        ("halfplane" if isinstance(domain, HalfPlaneRegion) else
-         "punctured" if isinstance(domain, PuncturedPlaneRegion) else None)
+    name = domain if isinstance(domain, str) else oracle_for(domain)
     if name is None:
         raise ConfigurationError(f"no analytic oracle for {domain!r}")
     name = name.lower().replace("-", "").replace("_", "")
@@ -738,8 +741,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
         |x-y| <= delta_G(x)/(3c) or k <= 1.
     eps is the mesh tolerance applied multiplicatively to each bound.
     """
-    if c is None:
-        c = region.space.quasiconvexity
+    c = region.space.quasiconvexity if c is None else c
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.4")
     rng = random.Random(seed)
@@ -772,7 +774,6 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
 
     # (2): component-ball bound, seeded centers and scales
     n_ball = max(10, count // 10)
-    checked_2 = 0
     ball_pairs: list[tuple[complex, complex]] = []
     ball_meta: list[tuple[complex, float, float]] = []
     for _ in range(n_ball):
@@ -784,7 +785,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
             h = ball_resolution if ball_resolution is not None else rho / 8.0
             try:
                 ball = component_ball(region, z, rho, h)
-            except Exception:
+            except QhkitError:
                 continue
             nodes = list(ball.nodes)
             if len(nodes) < 2:
@@ -811,7 +812,6 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
             lo = c / (c + t) * sep / dz
             hi = c / (1.0 - (1.0 + c) * t / (2.0 * c)) * sep / dz
             ok = (lo <= k * (1.0 + eps)) and (k <= hi * (1.0 + eps))
-            checked_2 += 1
             rows.append(_row(10000 + idx, x, y, k, k, lo, hi, ok))
             if not ok:
                 violations.append({"lemma": "3.4(2)", "index": idx,
@@ -819,7 +819,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
                                    "z": [z.real, z.imag], "t": t,
                                    "value": k, "lo": lo, "hi": hi})
 
-    return LemmaSuiteReport(region.name, "lemma-3.4", count + checked_2, violations, rows)
+    return LemmaSuiteReport(region.name, "lemma-3.4", count + len(ball_pairs), violations, rows)
 
 
 def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
@@ -831,8 +831,7 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     (2) (1/c) k_G <= k'_G <= c k_G, with k_G and k'_G from the two meshes
         (or both from analytic oracles when the meshes are omitted).
     """
-    if c is None:
-        c = region.space.quasiconvexity
+    c = region.space.quasiconvexity if c is None else c
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.6")
     rng = random.Random(seed)

@@ -32,7 +32,8 @@ def write_csv(path: str, rows: Iterable[Sequence], header: Sequence[str] = CSV_H
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v)
+            # float() turns numpy float64 cells into plain numbers.
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
                               for v in row) + "\n")
     return path
 

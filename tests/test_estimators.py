@@ -11,6 +11,7 @@ from qhkit import (
     IdentityMap,
     InversionMap,
     MeshBackend,
+    ResolutionError,
     SampleSpec,
     estimate_local_weak_qs,
     estimate_qc,
@@ -18,6 +19,7 @@ from qhkit import (
     estimate_ring,
     estimate_semisolid,
     estimate_weak_qs,
+    estimators,
     replay_witness,
     theta0_relative,
 )
@@ -251,3 +253,29 @@ def test_semisolid_report_records_backends(hp_mesh_01, halfplane):
                                 spec(count=20))
     assert report.meta["k_src"]["kind"] == "mesh"
     assert report.meta["k_src"]["grading"] == hp_mesh_01.grading
+
+
+class _Collapse(IdentityMap):
+    """Sends every point to 0, so no triple has a nonzero denominator."""
+
+    def _forward(self, z: complex) -> complex:
+        return 0j
+
+
+def test_weak_qs_without_admissible_triple_is_a_typed_error(halfplane):
+    with pytest.raises(ConfigurationError):
+        estimate_weak_qs(_Collapse(halfplane), spec(count=5))
+
+
+def test_local_weak_qs_skips_only_toolkit_errors_of_component_ball(monkeypatch, omega):
+    def fail(exc):
+        def component_ball(*args, **kwargs):
+            raise exc
+        return component_ball
+
+    monkeypatch.setattr(estimators, "component_ball", fail(ResolutionError("too coarse")))
+    with pytest.raises(ConfigurationError, match="no admissible local triple"):
+        estimate_local_weak_qs(IdentityMap(omega), spec(count=5))
+    monkeypatch.setattr(estimators, "component_ball", fail(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        estimate_local_weak_qs(IdentityMap(omega), spec(count=5))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -9,9 +10,11 @@ from qhkit import (
     ConfigurationError,
     ConnectivityError,
     DiskRegion,
+    HalfPlaneRegion,
     MembershipError,
     MeshBackend,
     PolygonRegion,
+    ResolutionError,
     build_mesh,
     lemma34_check,
     lemma36_check,
@@ -19,11 +22,13 @@ from qhkit import (
     qh_distance,
     qh_distance_exact,
     qh_distance_many,
+    qhgraph,
 )
+from qhkit.qhgraph import MAX_PLANE_DEPTH
 from qhkit.scenarios import make_region
 from qhkit.spaces import sample_pairs
 
-from conftest import HP_BBOX
+from conftest import HP_BBOX, PP_BBOX
 
 LN2 = math.log(2.0)
 
@@ -48,6 +53,104 @@ def test_bbox_missing_the_region_fails():
     disk = DiskRegion(0j, 1.0)
     with pytest.raises(ConfigurationError):
         build_mesh(disk, 0.2, (10.0, 11.0, 10.0, 11.0))
+
+
+def _comb_mesh():
+    # A comb whose thin tooth falls apart at this depth, so pruning drops nodes.
+    comb = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j,
+                          2.9 + 2j, 2j])
+    return build_mesh(comb, 0.3, max_depth=6)
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (coords, delta, spacing) and of the CSR arrays (index arrays as
+# int64), recorded from the dict-and-set builder that the array build replaced.
+GOLDEN_MESHES = {
+    "halfplane-0.1": ("68ea7601eba0fc82adaaba1622234b328c2ec35ad120271cc7c8772bb368026f",
+                      "286a0e8cd7ef130d243d853fbe2d827eb63b9825d802a5f6f84f561480c9b6be"),
+    "punctured-0.1": ("b22040fe4d244696eddc7bc0873005806637b71d28105d1c686dd72d67b72a62",
+                      "86cee1c3c737e918ddcfb0ecfb7eadbeeb036f2b3a6161f598018481f34b8cb7"),
+    "disk": ("e7fd4b19aaaeda59bd8a4e04a43f325e8496c0aa58e779d04cdba8747079be92",
+             "964075895dc65097e75489ff4226a48ecc78e35166c12b554a745b965539d827"),
+    "comb": ("368d3040a83df18fbd0f80efe0890c8ceeb9c64904cc1106d2458e519b72057f",
+             "8f2553601417ff5ef02457ae42116c4f88e90012f6a99a4625495c178cddd59f"),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_meshes(hp_mesh_01, punctured):
+    return {"halfplane-0.1": hp_mesh_01,
+            "punctured-0.1": build_mesh(punctured, 0.1, PP_BBOX),
+            "disk": build_mesh(DiskRegion(0j, 1.0), 0.1, max_depth=8),
+            "comb": _comb_mesh()}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_mesh_arrays_match_golden_digests(golden_meshes, name):
+    mesh = golden_meshes[name]
+    g = mesh.graph
+    assert (_digest(mesh.coords, mesh.delta, mesh.spacing),
+            _digest(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.data)) \
+        == GOLDEN_MESHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
+def test_exact_node_finds_every_node_and_nothing_half_a_cell_off(golden_meshes, name):
+    mesh = golden_meshes[name]
+    for i, (c, s) in enumerate(zip(mesh.coords, mesh.spacing)):
+        assert mesh.exact_node(c) == i
+        assert mesh.exact_node(c + s / 2.0) is None
+        assert mesh.exact_node(c + 1j * s / 2.0) is None
+
+
+def test_exact_node_on_curve_complex(omega_mesh):
+    for i, c in enumerate(omega_mesh.coords):
+        assert omega_mesh.exact_node(c) == i
+    a, b = omega_mesh.coords[0], omega_mesh.coords[omega_mesh.neighbors(0)[0]]
+    assert omega_mesh.exact_node((a + b) / 2.0) is None
+
+
+def test_plane_max_depth_is_capped(halfplane):
+    with pytest.raises(ConfigurationError):
+        build_mesh(halfplane, 0.4, HP_BBOX, max_depth=MAX_PLANE_DEPTH + 1)
+    capped = build_mesh(halfplane, 0.4, HP_BBOX, max_depth=MAX_PLANE_DEPTH)
+    assert capped.node_count == build_mesh(halfplane, 0.4, HP_BBOX).node_count
+
+
+def test_mesh_structure_stats(golden_meshes):
+    for mesh in golden_meshes.values():
+        st = mesh.stats
+        x0, x1, y0, y1 = st["bbox"]
+        s0 = max(x1 - x0, y1 - y0)
+        assert sum(st["leaves_per_depth"].values()) == st["nodes"] == mesh.node_count
+        for d, count in st["leaves_per_depth"].items():
+            assert np.count_nonzero(mesh.spacing == s0 / (1 << d)) == count
+        g = mesh.graph.tocoo()
+        cross = np.count_nonzero(mesh.spacing[g.row] != mesh.spacing[g.col]) // 2
+        assert st["cross_depth_edges"] == cross > 0
+
+
+class _WalledHalfPlane(HalfPlaneRegion):
+    """The half-plane whose segment filter also rejects crossings of the
+    wall Re z = 0, Im z > 2 (the region itself is unchanged)."""
+
+    def segments_inside_many(self, A, B):
+        crosses = (np.sign(A.real) != np.sign(B.real)) & (np.minimum(A.imag, B.imag) > 2.0)
+        return super().segments_inside_many(A, B) & ~crosses
+
+
+def test_segment_rejections_count_filtered_pairs(halfplane):
+    plain = build_mesh(halfplane, 0.2, HP_BBOX)
+    walled = build_mesh(_WalledHalfPlane(), 0.2, HP_BBOX)
+    assert walled.stats["dropped_nodes"] == 0
+    assert walled.stats["segment_rejections"] > 0
+    assert walled.stats["edges"] + walled.stats["segment_rejections"] == plain.stats["edges"]
 
 
 def test_mesh_is_connected_and_positive_delta(hp_mesh_01, pp_mesh_005):
@@ -199,11 +302,9 @@ def test_adjacent_nodes_distance_is_their_edge(request, mesh_name):
 
 
 def test_pruned_plane_mesh_attaches_queries_to_their_cell():
-    # A comb whose thin tooth falls apart at this depth: the dropped nodes
-    # shift node ids, and a point next to a kept node must still attach to it.
-    comb = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j,
-                          2.9 + 2j, 2j])
-    mesh = build_mesh(comb, 0.3, max_depth=6)
+    # The dropped nodes shift node ids, and a point next to a kept node must
+    # still attach to it.
+    mesh = _comb_mesh()
     assert mesh.stats["dropped_nodes"] > 0
     rng = random.Random(2)
     for _ in range(20):
@@ -341,3 +442,22 @@ def test_lemma36_oracle_domains(halfplane, punctured):
 def test_lemma36_omega(omega, omega_mesh, omega_mesh_length):
     report = lemma36_check(omega, omega_mesh, omega_mesh_length, count=120, seed=7)
     assert report.passed, report.violations[:3]
+
+
+class _UnitBackend:
+    def distance_pairs(self, pairs):
+        return [1.0] * len(pairs)
+
+
+def test_lemma34_skips_only_toolkit_errors_of_component_ball(monkeypatch, omega):
+    def fail(exc):
+        def component_ball(*args, **kwargs):
+            raise exc
+        return component_ball
+
+    monkeypatch.setattr(qhgraph, "component_ball", fail(ResolutionError("too coarse")))
+    report = lemma34_check(omega, _UnitBackend(), count=20, seed=7)
+    assert report.checked == 20
+    monkeypatch.setattr(qhgraph, "component_ball", fail(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        lemma34_check(omega, _UnitBackend(), count=20, seed=7)
