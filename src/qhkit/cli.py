@@ -49,20 +49,27 @@ from .scenarios import (
 from .spaces import component_ball
 
 
+def _convert(cast, value, what: str):
+    """cast(value); a value it rejects is a ConfigurationError saying what it must be."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{what}, got {value!r}") from None
+
+
+def _floats(value, what: str, n: Optional[int] = None) -> tuple[float, ...]:
+    """Comma-separated text or a config list as floats, exactly n of them if n is given."""
+    try:
+        vals = tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or (n is not None and len(vals) != n):
+        raise ConfigurationError(f"{what}, got {value!r}")
+    return vals
+
+
 def _parse_point(text: str) -> complex:
-    try:
-        x, y = (float(t) for t in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"point must be X,Y, got {text!r}") from None
-    return complex(x, y)
-
-
-def _parse_bbox(text: str) -> tuple[float, float, float, float]:
-    try:
-        x0, x1, y0, y1 = (float(t) for t in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"bbox must be x0,x1,y0,y1, got {text!r}") from None
-    return x0, x1, y0, y1
+    return complex(*_floats(text, "point must be X,Y", 2))
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -70,32 +77,32 @@ def _load_config(path: Optional[str]) -> dict:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config {path!r}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigurationError(f"config {path!r} must hold a JSON object")
+    return config
 
 
 def _resolve_seed(args, config: dict) -> int:
     env = os.environ.get("QH_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(f"QH_SEED must be an integer, got {env!r}") from None
+        return _convert(int, env, "QH_SEED must be an integer")
     if getattr(args, "seed", None) is not None:
         return args.seed
-    return int(config.get("seed", 7))
+    return _convert(int, config.get("seed", 7), "config seed must be an integer")
 
 
 def _sample_spec(args, config: dict) -> SampleSpec:
-    radii = config.get("radius_schedule", [0.4, 0.2, 0.1, 0.05])
-    if getattr(args, "radii", None):
-        radii = [float(t) for t in args.radii.split(",")]
+    radii = getattr(args, "radii", None) or config.get("radius_schedule", [0.4, 0.2, 0.1, 0.05])
     return SampleSpec(
         seed=_resolve_seed(args, config),
-        count=args.count if args.count is not None else int(config.get("count", 200)),
-        locality_q=args.q if getattr(args, "q", None) is not None else float(config.get("q", 0.5)),
-        radius_schedule=tuple(radii),
+        count=args.count if args.count is not None else
+        _convert(int, config.get("count", 200), "config count must be an integer"),
+        locality_q=args.q if getattr(args, "q", None) is not None else
+        _convert(float, config.get("q", 0.5), "config q must be a number"),
+        radius_schedule=_floats(radii, "radius schedule must be a list of numbers"),
     )
 
 
@@ -175,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _make_cli_map(args):
     matrix = None
     if args.matrix:
-        a, b, c, d = (float(t) for t in args.matrix.split(","))
+        a, b, c, d = _floats(args.matrix, "matrix must be a,b,c,d", 4)
         matrix = ((a, b), (c, d))
     return make_map(args.map_kind, getattr(args, "domain", None), matrix=matrix,
                     offset=_parse_point(args.offset) if args.matrix else 0j)
@@ -210,9 +217,10 @@ def _dispatch(args) -> int:
     if args.command == "qh":
         params = default_mesh_params(args.domain)
         grading = args.grading if args.grading is not None else \
-            float(config.get("grading", params["grading_factor"]))
-        bbox = _parse_bbox(args.bbox) if args.bbox else \
-            tuple(config["bbox"]) if "bbox" in config else params["bbox"]
+            _convert(float, config.get("grading", params["grading_factor"]),
+                     "config grading must be a number")
+        bbox = args.bbox or config.get("bbox")
+        bbox = params["bbox"] if bbox is None else _floats(bbox, "bbox must be x0,x1,y0,y1", 4)
         region = make_region(args.domain)
         metric = "length" if args.length_metric else "euclidean"
         mesh = build_mesh(region, grading, bbox, metric=metric,
@@ -311,8 +319,9 @@ def _dispatch(args) -> int:
     else:  # pragma: no cover
         raise QhkitError(f"unhandled command {args.command}")
 
+    kind = "mesh estimate" if args.command == "check-semisolid" else "lower bound"
     print(f"{report.property}: estimate = {report.estimate!r} "
-          f"(lower bound; {report.samples_used} samples, seed {report.seed})")
+          f"({kind}; {report.samples_used} samples, seed {report.seed})")
     _emit_report(args, args.command, report.to_dict())
     if args.bound is not None and report.estimate > args.bound:
         print(f"estimate exceeds the claimed bound {args.bound:g}: "

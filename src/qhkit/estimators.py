@@ -1,10 +1,13 @@
 """Monte-Carlo estimators for the mapping properties under study.
 
-Every estimator reports an envelope (a maximum over evaluated samples), which
-is a certified lower bound for the true coefficient, together with the
-extremal witness so the reported number can be replayed.  Sampling is a
-single seeded stream, so estimates are non-decreasing in the sample count at
-a fixed seed and reports are bit-for-bit reproducible.
+Every estimator reports an envelope (a maximum over evaluated samples)
+together with the extremal witness so the reported number can be replayed.
+When every ratio is evaluated exactly (the map in closed form, and for
+semisolidity analytic k_G backends) the envelope is a certified lower bound
+for the true coefficient.  estimate_semisolid over a MeshBackend divides two
+mesh approximations of k_G, so its envelope is an estimate, not a bound.
+Sampling is a single seeded stream, so estimates are non-decreasing in the
+sample count at a fixed seed and reports are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, QhkitError
 from .maps import HalfPlaneShearMap, InversionMap, MapSpec
-from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball, sample_pairs
+from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball, disk_point, sample_pairs
 
 _N_DIRECTIONS = 64  # deterministic angular resolution for L_f / l_f probing
 
@@ -45,8 +48,10 @@ class SampleSpec:
 class PropertyReport:
     """Envelope estimate plus the witness that attains it.
 
-    The estimate is a maximum over evaluated samples and therefore a lower
-    bound of the true coefficient; replaying the witness reproduces it.
+    The estimate is a maximum over evaluated samples: a lower bound of the
+    true coefficient when the ratios are exact (analytic backends), an
+    estimate when they come from mesh distances.  Replaying the witness
+    reproduces it.
     """
 
     property: str
@@ -75,10 +80,48 @@ def _pt(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _ratio_track(best: Optional[tuple[float, dict]], value: float, witness: dict):
-    if best is None or value > best[0]:
-        return (value, witness)
-    return best
+class _Envelope:
+    """Running maximum of the offered ratios and the witness that attains it.
+
+    Only a strictly larger ratio replaces the maximum, so the first witness
+    of a tie is kept.  used counts the offers; skipped is counted by callers.
+    """
+
+    def __init__(self):
+        self.best: Optional[tuple[float, dict]] = None
+        self.used = 0
+        self.skipped = 0
+
+    def offer(self, ratio: float, witness: dict) -> None:
+        if self.best is None or ratio > self.best[0]:
+            self.best = (ratio, witness)
+        self.used += 1
+
+    def triple(self, f: MapSpec, x: complex, a: complex, b: complex,
+               collected: Optional[list] = None, **extra) -> Optional[float]:
+        """Offer |f(x)-f(a)| / |f(x)-f(b)| with the triple ordered so |x-a| <= |x-b|,
+        its witness extended by extra, and append (x, a, b) to collected.
+        A degenerate triple offers nothing and returns None."""
+        u, v = (b, a) if abs(x - a) > abs(x - b) else (a, b)
+        if abs(x - v) == 0.0:
+            return None
+        fx = f.eval(x)
+        denom = abs(fx - f.eval(v))
+        if denom == 0.0:
+            return None
+        ratio = abs(fx - f.eval(u)) / denom
+        self.offer(ratio, {"x": _pt(x), "a": _pt(u), "b": _pt(v), "ratio": ratio, **extra})
+        if collected is not None:
+            collected.append((x, a, b))
+        return ratio
+
+    def report(self, property: str, seed: int, empty_msg: str, table, meta: dict,
+               used: Optional[int] = None) -> PropertyReport:
+        if self.best is None:
+            raise ConfigurationError(empty_msg)
+        return PropertyReport(property, self.best[0], self.best[1],
+                              self.used if used is None else used, seed, tuple(table),
+                              self.skipped, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +140,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     region = f.source_region
     rng = random.Random(spec.seed)
     table: list[tuple] = []
-    skipped = 0
-    best: Optional[tuple[float, dict]] = None
+    env = _Envelope()
     dirs = [complex(math.cos(2.0 * math.pi * k / _N_DIRECTIONS),
                     math.sin(2.0 * math.pi * k / _N_DIRECTIONS))
             for k in range(_N_DIRECTIONS)]
@@ -110,7 +152,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
         smallest: Optional[tuple[float, float, dict]] = None
         for r in spec.radius_schedule:
             if r >= dx:
-                skipped += 1
+                env.skipped += 1
                 continue
             ratios: list[tuple[float, complex]] = []
             for e in dirs:
@@ -122,7 +164,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
                     continue
                 ratios.append((abs(f.eval(a) - fx) / chord, a))
             if len(ratios) < 2:
-                skipped += 1
+                env.skipped += 1
                 continue
             hi = max(ratios, key=lambda t: t[0])
             lo = min(ratios, key=lambda t: t[0])
@@ -131,36 +173,18 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
             smallest = (r, H, {"x": _pt(x), "r": r, "a_max": _pt(hi[1]),
                                "a_min": _pt(lo[1]), "ratio": H})
         if smallest is not None:
-            best = _ratio_track(best, smallest[1], smallest[2])
+            env.offer(smallest[1], smallest[2])
 
-    if best is None:
-        raise ConfigurationError("no admissible (point, radius) sample; shrink the radii")
-    return PropertyReport("quasiconformality", best[0], best[1], spec.count,
-                          spec.seed, tuple(table), skipped,
-                          {"directions": _N_DIRECTIONS,
-                           "radius_schedule": list(spec.radius_schedule)})
+    return env.report("quasiconformality", spec.seed,
+                      "no admissible (point, radius) sample; shrink the radii", table,
+                      {"directions": _N_DIRECTIONS,
+                       "radius_schedule": list(spec.radius_schedule)},
+                      used=spec.count)
 
 
 # ---------------------------------------------------------------------------
 # Weak quasisymmetry (global and local)
 # ---------------------------------------------------------------------------
-
-def _eval_triple(f: MapSpec, x: complex, a: complex, b: complex) -> Optional[tuple[float, dict]]:
-    """Ratio |f(x)-f(a)| / |f(x)-f(b)| with the triple ordered so |x-a| <= |x-b|."""
-    da, db = abs(x - a), abs(x - b)
-    if db == 0.0 and da == 0.0:
-        return None
-    if da > db:
-        a, b, da, db = b, a, db, da
-    if db == 0.0:
-        return None
-    fx = f.eval(x)
-    denom = abs(fx - f.eval(b))
-    if denom == 0.0:
-        return None
-    ratio = abs(fx - f.eval(a)) / denom
-    return ratio, {"x": _pt(x), "a": _pt(a), "b": _pt(b), "ratio": ratio}
-
 
 def _probe_triples(x: complex, radius: float, rng: random.Random) -> list[tuple[complex, complex, complex]]:
     """Deterministic probe triples around x within the given radius.
@@ -178,6 +202,24 @@ def _probe_triples(x: complex, radius: float, rng: random.Random) -> list[tuple[
         (x, x + v, x + v * 1j),       # rotated perpendicular legs
         (x, x + v, x - v),            # antipodal legs
     ]
+
+
+def _offer_probes(env: _Envelope, f: MapSpec, region: Region, x: complex, radius: float,
+                  rng: random.Random, collected: Optional[list] = None) -> None:
+    """Offer each probe triple around x whose legs both lie in the region."""
+    for (px, pa, pb) in _probe_triples(x, radius, rng):
+        if region.contains(pa) and region.contains(pb):
+            env.triple(f, px, pa, pb, collected)
+
+
+def _offer_family(env: _Envelope, f: MapSpec, params: Sequence[float], witness) -> tuple:
+    """Offer the closed-form witness triple of each parameter; (param, ratio) rows."""
+    rows = []
+    for p in params:
+        ratio = env.triple(f, *witness(p))
+        if ratio is not None:
+            rows.append((p, ratio))
+    return tuple(rows)
 
 
 def inversion_weak_qs_witness(t: float) -> tuple[complex, complex, complex]:
@@ -211,9 +253,7 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
     """
     region = f.source_region
     rng = random.Random(spec.seed)
-    best: Optional[tuple[float, dict]] = None
-    used = 0
-    witness_rows: list[tuple] = []
+    env = _Envelope()
 
     for _ in range(spec.count):
         x = region.sample_point(rng)
@@ -221,37 +261,16 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
         b = region.sample_point(rng)
         while abs(b - x) <= COORD_TOL:  # b == x: resample, same stream
             b = region.sample_point(rng)
-        out = _eval_triple(f, x, a, b)
-        if out is not None:
-            best = _ratio_track(best, out[0], out[1])
-            used += 1
-        probe_r = 0.3 * region.boundary_distance(x)
-        for (px, pa, pb) in _probe_triples(x, probe_r, rng):
-            if region.contains(pa) and region.contains(pb):
-                out = _eval_triple(f, px, pa, pb)
-                if out is not None:
-                    best = _ratio_track(best, out[0], out[1])
-                    used += 1
+        env.triple(f, x, a, b)
+        _offer_probes(env, f, region, x, 0.3 * region.boundary_distance(x), rng)
 
-    if isinstance(f, InversionMap):
-        for t in witness_ts:
-            x, a, b = inversion_weak_qs_witness(t)
-            out = _eval_triple(f, x, a, b)
-            if out is not None:
-                witness_rows.append((t, out[0]))
-                best = _ratio_track(best, out[0], out[1])
-                used += 1
-
+    witness_rows = _offer_family(env, f, witness_ts, inversion_weak_qs_witness) \
+        if isinstance(f, InversionMap) else ()
     for (x, a, b) in extra_triples:
-        out = _eval_triple(f, as_point(x), as_point(a), as_point(b))
-        if out is not None:
-            best = _ratio_track(best, out[0], out[1])
-            used += 1
+        env.triple(f, as_point(x), as_point(a), as_point(b))
 
-    if best is None:
-        raise ConfigurationError("no admissible triple was sampled")
-    return PropertyReport("weak-quasisymmetry", best[0], best[1], used, spec.seed,
-                          tuple(witness_rows), 0, {"witness_ts": list(witness_ts)})
+    return env.report("weak-quasisymmetry", spec.seed, "no admissible triple was sampled",
+                      witness_rows, {"witness_ts": list(witness_ts)})
 
 
 def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
@@ -267,15 +286,8 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
     region = f.source_region
     q = spec.locality_q
     rng = random.Random(spec.seed)
-    best: Optional[tuple[float, dict]] = None
-    used = 0
-    collected: list[tuple[complex, complex, complex]] = []
-    witness_rows: list[tuple] = []
-
-    def ball_point(z: complex, rho: float) -> complex:
-        r = rho * math.sqrt(rng.random())
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        return z + complex(r * math.cos(th), r * math.sin(th))
+    env = _Envelope()
+    collected: Optional[list[tuple[complex, complex, complex]]] = [] if collect_triples else None
 
     for _ in range(spec.count):
         z = region.sample_point(rng)
@@ -292,46 +304,24 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
             a = nodes[rng.randrange(len(nodes))]
             b = nodes[rng.randrange(len(nodes))]
         else:
-            x = ball_point(z, rho)
-            a = ball_point(z, rho)
-            b = ball_point(z, rho)
+            x = disk_point(rng, z, rho)
+            a = disk_point(rng, z, rho)
+            b = disk_point(rng, z, rho)
             if not (region.contains(x) and region.contains(a) and region.contains(b)):
                 continue
-        out = _eval_triple(f, x, a, b)
-        if out is not None:
-            out[1]["z"] = _pt(z)
-            best = _ratio_track(best, out[0], out[1])
-            used += 1
-            if collect_triples:
-                collected.append((x, a, b))
+        env.triple(f, x, a, b, collected, z=_pt(z))
         if not isinstance(region, CurveRegion):
             margin = 0.9 * (rho - abs(x - z))
             if margin > 0.0:
-                for (px, pa, pb) in _probe_triples(x, margin, rng):
-                    if region.contains(pa) and region.contains(pb):
-                        out = _eval_triple(f, px, pa, pb)
-                        if out is not None:
-                            best = _ratio_track(best, out[0], out[1])
-                            used += 1
-                            if collect_triples:
-                                collected.append((px, pa, pb))
+                _offer_probes(env, f, region, x, margin, rng, collected)
 
-    if isinstance(f, HalfPlaneShearMap):
-        for n in witness_ns:
-            O, a, b = shear_local_witness(n, q)
-            out = _eval_triple(f, O, a, b)
-            if out is not None:
-                witness_rows.append((n, out[0]))
-                best = _ratio_track(best, out[0], out[1])
-                used += 1
-
-    if best is None:
-        raise ConfigurationError("no admissible local triple was sampled")
+    witness_rows = _offer_family(env, f, witness_ns, lambda n: shear_local_witness(n, q)) \
+        if isinstance(f, HalfPlaneShearMap) else ()
     meta = {"locality_q": q, "witness_ns": list(witness_ns)}
     if collect_triples:
         meta["triples"] = [[_pt(x), _pt(a), _pt(b)] for x, a, b in collected]
-    return PropertyReport("local-weak-quasisymmetry", best[0], best[1], used,
-                          spec.seed, tuple(witness_rows), 0, meta)
+    return env.report("local-weak-quasisymmetry", spec.seed,
+                      "no admissible local triple was sampled", witness_rows, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +344,18 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
     ts = k_src.distance_pairs(pairs)
     us = k_img.distance_pairs(image_pairs)
 
+    env = _Envelope()
     scatter: list[tuple] = []
-    slope_best: Optional[tuple[float, dict]] = None
     for (x, y), t, u in zip(pairs, ts, us):
         if t <= 0.0:
             continue
         scatter.append((t, u))
         ratio = u / t
-        slope_best = _ratio_track(slope_best, ratio,
-                                  {"x": _pt(x), "y": _pt(y), "k": t, "k_img": u,
-                                   "ratio": ratio})
-    if slope_best is None:
-        raise ConfigurationError("no nondegenerate pair sampled")
+        env.offer(ratio, {"x": _pt(x), "y": _pt(y), "k": t, "k_img": u, "ratio": ratio})
+    report = env.report("semisolidity", spec.seed, "no nondegenerate pair sampled",
+                        scatter, {})
 
-    t_arr = np.array([s[0] for s in scatter])
-    u_arr = np.array([s[1] for s in scatter])
+    t_arr, u_arr = np.array(scatter).T
     best_mu, best_alpha = math.inf, 1.0
     for alpha in alphas:
         env = np.maximum(t_arr ** alpha, t_arr)
@@ -383,12 +370,9 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
         return {"kind": "mesh", "grading": mesh.grading, "metric": mesh.metric,
                 "nodes": mesh.node_count}
 
-    return PropertyReport("semisolidity", slope_best[0], slope_best[1],
-                          len(scatter), spec.seed, tuple(scatter), 0,
-                          {"mu": best_mu, "alpha": best_alpha,
-                           "slope": slope_best[0],
-                           "k_src": backend_info(k_src),
-                           "k_img": backend_info(k_img)})
+    report.meta.update(mu=best_mu, alpha=best_alpha, slope=report.estimate,
+                       k_src=backend_info(k_src), k_img=backend_info(k_img))
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +388,13 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
     """
     if not (0.0 < t0 <= 1.0):
         raise ConfigurationError("t0 must lie in (0, 1]")
+    if bins < 1:
+        raise ConfigurationError("bins must be >= 1")
     region = f.source_region
     image = f.image_region
     rng = random.Random(spec.seed)
-    env = [0.0] * bins
-    best: Optional[tuple[float, dict]] = None
-    used = 0
+    peaks = [0.0] * bins
+    env = _Envelope()
 
     for _ in range(spec.count):
         x = region.sample_point(rng)
@@ -417,31 +402,26 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
         rho = rng.uniform(0.0, 1.0) * t0 * dx
         th = rng.uniform(0.0, 2.0 * math.pi)
         y = x + rho * complex(math.cos(th), math.sin(th))
-        if not region.contains(y):
-            continue
         sep = abs(x - y)
-        if sep == 0.0 or sep >= t0 * dx:
+        if not region.contains(y) or sep == 0.0 or sep >= t0 * dx:
+            env.skipped += 1
             continue
         t = sep / dx
         fx = f.eval(x)
         ratio = abs(fx - f.eval(y)) / image.boundary_distance(fx)
         b = min(bins - 1, int(t / t0 * bins))
-        if ratio > env[b]:
-            env[b] = ratio
-        best = _ratio_track(best, ratio, {"x": _pt(x), "y": _pt(y), "t": t,
-                                          "ratio": ratio})
-        used += 1
+        if ratio > peaks[b]:
+            peaks[b] = ratio
+        env.offer(ratio, {"x": _pt(x), "y": _pt(y), "t": t, "ratio": ratio})
 
-    if best is None:
-        raise ConfigurationError("no admissible near pair was sampled")
     # Cumulative max keeps the table monotone non-decreasing like a control.
     run = 0.0
     table = []
     for b in range(bins):
-        run = max(run, env[b])
+        run = max(run, peaks[b])
         table.append(((b + 1) * t0 / bins, run))
-    return PropertyReport("relativity", best[0], best[1], used, spec.seed,
-                          tuple(table), spec.count - used, {"t0": t0, "bins": bins})
+    return env.report("relativity", spec.seed, "no admissible near pair was sampled",
+                      table, {"t0": t0, "bins": bins})
 
 
 # ---------------------------------------------------------------------------
@@ -488,31 +468,25 @@ def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
         raise ConfigurationError("ring property needs 1 < alpha <= beta")
     region = f.source_region
     rng = random.Random(spec.seed)
-    best: Optional[tuple[float, dict]] = None
-    used = 0
-    skipped = 0
+    env = _Envelope()
 
     for _ in range(spec.count):
         z = region.sample_point(rng)
         dz = region.boundary_distance(z)
         r = rng.uniform(0.3, 0.99) * dz / beta
         if r <= 0.0 or not math.isfinite(r):
-            skipped += 1
+            env.skipped += 1
             continue
         extent = _ring_extent(f, region, z, r, alpha, probes)
         if extent is None or extent[1] <= 0.0:
-            skipped += 1
+            env.skipped += 1
             continue
         diam, dist = extent
         ratio = diam / dist
-        best = _ratio_track(best, ratio, {"z": _pt(z), "r": r, "diam": diam,
-                                          "dist": dist, "ratio": ratio})
-        used += 1
+        env.offer(ratio, {"z": _pt(z), "r": r, "diam": diam, "dist": dist, "ratio": ratio})
 
-    if best is None:
-        raise ConfigurationError("no admissible ball was sampled")
-    return PropertyReport("ring", best[0], best[1], used, spec.seed, (), skipped,
-                          {"alpha": alpha, "beta": beta, "probes": probes})
+    return env.report("ring", spec.seed, "no admissible ball was sampled", (),
+                      {"alpha": alpha, "beta": beta, "probes": probes})
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ from .spaces import (
     HalfPlaneRegion,
     PuncturedPlaneRegion,
     Region,
+    _coord_key,
     as_point,
     component_ball,
+    disk_point,
     sample_pairs,
 )
 
@@ -89,11 +91,6 @@ class QhMesh:
         self._piece_registry: list[tuple[list[float], list[int]]] = []
         self._node_of: dict[tuple[float, float], int] = {}
 
-    @staticmethod
-    def _ckey(z: complex) -> tuple[float, float]:
-        z = complex(z)  # numpy scalars round like Python floats
-        return (round(z.real, 10), round(z.imag, 10))
-
     @property
     def node_count(self) -> int:
         return len(self.coords)
@@ -122,9 +119,9 @@ class QhMesh:
 
     def exact_node(self, z: complex) -> Optional[int]:
         if self._piece_registry:
-            return self._node_of.get(self._ckey(z))
+            return self._node_of.get(_coord_key(z))
         host = self._host_cell(z)
-        exact = host is not None and self._ckey(self.coords[host]) == self._ckey(z)
+        exact = host is not None and _coord_key(self.coords[host]) == _coord_key(z)
         return host if exact else None
 
     def edge_weight(self, a: complex, da: float, b: complex, db: float) -> float:
@@ -333,7 +330,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
             if not region.contains(p):
                 ids.append(-1)
                 continue
-            key = QhMesh._ckey(p)
+            key = _coord_key(p)
             if key in node_of:
                 nid = node_of[key]
             else:
@@ -422,7 +419,7 @@ def _attach_plane(mesh: QhMesh, z: complex) -> _Attachment:
     host = mesh._host_cell(z)
     if host is None:
         raise ConnectivityError(f"query point {z} is not covered by the mesh")
-    if QhMesh._ckey(mesh.coords[host]) == QhMesh._ckey(z):
+    if _coord_key(mesh.coords[host]) == _coord_key(z):
         return _node_attachment(mesh, host)
     dz = mesh.delta_at(z)
     cand = [host] + list(mesh.neighbors(host))
@@ -495,7 +492,7 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
     atts: dict[tuple[float, float], _Attachment] = {}
 
     def attach(p: complex) -> _Attachment:
-        k = QhMesh._ckey(p)
+        k = _coord_key(p)
         if k not in atts:
             atts[k] = _attach(m, p)
         return atts[k]
@@ -512,7 +509,7 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
     vertex: dict[tuple[float, float], int] = {}  # source point -> graph vertex
     appended: list[_Attachment] = []              # sources with their own CSR row
     for a, _, att_a, att_b, _ in todo:
-        k = QhMesh._ckey(a)
+        k = _coord_key(a)
         if att_a is not att_b and k not in vertex:
             vertex[k] = n + len(appended) if att_a.node is None else att_a.node
             if att_a.node is None:
@@ -532,7 +529,7 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
         if att_a is att_b:
             results.append(PathResult(0.0, (b if swap else a,), 0.0, spacing))
             continue
-        src = vertex[QhMesh._ckey(a)]
+        src = vertex[_coord_key(a)]
         r = row_of[src]
         # Candidates (distance, last graph vertex, final point off the graph).
         if att_b.node is not None:
@@ -725,9 +722,16 @@ class LemmaSuiteReport:
     def passed(self) -> bool:
         return not self.violations
 
-
-def _row(idx, x, y, value, oracle, lo, hi, ok):
-    return (idx, x.real, x.imag, y.real, y.imag, value, oracle, lo, hi, int(ok))
+    def check(self, lemma: str, index: int, row_id: int, x: complex, y: complex,
+              value: float, oracle: float, lo: float, hi: float, ok: bool, /,
+              **detail) -> None:
+        """Record one checked inequality as a CSV row; a failed one also
+        becomes a violation carrying the pair and the detail fields."""
+        self.rows.append((row_id, x.real, x.imag, y.real, y.imag, value, oracle, lo, hi,
+                          int(ok)))
+        if not ok:
+            self.violations.append({"lemma": lemma, "index": index, "x": [x.real, x.imag],
+                                    "y": [y.real, y.imag], **detail})
 
 
 def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
@@ -745,8 +749,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.4")
     rng = random.Random(seed)
-    violations: list[dict] = []
-    rows: list[tuple] = []
+    report = LemmaSuiteReport(region.name, "lemma-3.4", count, [], [])
 
     pairs = sample_pairs(region.sample_point, rng, count)
     ks = backend.distance_pairs(pairs)
@@ -756,21 +759,14 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
         sep = abs(x - y)
         # (1): growth bound
         hi = (math.exp(k) - 1.0) * dx * (1.0 + eps) if k < 700 else math.inf
-        ok = sep <= hi
-        rows.append(_row(idx, x, y, sep, k, 0.0, hi, ok))
-        if not ok:
-            violations.append({"lemma": "3.4(1)", "index": idx, "x": [x.real, x.imag],
-                               "y": [y.real, y.imag], "value": sep, "bound": hi})
+        report.check("3.4(1)", idx, idx, x, y, sep, k, 0.0, hi, sep <= hi,
+                     value=sep, bound=hi)
         # (3): small-separation two-sided bound
         if sep <= dx / (3.0 * c) or k <= 1.0:
             lo = 0.5 * sep / dx
-            hi3 = 3.0 * c * sep / dx
-            ok3 = (lo < k * (1.0 + eps)) and (k <= hi3 * (1.0 + eps))
-            rows.append(_row(idx, x, y, k, k, lo, hi3, ok3))
-            if not ok3:
-                violations.append({"lemma": "3.4(3)", "index": idx,
-                                   "x": [x.real, x.imag], "y": [y.real, y.imag],
-                                   "value": k, "lo": lo, "hi": hi3})
+            hi = 3.0 * c * sep / dx
+            ok = (lo < k * (1.0 + eps)) and (k <= hi * (1.0 + eps))
+            report.check("3.4(3)", idx, idx, x, y, k, k, lo, hi, ok, value=k, lo=lo, hi=hi)
 
     # (2): component-ball bound, seeded centers and scales
     n_ball = max(10, count // 10)
@@ -796,11 +792,7 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
                 continue
         else:
             # Convex ambient: the component ball is the metric ball itself.
-            def in_ball() -> complex:
-                r = rho * math.sqrt(rng.random())
-                th = rng.uniform(0.0, 2.0 * math.pi)
-                return z + complex(r * math.cos(th), r * math.sin(th))
-            x, y = in_ball(), in_ball()
+            x, y = disk_point(rng, z, rho), disk_point(rng, z, rho)
             if abs(x - y) <= COORD_TOL or not (region.contains(x) and region.contains(y)):
                 continue
         ball_pairs.append((x, y))
@@ -812,14 +804,10 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
             lo = c / (c + t) * sep / dz
             hi = c / (1.0 - (1.0 + c) * t / (2.0 * c)) * sep / dz
             ok = (lo <= k * (1.0 + eps)) and (k <= hi * (1.0 + eps))
-            rows.append(_row(10000 + idx, x, y, k, k, lo, hi, ok))
-            if not ok:
-                violations.append({"lemma": "3.4(2)", "index": idx,
-                                   "x": [x.real, x.imag], "y": [y.real, y.imag],
-                                   "z": [z.real, z.imag], "t": t,
-                                   "value": k, "lo": lo, "hi": hi})
-
-    return LemmaSuiteReport(region.name, "lemma-3.4", count + len(ball_pairs), violations, rows)
+            report.check("3.4(2)", idx, 10000 + idx, x, y, k, k, lo, hi, ok,
+                         z=[z.real, z.imag], t=t, value=k, lo=lo, hi=hi)
+    report.checked += len(ball_pairs)
+    return report
 
 
 def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
@@ -835,8 +823,7 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.6")
     rng = random.Random(seed)
-    violations: list[dict] = []
-    rows: list[tuple] = []
+    report = LemmaSuiteReport(region.name, "lemma-3.6", 2 * count, [], [])
 
     pairs = sample_pairs(region.sample_point, rng, count)
 
@@ -845,10 +832,7 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
         sep = abs(x - y)
         d = region.space.length_distance(x, y)
         ok = (sep <= d * slack) and (d <= c * sep * slack)
-        rows.append(_row(idx, x, y, d, sep, sep, c * sep, ok))
-        if not ok:
-            violations.append({"lemma": "3.6(1)", "index": idx, "x": [x.real, x.imag],
-                               "y": [y.real, y.imag], "d": d, "sep": sep})
+        report.check("3.6(1)", idx, idx, x, y, d, sep, sep, c * sep, ok, d=d, sep=sep)
 
     if mesh_euclid is not None and mesh_length is not None:
         k_vals = [r.distance for r in qh_distance_many(mesh_euclid, pairs)]
@@ -861,9 +845,5 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
         if k <= 0.0:
             continue
         ok = (k / c <= kp * (1.0 + eps)) and (kp <= c * k * (1.0 + eps))
-        rows.append(_row(20000 + idx, x, y, kp, k, k / c, c * k, ok))
-        if not ok:
-            violations.append({"lemma": "3.6(2)", "index": idx, "x": [x.real, x.imag],
-                               "y": [y.real, y.imag], "k": k, "kprime": kp})
-
-    return LemmaSuiteReport(region.name, "lemma-3.6", 2 * count, violations, rows)
+        report.check("3.6(2)", idx, 20000 + idx, x, y, kp, k, k / c, c * k, ok, k=k, kprime=kp)
+    return report

@@ -41,7 +41,15 @@ def as_point(p) -> complex:
 
 
 def _coord_key(z: complex, digits: int = 10) -> tuple[float, float]:
+    z = complex(z)  # numpy scalars round like Python floats
     return (round(z.real, digits), round(z.imag, digits))
+
+
+def disk_point(rng: random.Random, center: complex, radius: float) -> complex:
+    """A uniform draw from the open disk B(center, radius)."""
+    r = radius * math.sqrt(rng.random())
+    th = rng.uniform(0.0, 2.0 * math.pi)
+    return center + complex(r * math.cos(th), r * math.sin(th))
 
 
 def point_segment_distance(z: complex, a: complex, b: complex) -> float:
@@ -455,9 +463,7 @@ class DiskRegion(Region):
         return (np.abs(A - self.center) < self.radius) & (np.abs(B - self.center) < self.radius)
 
     def sample_point(self, rng: random.Random) -> complex:
-        r = self.radius * 0.95 * math.sqrt(rng.random())
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        return self.center + complex(r * math.cos(th), r * math.sin(th))
+        return disk_point(rng, self.center, self.radius * 0.95)
 
     def key(self) -> tuple:
         return ("DiskRegion", _coord_key(self.center), round(self.radius, 12))

@@ -36,9 +36,35 @@ def test_qh_near_mesh_nodes_match_oracle(capsys):
     ("qh", "--domain", "halfplane", "--from", "0;1", "--to", "0,2"),
     ("check-wqs", "--map", "identity", "--domain", "halfplane", "--count", "5",
      "--config", "no-such-config.json"),
+    ("check-qc", "--map", "affine", "--domain", "halfplane", "--matrix", "1,2"),
+    ("check-qc", "--map", "affine", "--domain", "halfplane", "--matrix", "1,2,x,4"),
+    ("check-qc", "--map", "shear", "--radii", "0.4,abc"),
+    ("qh", "--domain", "halfplane", "--from", "0,1", "--to", "0,2", "--bbox", "0,1,2"),
 ])
 def test_bad_input_is_one_line_error(capsys, argv):
     code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+CHECK_QC = ("check-qc", "--map", "shear")
+QH = ("qh", "--domain", "halfplane", "--from", "0,1", "--to", "0,2")
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"count": "many"}, CHECK_QC),
+    ({"q": "half"}, CHECK_QC),
+    ({"radius_schedule": [0.4, "abc"]}, CHECK_QC),
+    ({"radius_schedule": 0.4}, CHECK_QC),
+    ({"seed": "seven"}, CHECK_QC),
+    ([1, 2], CHECK_QC),
+    ({"grading": "fine"}, QH),
+    ({"bbox": [1, 2]}, QH),
+])
+def test_bad_config_value_is_one_line_error(tmp_path, capsys, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from qhkit import (
     IdentityMap,
     InversionMap,
     MeshBackend,
+    QhkitError,
     ResolutionError,
     SampleSpec,
     estimate_local_weak_qs,
@@ -23,6 +25,8 @@ from qhkit import (
     replay_witness,
     theta0_relative,
 )
+from qhkit.reports import canonical_json
+from qhkit.scenarios import frame_region_omega, make_map, make_region
 from qhkit.spaces import HalfPlaneRegion
 
 SQRT3 = math.sqrt(3.0)
@@ -173,6 +177,8 @@ def test_relative_shear_below_composite_control():
 def test_relative_rejects_bad_window(halfplane):
     with pytest.raises(ConfigurationError):
         estimate_relative(IdentityMap(halfplane), spec(), 1.5)
+    with pytest.raises(ConfigurationError, match="bins"):
+        estimate_relative(IdentityMap(halfplane), spec(), 0.5, bins=0)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +285,167 @@ def test_local_weak_qs_skips_only_toolkit_errors_of_component_ball(monkeypatch, 
     monkeypatch.setattr(estimators, "component_ball", fail(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
         estimate_local_weak_qs(IdentityMap(omega), spec(count=5))
+
+
+# ---------------------------------------------------------------------------
+# golden reports: every estimator on the built-in maps at two seeds
+# ---------------------------------------------------------------------------
+
+_GOLDEN_MAPS = {
+    "identity": lambda: IdentityMap(make_region("halfplane")),
+    "affine": lambda: make_map("affine", "halfplane", matrix=((2.0, 0.5), (0.0, 1.0))),
+    "inversion": InversionMap,
+    "shear": HalfPlaneShearMap,
+    "identity-omega": lambda: IdentityMap(frame_region_omega()),
+}
+_GOLDEN_ESTIMATORS = {
+    "qc": estimate_qc,
+    "weak_qs": estimate_weak_qs,
+    "weak_qs-extra": lambda f, s: estimate_weak_qs(
+        f, s, extra_triples=[((0.0, 1.0), (0.1, 1.0), (0.0, 1.2)),
+                             ((0.5, 0.5), (0.5, 0.5), (0.5, 0.5))]),
+    "local_weak_qs": lambda f, s: estimate_local_weak_qs(f, s, collect_triples=True),
+    "relative": lambda f, s: estimate_relative(f, s, 0.5),
+    "ring": lambda f, s: estimate_ring(f, s, 3.0, 12.0),
+}
+
+
+def _golden_outcome(case: str, hp_mesh) -> str:
+    """sha256 of the canonical report JSON, or the error line it raises."""
+    name, kind, seed = case.split("/")
+    s = SampleSpec(seed=int(seed), count=20)
+    try:
+        if kind == "inversion-analytic":
+            pp = AnalyticBackend(make_region("punctured"))
+            report = estimate_semisolid(InversionMap(), pp, pp, s)
+        elif kind == "shear-mesh":
+            report = estimate_semisolid(
+                HalfPlaneShearMap(), MeshBackend(hp_mesh, sample_window=(-1.0, 1.0, 0.25, 1.8)),
+                MeshBackend(hp_mesh), s)
+        else:
+            report = _GOLDEN_ESTIMATORS[name](_GOLDEN_MAPS[kind](), s)
+    except QhkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest()
+
+
+# Recorded from the per-estimator best/used bookkeeping that _Envelope replaced.
+GOLDEN_REPORTS = {
+    "local_weak_qs/affine/3":
+        "f88acab126e6be8994b44a97067b5db2cb3d175de7ac1dff1896ac37e0abacd3",
+    "local_weak_qs/affine/7":
+        "32a7f22b149619c0b5a14b5789679481d677d4e343900339b2c924903d4e153a",
+    "local_weak_qs/identity-omega/3":
+        "87b9f50606dc90e33450bd1e007c29708992124f6aefff778da4b8736458e1e9",
+    "local_weak_qs/identity-omega/7":
+        "05861a84778451a4578db84306ca6a71304d23db96fb3de16c215e1079d30f76",
+    "local_weak_qs/identity/3":
+        "aa13b48bc9bdd4c27db88ace4b8e9053aec74aa31ebed343186c05df514deffa",
+    "local_weak_qs/identity/7":
+        "9f3a31991ba4a2040f63356a2ca06d2ea30fb948efed0ccc765cb6f457060bcd",
+    "local_weak_qs/inversion/3":
+        "d3c6a505cea610129237f1102a65b6781d395d601628f7142be4ee3336b5bf34",
+    "local_weak_qs/inversion/7":
+        "4fdb0992b66fc7160f50c815804e411fae8355b0b21cecaac066f191edea01e1",
+    "local_weak_qs/shear/3":
+        "83f547daf38da1336628d0a21001f9eb13fe65aa59f5b778642f3422ebba0bc6",
+    "local_weak_qs/shear/7":
+        "32a605c1bd7f09ba5748d41297118654c4afd121412a68fec05fcbe28153a7b0",
+    "qc/affine/3":
+        "cc99914d550ad1d353ff7c08b09aadf7d2c4e622d28d673ceabac9cd6eb975e6",
+    "qc/affine/7":
+        "5d7d8967dcff7d6e27ce06d90b6e50fca2a6d9fc096dbdccf1f343f5545d62ae",
+    "qc/identity-omega/3":
+        "12c058e7eb9a2a621f8bdd9d3c47faf97d47ca663597fbae730e1670ac631a92",
+    "qc/identity-omega/7":
+        "959c8ae31f7a68e7711f2e4a5b3feeed81252967f49fcfe5e61bc5c1854cf1cd",
+    "qc/identity/3":
+        "560dbd7cf8083ff316dda8415279a65a2865ccf0ff0b963dea676d5f9fdb63c7",
+    "qc/identity/7":
+        "7cc9c279ab56b8300ee98c8bf7abaf459419d51d2a557011611c917cba7f1966",
+    "qc/inversion/3":
+        "dcfe990c03d4e257b41ab3a154515202936b80b7d256ad14a3545da09de9e286",
+    "qc/inversion/7":
+        "52c3e33c92f4be928b5364662a3ed57e4636870c0404dc6ea4efd8433d736a5c",
+    "qc/shear/3":
+        "47c6f990976a6535365e7489fcb27c6c17a73c8f369243d5d121d424eafb48a5",
+    "qc/shear/7":
+        "818f0fb09a8e49f67c1fe4ad579abe1d5f0e01c49344704674d4108ee99d3313",
+    "relative/affine/3":
+        "f6bd6ec8dc92b73474b8b7c9b016f8d6537e22476672151217ffc934bee58ea5",
+    "relative/affine/7":
+        "f543d293cabf1bdf99490da9d5ccd3a2964d9174c6785f8a42c61ab87903f040",
+    "relative/identity-omega/3":
+        "ConfigurationError: no admissible near pair was sampled",
+    "relative/identity-omega/7":
+        "ConfigurationError: no admissible near pair was sampled",
+    "relative/identity/3":
+        "460785cc6e60ec95a89c8c5b70824f7ec12833637fafc54e03f042e6998a7a1a",
+    "relative/identity/7":
+        "d9eccb5554e5d659e7ec7a67c0576209032008e0d6598e2597c2c86842f96c7a",
+    "relative/inversion/3":
+        "4df159e90f8bfd3c1e4aeaf6f19eeb16a6e8e7dde12b9b3b72343371d14d139b",
+    "relative/inversion/7":
+        "e782abae6a164d20b1f06529cb833d44537ca34fcfefa893f21cd11000390e89",
+    "relative/shear/3":
+        "316544b78b6b8c218829243854ead2bd74066c668725f7c77875964fc7db6742",
+    "relative/shear/7":
+        "f1c1d0e64ae8aa242c79998fd4c19a1223e29ad1e8e223378eabcc43f1447406",
+    "ring/affine/3":
+        "41ad13032bc5a6fb0870c090f5bdf4644df02a449a5974f5e30b9d41c0138a33",
+    "ring/affine/7":
+        "a6dd002bd2de3b18456466e90f5fdade4b5921c85cb5102cd2d52263bc5092a0",
+    "ring/identity-omega/3":
+        "ConfigurationError: no admissible ball was sampled",
+    "ring/identity-omega/7":
+        "ConfigurationError: no admissible ball was sampled",
+    "ring/identity/3":
+        "69963a6abdcf7de90290ad5334944c6c55b5d3710fd5bdf1c9289952b142dda0",
+    "ring/identity/7":
+        "524089adb1f74ba6f9f71851f77b9559632ca26320542221fa9a47c24c8b68f7",
+    "ring/inversion/3":
+        "ba2c50090a27eaf6e64ce4d8af211981128b2833c94947c114448fa087ca2501",
+    "ring/inversion/7":
+        "423b5a9a9d19f20af411277107ab2ca689b08ac18f551047267ebc7106f22e81",
+    "ring/shear/3":
+        "844df22bc0cef9cb13974c3e3ee3b1be2863dbc6999c822326c18c2d77de627a",
+    "ring/shear/7":
+        "a8767e0528789600641b77721de7f0577c1729842c4c0e80fc2d46947c7c734c",
+    "semisolid/inversion-analytic/3":
+        "c63b9049db653c2f857c321facb30bbe5c0118a9ca9497cca7bd71285b037c7f",
+    "semisolid/inversion-analytic/7":
+        "7eda7f3831fface9a1a044280094480bd27970d2f8e49afddf24673869e7bba7",
+    "semisolid/shear-mesh/3":
+        "5fa242312067773277a541e153c0ad71997ecd5e61ddcfbc263c92117511c1f0",
+    "semisolid/shear-mesh/7":
+        "24850d6661b9ffedd6c659c236951ffbbe7e9d0f3ba9f3e701addc39ceb26d2a",
+    "weak_qs-extra/identity/3":
+        "c0583167d61fac318577276a140d0f75e5b5a34e2e2604f334c2c11a450dbb7b",
+    "weak_qs-extra/shear/3":
+        "192a5e4d87364adda883f5421b83cf21aa523231f4ade99436a5f64875984b9a",
+    "weak_qs/affine/3":
+        "a112f34a71817094eb1af14286efa2ee0948af9a6a10c99c16424787ddb0b3e9",
+    "weak_qs/affine/7":
+        "131cb76a7078f4dfd70f0ae1295f436c6fd1a3ded0b5c96e41fab77f356bbb59",
+    "weak_qs/identity-omega/3":
+        "3d964e77709e15c48cd1b028b499eeb8546f1e45722577f4455c18a97f0e3480",
+    "weak_qs/identity-omega/7":
+        "5139b4e441322e402dee0b55d9fec53230ac99e3584851c9386ba989a429dd10",
+    "weak_qs/identity/3":
+        "fdfa36fc3f0e2d0750df46896e39a5a1d9d5246616f939ab7d14df1615acf878",
+    "weak_qs/identity/7":
+        "06f6dc304cb34f143f93a98d4fee8017a8fc5e4909bd8717a54d3a22968a5f67",
+    "weak_qs/inversion/3":
+        "e40339385e927911d956f7104e436f945906a3b7a2e4fca21304ac2bd98f30f4",
+    "weak_qs/inversion/7":
+        "ee65f2a72efc31c89a40320ff71dec3b8466c03c2824e05a1107526cbddc96df",
+    "weak_qs/shear/3":
+        "78a6adb060849d501f30918ff51f13817b5ac4a2fe93c27d57b6c9380c614065",
+    "weak_qs/shear/7":
+        "348b8ef8d51577d678affe6ff929e322ef6791f87b7694b35f8e35738f3c92ef",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_reports_match_golden_digests(case, hp_mesh_01):
+    assert _golden_outcome(case, hp_mesh_01) == GOLDEN_REPORTS[case]

@@ -461,3 +461,38 @@ def test_lemma34_skips_only_toolkit_errors_of_component_ball(monkeypatch, omega)
     monkeypatch.setattr(qhgraph, "component_ball", fail(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
         lemma34_check(omega, _UnitBackend(), count=20, seed=7)
+
+
+class _ScaledBackend(AnalyticBackend):
+    """The analytic k_G times a constant: a wrong backend every bound must catch."""
+
+    def __init__(self, region, scale):
+        super().__init__(region)
+        self.scale = scale
+
+    def distance_pairs(self, pairs):
+        return [self.scale * k for k in super().distance_pairs(pairs)]
+
+
+VIOLATION_KEYS = {
+    "3.4(1)": {"lemma", "index", "x", "y", "value", "bound"},
+    "3.4(2)": {"lemma", "index", "x", "y", "z", "t", "value", "lo", "hi"},
+    "3.4(3)": {"lemma", "index", "x", "y", "value", "lo", "hi"},
+    "3.6(1)": {"lemma", "index", "x", "y", "d", "sep"},
+    "3.6(2)": {"lemma", "index", "x", "y", "k", "kprime"},
+}
+
+
+def test_forced_violations_keep_their_fields_and_failed_rows(halfplane):
+    # Shrinking k breaks the growth bound (1); inflating it breaks the upper
+    # sides of (2) and (3); c < 1 breaks both length-metric sandwiches.
+    reports = [lemma34_check(halfplane, _ScaledBackend(halfplane, s), count=40, seed=7)
+               for s in (0.01, 100.0)]
+    reports.append(lemma36_check(halfplane, None, None, count=40, seed=7, c=0.5))
+    seen = set()
+    for report in reports:
+        assert sum(1 for row in report.rows if row[-1] == 0) == len(report.violations) > 0
+        for v in report.violations:
+            assert set(v) == VIOLATION_KEYS[v["lemma"]]
+            seen.add(v["lemma"])
+    assert seen == set(VIOLATION_KEYS)
