@@ -129,6 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
     qh.add_argument("--bbox", type=str, default=None, metavar="X0,X1,Y0,Y1")
     qh.add_argument("--length-metric", action="store_true",
                     help="use the intrinsic-metric weights (k' instead of k)")
+    qh.add_argument("--stats", action="store_true",
+                    help="print mesh and query statistics to stderr (never to reports)")
 
     ball = sub.add_parser("ball", parents=[shared], help="flood-fill a component ball")
     ball.add_argument("--domain", choices=BUILTIN_DOMAINS, required=True)
@@ -226,7 +228,10 @@ def _dispatch(args) -> int:
         mesh = build_mesh(region, grading, bbox, metric=metric,
                           max_depth=params.get("max_depth", 12))
         src, dst = _parse_point(args.src), _parse_point(args.dst)
-        result = qh_distance(mesh, src, dst)
+        stats = {} if args.stats else None
+        result = qh_distance(mesh, src, dst, stats)
+        if stats is not None:
+            print("stats: " + json.dumps({"mesh": mesh.stats, "query": stats}), file=sys.stderr)
         print(f"k({args.src} -> {args.dst}) = {result.distance:.6f}  "
               f"[{mesh.node_count} nodes, grading {grading}]")
         oracle = oracle_for(region)

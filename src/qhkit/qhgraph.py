@@ -16,6 +16,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -465,7 +466,7 @@ def _canonical(x: complex, y: complex) -> bool:
     return (x.real, x.imag) <= (y.real, y.imag)
 
 
-def qh_distance(m: QhMesh, x, y) -> PathResult:
+def qh_distance(m: QhMesh, x, y, stats: Optional[dict] = None) -> PathResult:
     """Mesh quasihyperbolic distance between two region points.
 
     A query point that is not a mesh node joins the mesh through trapezoid
@@ -475,20 +476,37 @@ def qh_distance(m: QhMesh, x, y) -> PathResult:
     segment between them.  The distance converges to k_G as the grading
     factor shrinks; restricting to graph paths biases it upward, and
     trapezoid quadrature can offset a sliver of that on edges where 1/delta
-    is concave.
+    is concave.  stats is filled as by qh_distance_many.
     """
-    return qh_distance_many(m, [(x, y)])[0]
+    return qh_distance_many(m, [(x, y)], stats)[0]
 
 
-def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
-    """qh_distance for each pair, with one multi-source Dijkstra for the batch.
+def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
+                     stats: Optional[dict] = None) -> list[PathResult]:
+    """qh_distance for each pair, with one Dijkstra search per source.
 
     Each answer is the one qh_distance gives for its pair alone: a source
     that is not a mesh node gets its own appended CSR row of out-edges to
     its anchors, so no pair's endpoints are on another pair's paths; a
     target is resolved as the minimum of dist[a] + w(a, target) over its
     anchors.
+
+    The first source searches the whole graph.  Each later source stops at
+    a limit from the rows already searched, the landmark bound of ALT
+    search (see _Limits).  scipy drops only the relaxations above the
+    limit, so every vertex within it settles through the same relaxations
+    as in a full search: a limited row is exact wherever it is finite, and
+    the answers do not change.  The near-pair straight segment is compared
+    after the search, outside the limit.  Each row is unwound and folded
+    into the bounds right after its search, so one row is held at a time.
+
+    stats, when given, receives the counts sources, appended_rows, anchors
+    (over the distinct endpoints), dijkstra_full, dijkstra_limited and
+    reached (finite distances summed over the rows), and the seconds
+    attach_s (endpoints and appended rows), bound_s (limits and slacks),
+    dijkstra_s and unwind_s.
     """
+    t0 = perf_counter()
     atts: dict[tuple[float, float], _Attachment] = {}
 
     def attach(p: complex) -> _Attachment:
@@ -515,56 +533,157 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple]) -> list[PathResult]:
             if att_a.node is None:
                 appended.append(att_a)
     sources = sorted(set(vertex.values()))
-    if sources:
-        dist, pred = dijkstra(_with_source_rows(m.graph, appended), directed=True,
-                              indices=sources, return_predecessors=True)
-        row_of = {s: r for r, s in enumerate(sources)}
+    row_of = {s: r for r, s in enumerate(sources)}
+    jobs: list[list[int]] = [[] for _ in sources]  # the pairs of each source row
+    results: list[Optional[PathResult]] = [None] * len(todo)
+    for i, (a, b, att_a, att_b, swap) in enumerate(todo):
+        if att_a is att_b:
+            spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
+            results[i] = PathResult(0.0, (b if swap else a,), 0.0, spacing)
+        else:
+            jobs[row_of[vertex[_coord_key(a)]]].append(i)
+    graph = _with_source_rows(m.graph, appended)
+    t1 = perf_counter()
+    limits = _Limits(m.graph, [todo[js[0]][2] for js in jobs],
+                     [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
+    counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "reached"), 0)
+    times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
 
     def coord_of(v: int) -> complex:
         return m.coords[v] if v < n else appended[v - n].point
 
-    results = []
-    for a, b, att_a, att_b, swap in todo:
-        spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
-        if att_a is att_b:
-            results.append(PathResult(0.0, (b if swap else a,), 0.0, spacing))
-            continue
-        src = vertex[_coord_key(a)]
-        r = row_of[src]
-        # Candidates (distance, last graph vertex, final point off the graph).
-        if att_b.node is not None:
-            best = (dist[r, att_b.node], att_b.node, None)
-        else:
-            best = min(((dist[r, v] + w, v, att_b.point) for v, w in att_b.anchors),
-                       key=lambda c: c[0])
-        pa, pb = att_a.point, att_b.point
-        joined = att_a.node is not None and att_b.node is not None and \
-            att_b.node in m.neighbors(att_a.node)
-        if not joined and abs(pa - pb) <= 3.0 * max(att_a.spacing, att_b.spacing) \
-                and m.region.segment_inside(pa, pb):
-            direct = m.edge_weight(pa, att_a.delta, pb, att_b.delta)
-            if direct < best[0]:
-                best = (direct, src, pb)
-        d, v, tail = best
-        if not math.isfinite(d):
-            raise ConnectivityError(
-                f"endpoints {a} and {b} lie in different mesh components")
-        chain = [v]
-        while chain[-1] != src:
-            p = int(pred[r, chain[-1]])
-            if p < 0:
-                raise ConnectivityError("predecessor chain broken")
-            chain.append(p)
-        path = tuple(coord_of(u) for u in reversed(chain))
-        if tail is not None:
-            path += (tail,)
-        elen = 0.0
-        for p, q in zip(path, path[1:]):
-            elen += abs(p - q)
-        if swap:
-            path = tuple(reversed(path))
-        results.append(PathResult(float(d), path, elen, spacing))
+    for r, src in enumerate(sources):
+        t0 = perf_counter()
+        limit = limits.limit(r) if r else np.inf
+        t1 = perf_counter()
+        dist, pred = dijkstra(graph, directed=True, indices=[src],
+                              return_predecessors=True, limit=limit)
+        dist, pred = dist[0], pred[0]
+        t2 = perf_counter()
+        for i in jobs[r]:
+            results[i] = _unwind(m, todo[i], src, dist, pred, coord_of)
+        t3 = perf_counter()
+        if r + 1 < len(sources):
+            limits.add_row(r, dist)
+        times["bound_s"] += t1 - t0 + perf_counter() - t3
+        times["dijkstra_s"] += t2 - t1
+        times["unwind_s"] += t3 - t2
+        counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
+        if stats is not None:
+            counts["reached"] += int(np.count_nonzero(np.isfinite(dist)))
+    if stats is not None:
+        stats.update(sources=len(sources), appended_rows=len(appended),
+                     anchors=sum(len(att.anchors) for att in atts.values()), **counts, **times)
+    for (a, b, *_), result in zip(todo, results):
+        if result is None:
+            raise ConnectivityError(f"endpoints {a} and {b} lie in different mesh components")
     return results
+
+
+class _Ends:
+    """The anchors and weights of a list of endpoints, concatenated; an exact
+    node is its own anchor with weight 0."""
+
+    def __init__(self, atts: list[_Attachment]):
+        ends = [[(a.node, 0.0)] if a.node is not None else a.anchors for a in atts]
+        self.sizes = [len(e) for e in ends]
+        self.starts = np.cumsum([0] + self.sizes[:-1])
+        self.nodes = np.array([v for e in ends for v, _ in e], dtype=np.intp)
+        self.weights = np.array([w for e in ends for _, w in e])
+
+    def reach(self, dist: np.ndarray) -> np.ndarray:
+        """min over each endpoint's anchors a of dist[a] + w_a."""
+        return np.minimum.reduceat(dist[self.nodes] + self.weights, self.starts)
+
+
+class _Limits:
+    """Dijkstra limits of the source rows, from the rows searched before them.
+
+    Through the source of row r, with D its distance row,
+    d(s, t) <= min_a (w_a + D[a]) + min_b (D[b] + w_b) + 2 slack_r for a
+    pair (s, t), a over the anchors of s and b over those of t.  Each row
+    tightens the bound of every pair of the batch, and the limit of a row is
+    the largest bound over its pairs widened by 1e-9 relative (inf, no
+    limit, while some bound is).  slack_r is 0 for a mesh-node source, whose
+    row is d(source, .) itself.  Other sources cannot route through an
+    off-mesh source, so its bound passes through its cheapest anchor and
+    slack_r is from _slacks; the last row helps no later source and gets no
+    slack.
+    """
+
+    def __init__(self, graph: sp.csr_matrix, sources: list[_Attachment],
+                 targets: list[list[_Attachment]]):
+        # Each pair's source ends, then its target ends.
+        self._ends = _Ends([e for s, ts in zip(sources, targets) for t in ts for e in (s, t)])
+        self._first = np.cumsum([0] + [len(ts) for ts in targets])
+        self._bound = np.full(self._first[-1], np.inf)
+        self._slack2 = np.zeros(len(sources))  # 2 slack_r
+        off = [r for r, s in enumerate(sources[:-1]) if s.node is None]
+        if off:
+            self._slack2[off] = 2.0 * _slacks(graph, [sources[r] for r in off])
+
+    def add_row(self, r: int, dist: np.ndarray) -> None:
+        reach = self._ends.reach(dist)
+        np.minimum(self._bound, reach[0::2] + reach[1::2] + self._slack2[r], out=self._bound)
+
+    def limit(self, r: int) -> float:
+        return float(self._bound[self._first[r]:self._first[r + 1]].max()) * (1.0 + 1e-9)
+
+
+def _slacks(graph: sp.csr_matrix, sources: list[_Attachment]) -> np.ndarray:
+    """For each off-mesh source, an s with d(k0, x) <= D[x] + s at every mesh
+    node x, where D is the source's distance row and k0 its cheapest anchor.
+
+    With anchors k and weights w_k, D[x] = min_k (w_k + d(k, x)), and
+    d(k0, x) <= graph[k0, k] + d(k, x) gives s = max_k (graph[k0, k] - w_k),
+    taking graph[k0, k0] = 0.  s is inf when some anchor is not a mesh
+    neighbour of k0.
+    """
+    ends = _Ends(sources)
+    k0 = np.repeat([min(s.anchors, key=lambda c: c[1])[0] for s in sources], ends.sizes)
+    edge = np.asarray(graph[k0, ends.nodes]).ravel()  # 0 off the row of k0
+    edge[(edge == 0.0) & (ends.nodes != k0)] = np.inf
+    return np.maximum.reduceat(edge - ends.weights, ends.starts)
+
+
+def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
+            coord_of) -> Optional[PathResult]:
+    """The answer of one pair from its source's distance and predecessor rows,
+    or None when the target is not reached."""
+    a, b, att_a, att_b, swap = job
+    spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
+    # Candidates (distance, last graph vertex, final point off the graph).
+    if att_b.node is not None:
+        best = (dist[att_b.node], att_b.node, None)
+    else:
+        best = min(((dist[v] + w, v, att_b.point) for v, w in att_b.anchors),
+                   key=lambda c: c[0])
+    pa, pb = att_a.point, att_b.point
+    joined = att_a.node is not None and att_b.node is not None and \
+        att_b.node in m.neighbors(att_a.node)
+    if not joined and abs(pa - pb) <= 3.0 * max(att_a.spacing, att_b.spacing) \
+            and m.region.segment_inside(pa, pb):
+        direct = m.edge_weight(pa, att_a.delta, pb, att_b.delta)
+        if direct < best[0]:
+            best = (direct, src, pb)
+    d, v, tail = best
+    if not math.isfinite(d):
+        return None
+    chain = [v]
+    while chain[-1] != src:
+        p = int(pred[chain[-1]])
+        if p < 0:
+            raise ConnectivityError("predecessor chain broken")
+        chain.append(p)
+    path = tuple(coord_of(u) for u in reversed(chain))
+    if tail is not None:
+        path += (tail,)
+    elen = 0.0
+    for p, q in zip(path, path[1:]):
+        elen += abs(p - q)
+    if swap:
+        path = tuple(reversed(path))
+    return PathResult(float(d), path, elen, spacing)
 
 
 def _with_source_rows(graph: sp.csr_matrix, sources: list[_Attachment]) -> sp.csr_matrix:
@@ -609,7 +728,9 @@ def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
 def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     """Closed-form k_G for the half-plane and the punctured plane.
 
-    HalfPlane: arccosh(1 + |x-y|^2 / (2 Im x Im y)), the hyperbolic metric.
+    HalfPlane: 2 asinh(|x-y| / (2 sqrt(Im x Im y))), the hyperbolic metric
+    (equal to arccosh(1 + |x-y|^2 / (2 Im x Im y)), which loses every digit
+    when the points are close: it returns 0 for 1j -> 1j + 1e-8).
     PuncturedPlane: sqrt((log|y|-log|x|)^2 + dtheta^2) with dtheta in [0, pi],
     the flat metric of the log-cylinder.
     """
@@ -621,10 +742,7 @@ def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     if name in ("halfplane", "upperhalfplane"):
         if x.imag <= 0 or y.imag <= 0:
             raise MembershipError("oracle points must lie in the upper half-plane")
-        if x == y:
-            return 0.0
-        t = abs(x - y)
-        return math.acosh(1.0 + t * t / (2.0 * x.imag * y.imag))
+        return 2.0 * math.asinh(abs(x - y) / (2.0 * math.sqrt(x.imag * y.imag)))
     if name in ("punctured", "puncturedplane"):
         if abs(x) == 0 or abs(y) == 0:
             raise MembershipError("oracle points must avoid the puncture")

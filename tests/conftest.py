@@ -2,6 +2,7 @@ import pytest
 
 from qhkit import build_mesh
 from qhkit.scenarios import (
+    default_mesh_params,
     frame_region_bottom,
     frame_region_omega,
     frame_space,
@@ -20,6 +21,11 @@ def halfplane():
 @pytest.fixture(scope="session")
 def punctured():
     return make_region("punctured")
+
+
+@pytest.fixture(scope="session")
+def disk():
+    return make_region("disk")
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +71,9 @@ def omega_mesh_length(omega):
 @pytest.fixture(scope="session")
 def bottom_mesh(bottom):
     return build_mesh(bottom, 0.05)
+
+
+@pytest.fixture(scope="session")
+def disk_mesh(disk):
+    p = default_mesh_params("disk")
+    return build_mesh(disk, p["grading_factor"], p["bbox"], max_depth=p["max_depth"])

@@ -32,6 +32,23 @@ def test_qh_near_mesh_nodes_match_oracle(capsys):
     assert abs(k - exact) / exact <= 1e-3
 
 
+def test_qh_stats_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
+    argv = ("qh", "--domain", "punctured", "--from", "1,0.3", "--to=-0.5,2",
+            "--grading", "0.2")
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path / "plain"))
+    assert code == 0 and err == ""
+    code, out_stats, err = run(capsys, *argv, "--out", str(tmp_path / "stats"), "--stats")
+    assert code == 0 and out_stats == out
+    line, = err.splitlines()
+    stats = json.loads(line.removeprefix("stats: "))
+    assert stats["mesh"]["nodes"] > 0 and stats["query"]["sources"] == 1
+    plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert plain == sorted(p.name for p in (tmp_path / "stats").iterdir()) and plain
+    for name in plain:
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "stats" / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv", [
     ("qh", "--domain", "halfplane", "--from", "0;1", "--to", "0,2"),
     ("check-wqs", "--map", "identity", "--domain", "halfplane", "--count", "5",

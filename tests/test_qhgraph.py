@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
 from qhkit import (
     AnalyticBackend,
@@ -219,6 +220,17 @@ def test_oracle_values():
         qh_distance_exact("punctured", 0j, 1j)
 
 
+@pytest.mark.parametrize("t", [1e-8, 1e-6])
+def test_halfplane_oracle_keeps_its_digits_at_close_range(t):
+    # Vertical: k = log(y / 1) exactly, with y - 1 exact in floating point.
+    # Horizontal at height 1: k = 2 asinh(t / 2) = t - t^3 / 24 + O(t^5).
+    y = 1.0 + t
+    assert qh_distance_exact("halfplane", 1j, complex(0.0, y)) == \
+        pytest.approx(math.log1p(y - 1.0), rel=1e-12, abs=0.0)
+    assert qh_distance_exact("halfplane", 1j, 1j + t) == \
+        pytest.approx(t - t ** 3 / 24.0, rel=1e-12, abs=0.0)
+
+
 def test_mesh_overestimates_oracle(hp_mesh_01, pp_mesh_005, halfplane, punctured):
     # Shortest path over a restricted curve family dominates the infimum.  In
     # the half-plane 1/delta is convex along every chord, so the trapezoid
@@ -264,20 +276,111 @@ def test_path_qh_length_equals_distance(hp_mesh_01, omega_mesh):
     assert path_qh_length(omega_mesh, r2) == r2.distance
 
 
-@pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
-                                                     ("pp_mesh_005", "punctured"),
-                                                     ("omega_mesh", "omega")])
-def test_batch_answers_equal_single_pair_answers(request, mesh_name, region_name):
-    # A pair's answer must not depend on the other pairs of its batch.
-    mesh = request.getfixturevalue(mesh_name)
-    region = request.getfixturevalue(region_name)
-    pairs = sample_pairs(region.sample_point, random.Random(41), 200)
-    batch = qh_distance_many(mesh, pairs)
+def _covered(mesh, sample_point):
+    """sample_point redrawn until the point has a host cell; the default disk
+    mesh leaves part of the rim uncovered."""
+    def draw(rng):
+        p = sample_point(rng)
+        while mesh._host_cell(p) is None:
+            p = sample_point(rng)
+        return p
+    return draw
+
+
+def _assert_batch_equals_singles(mesh, pairs, stats=None):
+    batch = qh_distance_many(mesh, pairs, stats)
     for (x, y), r in zip(pairs, batch):
         single = qh_distance(mesh, x, y)
         assert type(r.distance) is float
         assert r.distance == single.distance
         assert r.node_path == single.node_path
+
+
+@pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
+                                                     ("pp_mesh_005", "punctured"),
+                                                     ("omega_mesh", "omega"),
+                                                     ("disk_mesh", "disk"),
+                                                     ("omega_mesh_length", "omega")])
+def test_batch_answers_equal_single_pair_answers(request, mesh_name, region_name):
+    # A pair's answer must not depend on the other pairs of its batch, nor on
+    # the search limits that the batch's earlier rows give its source.
+    mesh = request.getfixturevalue(mesh_name)
+    region = request.getfixturevalue(region_name)
+    sample_point = _covered(mesh, region.sample_point) if mesh_name == "disk_mesh" \
+        else region.sample_point
+    stats = {}
+    _assert_batch_equals_singles(mesh, sample_pairs(sample_point, random.Random(41), 200),
+                                 stats)
+    assert stats["dijkstra_limited"] > 0
+
+
+@pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
+                                                     ("pp_mesh_005", "punctured"),
+                                                     ("omega_mesh", "omega")])
+def test_shared_and_mixed_sources_equal_single_pair_answers(request, mesh_name, region_name):
+    # One off-mesh source with many targets, and a batch whose sources are
+    # partly mesh nodes (slack 0) and partly off-mesh points.
+    mesh = request.getfixturevalue(mesh_name)
+    region = request.getfixturevalue(region_name)
+    rng = random.Random(43)
+    hub = region.sample_point(rng)
+    assert mesh.exact_node(hub) is None
+    _assert_batch_equals_singles(mesh, [(hub, region.sample_point(rng)) for _ in range(25)])
+    nodes = [complex(mesh.coords[rng.randrange(mesh.node_count)]) for _ in range(20)]
+    points = [region.sample_point(rng) for _ in range(20)]
+    pairs = list(zip(nodes[:10], points[:10])) + list(zip(points[10:], points[:10])) + \
+        list(zip(nodes[10:], nodes[:10]))
+    rng.shuffle(pairs)
+    stats = {}
+    _assert_batch_equals_singles(mesh, pairs, stats)
+    assert 0 < stats["appended_rows"] < stats["sources"]
+    assert stats["dijkstra_limited"] > 0
+
+
+def test_large_batch_searches_limited(pp_mesh_005, punctured):
+    pairs = sample_pairs(punctured.sample_point, random.Random(47), 200)
+    stats = {}
+    qh_distance_many(pp_mesh_005, pairs, stats)
+    assert stats["sources"] == stats["appended_rows"] == 200
+    assert stats["dijkstra_full"] + stats["dijkstra_limited"] == 200
+    assert stats["dijkstra_limited"] >= 190
+    vertices = pp_mesh_005.node_count + stats["appended_rows"]
+    assert stats["reached"] < 0.7 * stats["sources"] * vertices
+    assert stats["anchors"] > 200
+    assert all(stats[k] >= 0.0 for k in ("attach_s", "bound_s", "dijkstra_s", "unwind_s"))
+
+
+def test_single_pair_runs_one_full_search(pp_mesh_005):
+    stats = {}
+    qh_distance(pp_mesh_005, 0.7 + 0.2j, -1.3 + 2.1j, stats)
+    assert (stats["sources"], stats["dijkstra_full"], stats["dijkstra_limited"]) == (1, 1, 0)
+    assert stats["reached"] == pp_mesh_005.node_count + 1
+
+
+@pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
+                                                     ("pp_mesh_005", "punctured"),
+                                                     ("omega_mesh", "omega")])
+def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name, region_name):
+    # d(k0, x) <= D[x] + slack at every mesh node, D being the row of an
+    # off-mesh source and k0 its cheapest anchor.
+    mesh = request.getfixturevalue(mesh_name)
+    region = request.getfixturevalue(region_name)
+    rng = random.Random(19)
+    atts = [qhgraph._attach(mesh, region.sample_point(rng)) for _ in range(8)]
+    atts = [a for a in atts if a.node is None]
+    slacks = qhgraph._slacks(mesh.graph, atts)
+    n = mesh.node_count
+    rows = dijkstra(qhgraph._with_source_rows(mesh.graph, atts), directed=True,
+                    indices=range(n, n + len(atts)))[:, :n]
+    checked = 0
+    for att, slack, row in zip(atts, slacks, rows):
+        k0 = min(att.anchors, key=lambda c: c[1])[0]
+        assert slack >= -min(w for _, w in att.anchors)
+        if math.isfinite(slack):
+            d0 = dijkstra(mesh.graph, directed=True, indices=k0)
+            assert np.all(d0 <= row + slack + 1e-12 * (1.0 + row))
+            checked += 1
+    assert checked >= len(atts) // 2 > 0
 
 
 @pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "omega_mesh"])
