@@ -101,9 +101,7 @@ class QhMesh:
         return self.graph.nnz // 2
 
     def delta_at(self, z: complex) -> float:
-        if self.metric == "length":
-            return self.region.length_boundary_distance(z)
-        return self.region.boundary_distance(z)
+        return _region_delta(self.region, self.metric, z)
 
     def neighbors(self, u: int) -> np.ndarray:
         g = self.graph
@@ -138,6 +136,13 @@ class QhMesh:
 # Builders
 # ---------------------------------------------------------------------------
 
+def _region_delta(region: Region, metric: str, z: complex) -> float:
+    """delta'_G(z) for length-metric meshes, delta_G(z) otherwise."""
+    if metric == "length":
+        return region.length_boundary_distance(z)
+    return region.boundary_distance(z)
+
+
 # Plane cells are keyed by one int64, (d, j, i) from the high bits down, so
 # sorting keys sorts cells by depth, then row, then column.
 _KEY_BITS = 25
@@ -151,9 +156,11 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     """Discretize (G, delta_G) into a graded weighted graph.
 
     bbox = (x0, x1, y0, y1) clips unbounded plane regions and is mandatory for
-    them; curve complexes ignore it.  metric="length" swaps delta_G for the
-    length-metric boundary distance delta'_G in the edge weights.  Plane
-    quadtrees refine to at most MAX_PLANE_DEPTH levels.
+    them, and for bounded regions other than disks and polygons; curve
+    complexes ignore it.  metric="length" swaps delta_G for the length-metric
+    boundary distance delta'_G in the edge weights; the plane is convex, so
+    the two agree there and only curve complexes change.  Plane quadtrees
+    refine to at most MAX_PLANE_DEPTH levels.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -189,10 +196,13 @@ def _build_plane_mesh(region: Region, grading: float,
         if hasattr(region, "center"):  # disk
             c, R = region.center, region.radius
             bbox = (c.real - R, c.real + R, c.imag - R, c.imag + R)
-        else:
-            pts = [p for p in getattr(region, "outer", ())]
+        elif hasattr(region, "outer"):  # polygon
+            pts = region.outer
             bbox = (min(p.real for p in pts), max(p.real for p in pts),
                     min(p.imag for p in pts), max(p.imag for p in pts))
+        else:
+            raise ConfigurationError(
+                f"region '{region.name}' has no default bbox; pass bbox=(x0, x1, y0, y1)")
     x0, x1, y0, y1 = map(float, bbox)
     if not (x1 > x0 and y1 > y0):
         raise ConfigurationError(f"degenerate bbox {bbox}")
@@ -233,10 +243,6 @@ def _build_plane_mesh(region: Region, grading: float,
     coords = np.array([leaves[k][3] for k in order], dtype=np.complex128)
     delta = np.array([leaves[k][4] for k in order], dtype=np.float64)
     spacing = s0 / (1 << D)
-    if metric == "length":
-        # Plane regions are subsets of a convex space: d = |.| and delta' = delta
-        # for the built-in analytic regions; region hook covers the rest.
-        delta = np.array([region.length_boundary_distance(z) for z in coords])
 
     # Same-depth pairs: the stencil offsets are one-sided, so each pair once.
     ids = np.arange(len(keys))
@@ -317,12 +323,6 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     spacing: list[float] = []
     registry: list[tuple[list[float], list[int]]] = []
     pairs: list[tuple[int, int]] = []
-
-    def delta_of(z: complex) -> float:
-        if metric == "length":
-            return region.length_boundary_distance(z)
-        return region.boundary_distance(z)
-
     for seg in region.pieces:
         cuts = _piece_cuts(region, seg, grading, max_depth)
         ids: list[int] = []
@@ -338,7 +338,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
                 nid = len(coords)
                 node_of[key] = nid
                 coords.append(p)
-                delta.append(delta_of(p))
+                delta.append(_region_delta(region, metric, p))
                 spacing.append(0.0)
             ids.append(nid)
             gap = max(cuts[k] - cuts[k - 1] if k > 0 else 0.0,

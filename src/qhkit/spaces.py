@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    ConnectivityError,
-    MembershipError,
-    ResolutionError,
-)
+from .errors import ConfigurationError, MembershipError, ResolutionError
 
 COORD_TOL = 1e-9
 
@@ -52,15 +45,15 @@ def disk_point(rng: random.Random, center: complex, radius: float) -> complex:
     return center + complex(r * math.cos(th), r * math.sin(th))
 
 
-def point_segment_distance(z: complex, a: complex, b: complex) -> float:
-    """Euclidean distance from z to the closed segment [a, b]."""
+def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
+    """(arclength from a of the point of [a, b] closest to z, distance from z to it)."""
     d = b - a
     L2 = d.real * d.real + d.imag * d.imag
     if L2 == 0.0:
-        return abs(z - a)
+        return 0.0, abs(z - a)
     t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
     t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return abs(z - (a + d * t))
+    return t * math.sqrt(L2), abs(z - (a + d * t))
 
 
 def _orient(a: complex, b: complex, c: complex) -> float:
@@ -101,14 +94,7 @@ class Segment:
 
     def project(self, z: complex) -> tuple[float, float]:
         """(arclength of the closest point, distance from z to it)."""
-        d = self.b - self.a
-        L2 = d.real * d.real + d.imag * d.imag
-        if L2 == 0.0:
-            return 0.0, abs(z - self.a)
-        t = ((z - self.a).real * d.real + (z - self.a).imag * d.imag) / L2
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-        q = self.a + d * t
-        return t * math.sqrt(L2), abs(z - q)
+        return project_segment(z, self.a, self.b)
 
 
 def locate(segments: Sequence[Segment], z, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
@@ -173,7 +159,7 @@ class SpaceModel:
         y = self.require_member(y, "y")
         return abs(x - y)
 
-    def length_distance(self, x: complex, y: complex, resolution: Optional[float] = None) -> float:
+    def length_distance(self, x: complex, y: complex) -> float:
         raise NotImplementedError
 
     def sample_point(self, rng: random.Random) -> complex:
@@ -192,7 +178,7 @@ class PlaneSpace(SpaceModel):
     def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
         return True
 
-    def length_distance(self, x: complex, y: complex, resolution: Optional[float] = None) -> float:
+    def length_distance(self, x: complex, y: complex) -> float:
         return self.ambient_distance(x, y)
 
     def sample_point(self, rng: random.Random) -> complex:
@@ -207,7 +193,9 @@ class CurveComplexSpace(SpaceModel):
     """Connected union of straight segments with the restricted plane metric.
 
     Points are located as (segment index, arclength parameter), so arc
-    distances come out exact rather than mesh-approximated.
+    distances come out exact rather than mesh-approximated.  Segments meet
+    only at shared endpoints; a table of shortest distances between the
+    endpoints, computed once, carries the length metric.
     """
 
     kind = "complex"
@@ -218,28 +206,19 @@ class CurveComplexSpace(SpaceModel):
             raise ConfigurationError("curve complex needs at least one segment")
         self.segments = segments
         self.quasiconvexity = quasiconvexity
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        # Union-find over shared endpoints; complexes must be one piece.
-        parent: dict[tuple[float, float], tuple[float, float]] = {}
-
-        def find(k):
-            while parent[k] != k:
-                parent[k] = parent[parent[k]]
-                k = parent[k]
-            return k
-
-        for seg in self.segments:
-            for z in (seg.a, seg.b):
-                parent.setdefault(_coord_key(z), _coord_key(z))
-        for seg in self.segments:
-            ra, rb = find(_coord_key(seg.a)), find(_coord_key(seg.b))
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(k) for k in parent}
-        if len(roots) > 1:
+        ids: dict[tuple[float, float], int] = {}
+        self._ends = [tuple(ids.setdefault(_coord_key(z), len(ids)) for z in (seg.a, seg.b))
+                      for seg in segments]
+        # Floyd-Warshall over the endpoints, each segment an edge of its length.
+        D = np.full((len(ids), len(ids)), np.inf)
+        np.fill_diagonal(D, 0.0)
+        for (u, v), seg in zip(self._ends, segments):
+            D[u, v] = D[v, u] = min(D[u, v], seg.length)
+        for k in range(len(ids)):
+            np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
+        if not np.isfinite(D).all():
             raise ConfigurationError("curve complex segments do not form a connected set")
+        self._table = D.tolist()
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
         return locate(self.segments, z, tol)
@@ -247,57 +226,29 @@ class CurveComplexSpace(SpaceModel):
     def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
         return self.locate(z, tol) is not None
 
-    def length_distance(self, x: complex, y: complex, resolution: Optional[float] = None) -> float:
+    def length_distance(self, x: complex, y: complex) -> float:
         """Exact shortest-path length between two on-complex points.
 
-        The graph of segment endpoints plus the two located query points
-        carries exact arc lengths; resolution is accepted for interface
-        parity but no subdivision is needed on a 1-D complex.
+        With x at arclength s on segment i and y at t on segment j, d(x, y) is
+        the least of |s - t| (when i == j) and arc(x, u) + D[u][v] + arc(v, y)
+        over the ends u of segment i and v of segment j, D being the endpoint
+        distance table.
         """
-        x = self.require_member(x, "x")
-        y = self.require_member(y, "y")
+        x, y = as_point(x), as_point(y)
+        (i, s), (j, t) = self._locate_member(x, "x"), self._locate_member(y, "y")
         if abs(x - y) <= COORD_TOL:
             return 0.0
-        loc_x = self.locate(x)
-        loc_y = self.locate(y)
-        cuts: list[list[float]] = [[0.0, seg.length] for seg in self.segments]
-        for (i, s) in (loc_x, loc_y):
-            insort(cuts[i], s)
+        (a0, a1), (b0, b1) = self._ends[i], self._ends[j]
+        arcs_x = ((a0, s), (a1, self.segments[i].length - s))
+        arcs_y = ((b0, t), (b1, self.segments[j].length - t))
+        best = min(ax + self._table[u][v] + ay for u, ax in arcs_x for v, ay in arcs_y)
+        return min(best, abs(s - t)) if i == j else best
 
-        nodes: dict[tuple[float, float], int] = {}
-        adj: list[list[tuple[int, float]]] = []
-
-        def node_id(z: complex) -> int:
-            k = _coord_key(z)
-            if k not in nodes:
-                nodes[k] = len(adj)
-                adj.append([])
-            return nodes[k]
-
-        for i, seg in enumerate(self.segments):
-            params = sorted(set(cuts[i]))
-            for s0, s1 in zip(params, params[1:]):
-                u = node_id(seg.point_at(s0))
-                v = node_id(seg.point_at(s1))
-                w = s1 - s0
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-
-        src, dst = node_id(x), node_id(y)
-        dist = {src: 0.0}
-        heap = [(0.0, src)]
-        while heap:
-            d, u = heappop(heap)
-            if u == dst:
-                return d
-            if d > dist.get(u, math.inf):
-                continue
-            for v, w in adj[u]:
-                nd = d + w
-                if nd < dist.get(v, math.inf):
-                    dist[v] = nd
-                    heappush(heap, (nd, v))
-        raise ConnectivityError("points lie in different components of the complex")
+    def _locate_member(self, z: complex, what: str) -> tuple[int, float]:
+        loc = self.locate(z)
+        if loc is None:
+            raise MembershipError(f"{what} {z} is not in the {self.kind} space")
+        return loc
 
     def sample_point(self, rng: random.Random) -> complex:
         lengths = [seg.length for seg in self.segments]
@@ -416,7 +367,7 @@ class PuncturedPlaneRegion(Region):
     def segment_inside(self, a: complex, b: complex) -> bool:
         if not (self.contains(a) and self.contains(b)):
             return False
-        return point_segment_distance(0j, a, b) > 1e-12
+        return project_segment(0j, a, b)[1] > 1e-12
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         D = B - A
@@ -515,7 +466,7 @@ class PolygonRegion(Region):
         return self.boundary_gap(z) > 0.0
 
     def _delta(self, z: complex) -> float:
-        return min(point_segment_distance(z, a, b) for a, b in self._edges)
+        return min(project_segment(z, a, b)[1] for a, b in self._edges)
 
     def boundary_gap(self, z: complex) -> float:
         return self._delta(as_point(z))
@@ -753,9 +704,9 @@ def boundary_distance(region: Region, x) -> float:
     return region.boundary_distance(as_point(x))
 
 
-def length_distance(space: SpaceModel, x, y, resolution: Optional[float] = None) -> float:
+def length_distance(space: SpaceModel, x, y) -> float:
     """Length metric d(x, y) of the space (exact for both supported kinds)."""
-    return space.length_distance(as_point(x), as_point(y), resolution)
+    return space.length_distance(as_point(x), as_point(y))
 
 
 def quasiconvexity_estimate(space: SpaceModel, samples: int, seed: int) -> float:

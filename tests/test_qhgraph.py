@@ -15,6 +15,7 @@ from qhkit import (
     MembershipError,
     MeshBackend,
     PolygonRegion,
+    Region,
     ResolutionError,
     build_mesh,
     lemma34_check,
@@ -27,7 +28,7 @@ from qhkit import (
 )
 from qhkit.qhgraph import MAX_PLANE_DEPTH
 from qhkit.scenarios import make_region
-from qhkit.spaces import sample_pairs
+from qhkit.spaces import PLANE, sample_pairs
 
 from conftest import HP_BBOX, PP_BBOX
 
@@ -48,6 +49,32 @@ def test_grading_factor_validation(halfplane):
 def test_unbounded_region_requires_bbox(halfplane):
     with pytest.raises(ConfigurationError):
         build_mesh(halfplane, 0.1)
+
+
+class _UnitSquare(Region):
+    """A bounded plane region with neither a disk centre nor polygon vertices."""
+
+    name = "unit-square"
+    bounded = True
+
+    def __init__(self):
+        self.space = PLANE
+
+    def contains(self, z):
+        return 0.0 < z.real < 1.0 and 0.0 < z.imag < 1.0
+
+    def _delta(self, z):
+        return min(z.real, 1.0 - z.real, z.imag, 1.0 - z.imag)
+
+    def segments_inside_many(self, A, B):
+        return np.ones(len(A), dtype=bool)
+
+
+def test_bounded_region_without_default_bbox_needs_one():
+    square = _UnitSquare()
+    with pytest.raises(ConfigurationError, match="has no default bbox"):
+        build_mesh(square, 0.2)
+    assert build_mesh(square, 0.2, (0.0, 1.0, 0.0, 1.0)).node_count > 0
 
 
 def test_bbox_missing_the_region_fails():
