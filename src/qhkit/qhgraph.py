@@ -160,7 +160,9 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     complexes ignore it.  metric="length" swaps delta_G for the length-metric
     boundary distance delta'_G in the edge weights; the plane is convex, so
     the two agree there and only curve complexes change.  Plane quadtrees
-    refine to at most MAX_PLANE_DEPTH levels.
+    refine to at most MAX_PLANE_DEPTH levels.  mesh.stats["stage_s"] holds
+    the seconds of each build stage: refine, stencil, cross_depth, dedupe
+    and assemble for plane meshes, cuts and assemble for curve complexes.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -189,6 +191,7 @@ def _find(keys: np.ndarray, d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.n
 def _build_plane_mesh(region: Region, grading: float,
                       bbox: Optional[tuple[float, float, float, float]],
                       metric: str, max_depth: int) -> QhMesh:
+    t0 = perf_counter()
     if bbox is None:
         if not region.bounded:
             raise ConfigurationError(
@@ -243,6 +246,7 @@ def _build_plane_mesh(region: Region, grading: float,
     coords = np.array([leaves[k][3] for k in order], dtype=np.complex128)
     delta = np.array([leaves[k][4] for k in order], dtype=np.float64)
     spacing = s0 / (1 << D)
+    t1 = perf_counter()
 
     # Same-depth pairs: the stencil offsets are one-sided, so each pair once.
     ids = np.arange(len(keys))
@@ -250,6 +254,7 @@ def _build_plane_mesh(region: Region, grading: float,
     v = _find(keys, D, I + di, J + dj)
     u = np.broadcast_to(ids, v.shape)
     us, vs = [u[v >= 0]], [v[v >= 0]]
+    t2 = perf_counter()
     # Cross-depth pairs: for each leaf and touch direction, the finest strict
     # ancestor of the neighbour cell that is a leaf.  A neighbour cell that is
     # itself a leaf has no leaf ancestor, so it is settled at once.  Searching
@@ -265,7 +270,9 @@ def _build_plane_mesh(region: Region, grading: float,
         open_ = v < 0
         us.append(u[~open_])
         vs.append(v[~open_])
+    t3 = perf_counter()
     pu, pv = _unique_pairs(np.concatenate(us), np.concatenate(vs), len(keys))
+    t4 = perf_counter()
 
     mesh, keep = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
     mesh._root = (x0, y0, s0)
@@ -276,6 +283,8 @@ def _build_plane_mesh(region: Region, grading: float,
                                       enumerate(np.bincount(Dk)) if c}
     mesh.stats["cross_depth_edges"] = int(np.count_nonzero(rows != Dk[g.indices])) // 2
     mesh.stats["bbox"] = (x0, x1, y0, y1)
+    mesh.stats["stage_s"] = {"refine": t1 - t0, "stencil": t2 - t1, "cross_depth": t3 - t2,
+                             "dedupe": t4 - t3, "assemble": perf_counter() - t4}
     return mesh
 
 
@@ -317,6 +326,7 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
 
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
                         max_depth: int) -> QhMesh:
+    t0 = perf_counter()
     node_of: dict[tuple[float, float], int] = {}
     coords: list[complex] = []
     delta: list[float] = []
@@ -352,6 +362,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
 
+    t1 = perf_counter()
     pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, len(coords))
     mesh, keep = _assemble_mesh(region, grading, metric,
                                 np.array(coords, dtype=np.complex128),
@@ -361,6 +372,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
                             for cuts, ids in registry]
     mesh._node_of = {k: int(remap[i]) for k, i in node_of.items() if keep[i]}
+    mesh.stats["stage_s"] = {"cuts": t1 - t0, "assemble": perf_counter() - t1}
     return mesh
 
 

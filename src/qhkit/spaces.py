@@ -591,11 +591,23 @@ class ComponentBall:
         return any(abs(z - n) <= tol for n in self.nodes)
 
 
+#: Most mesh points a component ball may cut; a finer mesh raises
+#: ResolutionError before any point is built.
+MAX_BALL_POINTS = 250_000
+
 _BALL_NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+
+
+def _check_ball_points(count: int, z: complex, r: float, h: float) -> None:
+    if count > MAX_BALL_POINTS:
+        raise ResolutionError(
+            f"resolution {h} cuts B({z}, {r}) into {count} mesh points, "
+            f"over the cap MAX_BALL_POINTS = {MAX_BALL_POINTS}")
 
 
 def _component_ball_plane(region: Region, z: complex, r: float, h: float) -> ComponentBall:
     n = int(math.ceil(r / h)) + 1
+    _check_ball_points((2 * n + 1) ** 2, z, r, h)
     accept: dict[tuple[int, int], complex] = {}
     candidates: dict[tuple[int, int], complex] = {}
     for i in range(-n, n + 1):
@@ -655,9 +667,26 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
             adj.append([])
         return node_ids[k]
 
+    # Each piece keeps its whole-length grid L*k/m, visited only over the
+    # indices within r + 2h of z, one index of margin on each side.  Visited
+    # nodes lie within r of z and their neighbours within r + h, so every
+    # node, edge and frontier point of the ball is cut as before.
+    reach = r + 2.0 * h
+    windows = []
     for pi, seg in enumerate(region.pieces):
-        m = max(1, int(math.ceil(seg.length / h)))
-        params = [seg.length * k / m for k in range(m + 1)]
+        s0, d = seg.project(z)
+        if d >= reach and pi != loc[0]:
+            continue
+        L = seg.length
+        m = max(1, int(math.ceil(L / h)))
+        w = math.sqrt(max(reach * reach - d * d, 0.0))
+        lo = max(0, math.floor((s0 - w) * m / L) - 1) if L > 0.0 else 0
+        hi = min(m, math.ceil((s0 + w) * m / L) + 1) if L > 0.0 else m
+        windows.append((pi, seg, m, lo, hi))
+    _check_ball_points(sum(hi - lo + 1 for *_, lo, hi in windows), z, r, h)
+
+    for pi, seg, m, lo, hi in windows:
+        params = [seg.length * k / m for k in range(lo, hi + 1)]
         if pi == loc[0]:
             params = sorted(set(params + [loc[1]]))
         prev = None
@@ -725,13 +754,22 @@ def component_ball(region: Region, z, r: float, resolution: float) -> ComponentB
     """Flood-fill realization of the component ball B^G(z, r) at mesh size h.
 
     Edges whose endpoints leave the open ball are excluded outright, which
-    keeps every node within distance r of the center.
+    keeps every node within distance r of the center.  In the plane the mesh
+    is the square grid of spacing h around z, (2n + 1)^2 points with
+    n = ceil(r/h) + 1.  On a curve complex each piece of length L carries
+    the grid L*k/m, m = ceil(L/h), but only the part of it within r + 2h of
+    z is cut: O(r/h) points per nearby piece, and the same nodes and frontier
+    as cutting every piece whole.  A mesh of more than MAX_BALL_POINTS
+    points raises ResolutionError before anything is built.
     """
     z = region.require_member(as_point(z), "center")
-    if r <= 0:
-        raise ConfigurationError("component ball radius must be positive")
-    if resolution <= 0:
-        raise ConfigurationError("resolution must be positive")
+    if not 0.0 < r < math.inf:
+        raise ConfigurationError("component ball radius must be positive and finite")
+    if not 0.0 < resolution < math.inf:
+        raise ConfigurationError("resolution must be positive and finite")
+    if r / resolution == math.inf:
+        raise ResolutionError(f"resolution {resolution} cuts B({z}, {r}) into more than "
+                              f"MAX_BALL_POINTS = {MAX_BALL_POINTS} mesh points")
     if isinstance(region, CurveRegion):
         return _component_ball_complex(region, z, r, resolution)
     return _component_ball_plane(region, z, r, resolution)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,21 @@ import pytest
 
 from qhkit import qh_distance_exact
 from qhkit.cli import main
+from qhkit.repro import SUITES
+
+# sha256 of the nine files `qhkit repro SUITE --out DIR` writes for the five
+# suites at their pinned defaults.
+REPRO_SHA256 = {
+    "repro-example-1-1.csv": "c285cd20084b0763e40805f3ee2361c98ab62308223853feec3e522d68ddfad5",
+    "repro-example-1-1.json": "0ffcc94f7589d5522485b1e2c9967906d37112d53be3c93fe7e5cae0840d8e1c",
+    "repro-example-1-8.csv": "5c08b8386c47be7c5de78034ab6843ff4d4ff66ae0d6593d1593bd4c950717a4",
+    "repro-example-1-8.json": "958eeec3a542bda2f93ff0c2090a4b8b388268db877ba06024eb4a807db0c747",
+    "repro-example-3-1.json": "cdcd954c28c8cb24a77a8c484ccf0f0870f0c1a7ddb1bbb58b73d335fd12487f",
+    "repro-lemma-3-4.csv": "f88589aeb5982dfd308470ec36ab432f3c4de0fed300f637a99a628fde87e827",
+    "repro-lemma-3-4.json": "d194bbabd2708e6a17752b97c1bd6298da71f2da74a88626d6d5a4b934778921",
+    "repro-lemma-3-6.csv": "09fee4ee952afdad7481e8caa3d9ab7691c4093a0c55a97d38afcf8f52975ca7",
+    "repro-lemma-3-6.json": "559535657c70d98d30e4fd139eaeafc3e613a88e1ab814b7218934e591265eeb",
+}
 
 
 def run(capsys, *argv):
@@ -42,6 +58,9 @@ def test_qh_stats_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
     line, = err.splitlines()
     stats = json.loads(line.removeprefix("stats: "))
     assert stats["mesh"]["nodes"] > 0 and stats["query"]["sources"] == 1
+    stages = stats["mesh"]["stage_s"]
+    assert list(stages) == ["refine", "stencil", "cross_depth", "dedupe", "assemble"]
+    assert all(t >= 0.0 for t in stages.values())
     plain = sorted(p.name for p in (tmp_path / "plain").iterdir())
     assert plain == sorted(p.name for p in (tmp_path / "stats").iterdir()) and plain
     for name in plain:
@@ -148,6 +167,14 @@ def test_repro_writes_reports_and_is_deterministic(tmp_path, capsys):
     assert f1 == f2
     payload = json.loads(f1)
     assert payload["passed"] is True
+
+
+def test_repro_reports_match_golden_digests(tmp_path, capsys):
+    for suite in sorted(SUITES):
+        code, _, _ = run(capsys, "repro", suite, "--out", str(tmp_path))
+        assert code == 0, suite
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == REPRO_SHA256
 
 
 def test_seed_resolution_env_override(tmp_path, capsys, monkeypatch):

@@ -1,0 +1,199 @@
+"""Component balls on curve complexes: pinned digests, a whole-complex
+reference, a fine-resolution ball and the point cap.
+
+The digests were recorded with the routine that cut every piece of the
+complex along its whole length.  The windowed routine cuts each piece only
+within r + 2h of the centre and must reproduce the nodes, the frontier and
+the error strings bit for bit.
+"""
+import hashlib
+import math
+import random
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qhkit import ConfigurationError, QhkitError, ResolutionError, component_ball, spaces
+from qhkit.scenarios import make_region
+from qhkit.spaces import ComponentBall, CurveRegion, _coord_key
+
+from test_complex_table import random_complex
+
+BALL_SHA256 = {
+    "frame-omega": "12d53d8e68ebbb93d6657674552c25670730395741fc2e0c6786903780095482",
+    "frame-bottom": "a2854659e8f8be12694edd801b231fca26c3e47dbaf4d62b17a13569b3ce99d8",
+    "random": "703fcc84099bbeba5f26b2ba5648e03bed4d7ac06e2c2622861de38ef49d5280",
+}
+
+
+def random_region(rng: random.Random) -> CurveRegion:
+    space = random_complex(rng)
+    boundary = [space.sample_point(rng) for _ in range(rng.randint(1, 3))]
+    return CurveRegion(space, space.segments, boundary, name="random")
+
+
+def ball_cases(region: CurveRegion, rng: random.Random,
+               count: int) -> list[tuple[complex, float, float]]:
+    """Seeded (centre, r, h): every piece corner, then sampled centres, each
+    with r from 0.01 to 5 times its boundary gap at a fine h (r/40 to r/1.1)
+    and at a coarse one (r to 4r); then every boundary point, no member."""
+    corners = sorted({p for seg in region.pieces for p in (seg.a, seg.b)}, key=_coord_key)
+    centres = corners + [region.sample_point(rng) for _ in range(max(0, count - len(corners)))]
+    cases = []
+    for z in centres:
+        r = max(region.boundary_gap(z), 0.05) * math.exp(rng.uniform(math.log(0.01),
+                                                                      math.log(5.0)))
+        cases.append((z, r, r / rng.uniform(1.1, 40.0)))
+        cases.append((z, r, r * rng.uniform(1.0, 4.0)))
+    return cases + [(p, 1.0, 0.1) for p in region.boundary_points]
+
+
+def ball_bytes(region, z, r, h) -> bytes:
+    try:
+        ball = component_ball(region, z, r, h)
+    except QhkitError as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    return (np.array(ball.nodes, dtype="<c16").tobytes() + b"|"
+            + np.array(ball.frontier, dtype="<c16").tobytes())
+
+
+def digest(name: str) -> str:
+    h = hashlib.sha256()
+    if name == "random":
+        for seed in range(12):
+            rng = random.Random(seed)
+            region = random_region(rng)
+            for case in ball_cases(region, rng, 10):
+                h.update(ball_bytes(region, *case))
+    else:
+        region = make_region(name)
+        rng = random.Random(7)
+        for case in ball_cases(region, rng, 40):
+            h.update(ball_bytes(region, *case))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(BALL_SHA256))
+def test_ball_digest(name):
+    assert digest(name) == BALL_SHA256[name]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the same flood fill over every piece cut along its whole length
+# ---------------------------------------------------------------------------
+
+def whole_complex_ball(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
+    z = region.require_member(z, "center")
+    loc = region.locate(z)
+    node_ids: dict = {}
+    coords: list = []
+    in_ball: list = []
+    adj: list = []
+
+    def get_node(p):
+        k = _coord_key(p)
+        if k not in node_ids:
+            node_ids[k] = len(coords)
+            coords.append(p)
+            in_ball.append(abs(p - z) < r and region.contains(p))
+            adj.append([])
+        return node_ids[k]
+
+    for pi, seg in enumerate(region.pieces):
+        m = max(1, int(math.ceil(seg.length / h)))
+        params = [seg.length * k / m for k in range(m + 1)]
+        if pi == loc[0]:
+            params = sorted(set(params + [loc[1]]))
+        prev = None
+        for s in params:
+            nid = get_node(seg.point_at(s))
+            if prev is not None and region.segment_inside(coords[prev], coords[nid]):
+                adj[prev].append(nid)
+                adj[nid].append(prev)
+            prev = nid
+
+    start = get_node(region.pieces[loc[0]].point_at(loc[1]))
+    in_ball[start] = True
+    visited = {start}
+    stack = [start]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in visited and in_ball[v]:
+                visited.add(v)
+                stack.append(v)
+    if len(visited) < 2:
+        raise ResolutionError(
+            f"resolution {h} places no mesh node besides the center in B({z}, {r})")
+    frontier = sorted({_coord_key(coords[v]) for u in visited for v in adj[u]
+                       if v not in visited})
+    nodes = tuple(sorted((coords[u] for u in visited), key=_coord_key))
+    return ComponentBall(z, r, nodes, tuple(complex(a, b) for a, b in frontier), h)
+
+
+@pytest.mark.parametrize("seed", range(100, 112))
+def test_windowed_ball_matches_whole_complex(seed):
+    rng = random.Random(seed)
+    region = random_region(rng)
+    centres = [seg.a for seg in region.pieces] + [region.sample_point(rng) for _ in range(8)]
+    compared = 0
+    for z in centres:
+        r = rng.uniform(0.05, 3.0)
+        h = r / rng.uniform(0.5, 10.0)
+        try:
+            want = whole_complex_ball(region, z, r, h)
+        except QhkitError as exc:
+            with pytest.raises(type(exc)) as got:
+                component_ball(region, z, r, h)
+            assert str(got.value) == str(exc)
+            continue
+        got = component_ball(region, z, r, h)
+        for a, b in ((got.nodes, want.nodes), (got.frontier, want.frontier)):
+            assert (np.array(a, dtype="<c16").tobytes()
+                    == np.array(b, dtype="<c16").tobytes()), (z, r, h)
+        compared += 1
+    assert compared >= 2
+
+
+def test_fine_ball_cuts_only_near_the_centre(omega):
+    # Cut whole, the frame would take 10 / 1e-6 points, far over the cap.
+    t0 = time.perf_counter()
+    ball = component_ball(omega, 0.5 + 0j, 5e-4, 1e-6)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(ball.nodes) == 999
+    assert all(abs(p - 0.5) < 5e-4 for p in ball.nodes)
+
+
+@pytest.mark.parametrize("domain, z, r, h", [("halfplane", 1j, 0.5, 1e-6),
+                                             ("frame-omega", 0j, 5.0, 1e-6),
+                                             ("halfplane", 1j, 0.5, 1e-320),
+                                             ("frame-omega", 0j, 5.0, 1e-320)])
+def test_oversized_ball_fails_before_allocating(domain, z, r, h):
+    region = make_region(domain)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionError, match="MAX_BALL_POINTS"):
+            component_ball(region, z, r, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_plane_point_count_meets_the_cap_exactly(monkeypatch, halfplane):
+    # r/h = 10 gives n = 11, a 23 x 23 grid.
+    monkeypatch.setattr(spaces, "MAX_BALL_POINTS", 23 * 23)
+    component_ball(halfplane, 1j, 0.5, 0.05)
+    monkeypatch.setattr(spaces, "MAX_BALL_POINTS", 23 * 23 - 1)
+    with pytest.raises(ResolutionError, match="529 mesh points"):
+        component_ball(halfplane, 1j, 0.5, 0.05)
+
+
+@pytest.mark.parametrize("r, h", [(math.inf, 0.05), (math.nan, 0.05), (0.5, math.nan),
+                                  (0.5, math.inf), (0.0, 0.05)])
+def test_radius_and_resolution_must_be_positive_and_finite(halfplane, omega, r, h):
+    for region, z in ((halfplane, 1j), (omega, 0j)):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            component_ball(region, z, r, h)

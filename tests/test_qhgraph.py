@@ -151,9 +151,12 @@ def test_plane_max_depth_is_capped(halfplane):
     assert capped.node_count == build_mesh(halfplane, 0.4, HP_BBOX).node_count
 
 
-def test_mesh_structure_stats(golden_meshes):
+def test_mesh_structure_stats(golden_meshes, omega_mesh):
+    assert list(omega_mesh.stats["stage_s"]) == ["cuts", "assemble"]
     for mesh in golden_meshes.values():
         st = mesh.stats
+        assert list(st["stage_s"]) == ["refine", "stencil", "cross_depth", "dedupe", "assemble"]
+        assert all(t >= 0.0 for t in st["stage_s"].values())
         x0, x1, y0, y1 = st["bbox"]
         s0 = max(x1 - x0, y1 - y0)
         assert sum(st["leaves_per_depth"].values()) == st["nodes"] == mesh.node_count
