@@ -503,20 +503,28 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     target is resolved as the minimum of dist[a] + w(a, target) over its
     anchors.
 
-    The first source searches the whole graph.  Each later source stops at
-    a limit from the rows already searched, the landmark bound of ALT
-    search (see _Limits).  scipy drops only the relaxations above the
-    limit, so every vertex within it settles through the same relaxations
-    as in a full search: a limited row is exact wherever it is finite, and
-    the answers do not change.  The near-pair straight segment is compared
-    after the search, outside the limit.  Each row is unwound and folded
-    into the bounds right after its search, so one row is held at a time.
+    Each source stops at a limit.  A source with a finite landmark bound
+    from the rows already searched (ALT search, see _Limits) takes it.  On
+    a plane mesh, any other source, the first one included, guesses its
+    limit from the straight segments of its pairs (see _segment_guess);
+    curve complexes and sources with a segment leaving G search the whole
+    graph.  scipy drops only the relaxations above the limit, so every
+    vertex within it settles through the same relaxations as in a full
+    search: a limited row is exact wherever it is finite, and an answer
+    within the limit, the near-pair straight segment included, is the full
+    search's.  A guess can be too small: a row with an answer above the
+    limit is searched again up to its largest answer, and a row with a
+    target not reached is searched again in full, so the answers do not
+    change.  Each row is unwound and folded into the bounds right after its
+    search, so one row is held at a time.
 
     stats, when given, receives the counts sources, appended_rows, anchors
-    (over the distinct endpoints), dijkstra_full, dijkstra_limited and
-    reached (finite distances summed over the rows), and the seconds
-    attach_s (endpoints and appended rows), bound_s (limits and slacks),
-    dijkstra_s and unwind_s.
+    (over the distinct endpoints), dijkstra_full and dijkstra_limited (the
+    searches by their limit, reruns included), dijkstra_guessed (searches
+    whose limit is a segment guess), dijkstra_retried (searches run again
+    after a guess missed) and reached (finite distances summed over the
+    searches), and the seconds attach_s (endpoints and appended rows),
+    bound_s (limits, guesses and slacks), dijkstra_s and unwind_s.
     """
     t0 = perf_counter()
     atts: dict[tuple[float, float], _Attachment] = {}
@@ -558,15 +566,14 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     t1 = perf_counter()
     limits = _Limits(m.graph, [todo[js[0]][2] for js in jobs],
                      [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
-    counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "reached"), 0)
+    counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
+                            "dijkstra_retried", "reached"), 0)
     times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
 
     def coord_of(v: int) -> complex:
         return m.coords[v] if v < n else appended[v - n].point
 
-    for r, src in enumerate(sources):
-        t0 = perf_counter()
-        limit = limits.limit(r) if r else np.inf
+    def search(r: int, src: int, limit: float) -> np.ndarray:
         t1 = perf_counter()
         dist, pred = dijkstra(graph, directed=True, indices=[src],
                               return_predecessors=True, limit=limit)
@@ -574,15 +581,31 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
         t2 = perf_counter()
         for i in jobs[r]:
             results[i] = _unwind(m, todo[i], src, dist, pred, coord_of)
-        t3 = perf_counter()
-        if r + 1 < len(sources):
-            limits.add_row(r, dist)
-        times["bound_s"] += t1 - t0 + perf_counter() - t3
         times["dijkstra_s"] += t2 - t1
-        times["unwind_s"] += t3 - t2
+        times["unwind_s"] += perf_counter() - t2
         counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
         if stats is not None:
             counts["reached"] += int(np.count_nonzero(np.isfinite(dist)))
+        return dist
+
+    for r, src in enumerate(sources):
+        t0 = perf_counter()
+        limit = limits.limit(r) if r else np.inf
+        if limit == np.inf and not m._piece_registry:
+            limit = _segment_guess(m, [todo[i] for i in jobs[r]])
+            counts["dijkstra_guessed"] += limit < np.inf
+        times["bound_s"] += perf_counter() - t0
+        dist = search(r, src, limit)
+        # A limited row is exact wherever it is finite, so an answer within
+        # the limit is the full search's; a guess can be too small.
+        worst = max(np.inf if results[i] is None else results[i].distance for i in jobs[r])
+        if worst > limit:
+            counts["dijkstra_retried"] += 1
+            dist = search(r, src, worst * (1.0 + 1e-9))
+        t0 = perf_counter()
+        if r + 1 < len(sources):
+            limits.add_row(r, dist)
+        times["bound_s"] += perf_counter() - t0
     if stats is not None:
         stats.update(sources=len(sources), appended_rows=len(appended),
                      anchors=sum(len(att.anchors) for att in atts.values()), **counts, **times)
@@ -615,12 +638,13 @@ class _Limits:
     d(s, t) <= min_a (w_a + D[a]) + min_b (D[b] + w_b) + 2 slack_r for a
     pair (s, t), a over the anchors of s and b over those of t.  Each row
     tightens the bound of every pair of the batch, and the limit of a row is
-    the largest bound over its pairs widened by 1e-9 relative (inf, no
-    limit, while some bound is).  slack_r is 0 for a mesh-node source, whose
-    row is d(source, .) itself.  Other sources cannot route through an
-    off-mesh source, so its bound passes through its cheapest anchor and
-    slack_r is from _slacks; the last row helps no later source and gets no
-    slack.
+    the largest bound over its pairs widened by 1e-9 relative.  It is inf
+    while some bound is, as for the first row, and qh_distance_many then
+    guesses a limit on plane meshes (see _segment_guess).  slack_r is 0 for
+    a mesh-node source, whose row is d(source, .) itself.  Other sources
+    cannot route through an off-mesh source, so its bound passes through its
+    cheapest anchor and slack_r is from _slacks; the last row helps no later
+    source and gets no slack.
     """
 
     def __init__(self, graph: sp.csr_matrix, sources: list[_Attachment],
@@ -640,6 +664,20 @@ class _Limits:
 
     def limit(self, r: int) -> float:
         return float(self._bound[self._first[r]:self._first[r + 1]].max()) * (1.0 + 1e-9)
+
+
+def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
+    """A likely Dijkstra limit for one source row of a plane mesh: 1.1 times
+    the largest, over the row's pairs (a, b), composite trapezoid of 1/delta
+    at 17 equally spaced points of the segment a -> b, an upper estimate of
+    k_G(a, b); inf when some segment leaves G."""
+    guess = 0.0
+    for a, b, *_ in jobs:
+        if not m.region.segment_inside(a, b):
+            return np.inf
+        f = [1.0 / m.delta_at(a + (b - a) * (k / 16.0)) for k in range(17)]
+        guess = max(guess, abs(b - a) / 16.0 * (sum(f) - (f[0] + f[-1]) / 2.0))
+    return 1.1 * guess
 
 
 def _slacks(graph: sp.csr_matrix, sources: list[_Attachment]) -> np.ndarray:

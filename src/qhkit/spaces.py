@@ -678,6 +678,8 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
         if d >= reach and pi != loc[0]:
             continue
         L = seg.length
+        if L / h == math.inf:
+            raise ResolutionError(f"resolution {h} is too fine to cut a piece of length {L}")
         m = max(1, int(math.ceil(L / h)))
         w = math.sqrt(max(reach * reach - d * d, 0.0))
         lo = max(0, math.floor((s0 - w) * m / L) - 1) if L > 0.0 else 0

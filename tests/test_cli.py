@@ -58,6 +58,7 @@ def test_qh_stats_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
     line, = err.splitlines()
     stats = json.loads(line.removeprefix("stats: "))
     assert stats["mesh"]["nodes"] > 0 and stats["query"]["sources"] == 1
+    assert (stats["query"]["dijkstra_guessed"], stats["query"]["dijkstra_retried"]) == (1, 0)
     stages = stats["mesh"]["stage_s"]
     assert list(stages) == ["refine", "stencil", "cross_depth", "dedupe", "assemble"]
     assert all(t >= 0.0 for t in stages.values())

@@ -182,6 +182,13 @@ def test_oversized_ball_fails_before_allocating(domain, z, r, h):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("domain, z", [("halfplane", 1j), ("frame-omega", 0j)])
+def test_overflowing_grid_is_a_resolution_error(domain, z):
+    # On the complex, L/h overflows to inf while r/h stays finite.
+    with pytest.raises(ResolutionError):
+        component_ball(make_region(domain), z, 1e-300, 1e-320)
+
+
 def test_plane_point_count_meets_the_cap_exactly(monkeypatch, halfplane):
     # r/h = 10 gives n = 11, a 23 x 23 grid.
     monkeypatch.setattr(spaces, "MAX_BALL_POINTS", 23 * 23)

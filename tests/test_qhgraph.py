@@ -380,11 +380,58 @@ def test_large_batch_searches_limited(pp_mesh_005, punctured):
     assert all(stats[k] >= 0.0 for k in ("attach_s", "bound_s", "dijkstra_s", "unwind_s"))
 
 
-def test_single_pair_runs_one_full_search(pp_mesh_005):
+def test_single_pair_runs_one_guessed_search(pp_mesh_005):
     stats = {}
     qh_distance(pp_mesh_005, 0.7 + 0.2j, -1.3 + 2.1j, stats)
-    assert (stats["sources"], stats["dijkstra_full"], stats["dijkstra_limited"]) == (1, 1, 0)
-    assert stats["reached"] == pp_mesh_005.node_count + 1
+    assert (stats["sources"], stats["dijkstra_full"], stats["dijkstra_limited"]) == (1, 0, 1)
+    assert (stats["dijkstra_guessed"], stats["dijkstra_retried"]) == (1, 0)
+    assert stats["reached"] < pp_mesh_005.node_count
+
+
+def _l_shape_mesh():
+    # Non-convex: delta is not concave, and some segments leave the region.
+    return build_mesh(PolygonRegion([0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j]), 0.3,
+                      max_depth=6)
+
+
+@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "disk_mesh", "l_shape"])
+def test_guessed_limits_give_the_full_search_answers(request, monkeypatch, mesh_name):
+    mesh = _l_shape_mesh() if mesh_name == "l_shape" else request.getfixturevalue(mesh_name)
+    sample_point = _covered(mesh, mesh.region.sample_point)
+    pairs = sample_pairs(sample_point, random.Random(53), 60)
+    stats = [{} for _ in pairs[:30]]
+    guessed = [qh_distance(mesh, x, y, st) for (x, y), st in zip(pairs, stats)]
+    batch_stats = {}
+    guessed_batch = qh_distance_many(mesh, pairs, batch_stats)
+    assert sum(st["dijkstra_guessed"] for st in stats) >= 20
+    assert sum(st["dijkstra_retried"] for st in stats + [batch_stats]) == 0
+    monkeypatch.setattr(qhgraph, "_segment_guess", lambda m, jobs: math.inf)
+    full = [qh_distance(mesh, x, y) for x, y in pairs[:30]]
+    for g, f in zip(guessed + guessed_batch, full + qh_distance_many(mesh, pairs)):
+        assert g.distance == f.distance
+        assert g.node_path == f.node_path
+
+
+@pytest.mark.parametrize("scale, limited", [(0.999, 2), (1e-6, 1)])
+def test_too_small_guess_searches_again(monkeypatch, hp_mesh_01, scale, limited):
+    # Just under the answer, the target's anchors settle and the row is run
+    # again up to the answer; far under it, the target is not reached and the
+    # row is run again in full.
+    x, y = 0.3 + 0.7j, -0.9 + 1.6j
+    full = qh_distance(hp_mesh_01, x, y)
+    monkeypatch.setattr(qhgraph, "_segment_guess", lambda m, jobs: scale * full.distance)
+    stats = {}
+    again = qh_distance(hp_mesh_01, x, y, stats)
+    assert (again.distance, again.node_path) == (full.distance, full.node_path)
+    assert (stats["dijkstra_guessed"], stats["dijkstra_retried"]) == (1, 1)
+    assert (stats["dijkstra_limited"], stats["dijkstra_full"]) == (limited, 2 - limited)
+
+
+def test_no_guess_on_complexes_or_segments_leaving_the_region(omega_mesh, pp_mesh_005):
+    for mesh, x, y in ((omega_mesh, 0j, complex(1.5, 0.0)), (pp_mesh_005, -1 + 0j, 1 + 0j)):
+        stats = {}
+        qh_distance(mesh, x, y, stats)
+        assert (stats["dijkstra_guessed"], stats["dijkstra_full"]) == (0, 1)
 
 
 @pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
