@@ -59,9 +59,10 @@ DEFAULT_MAX_DEPTH = 12
 class PathResult:
     """Shortest-path answer: QH distance, node chain, and Euclidean length.
 
-    distance equals the sum of edge qh-weights along node_path exactly (same
-    accumulation order as the search), and endpoint_spacing records the local
-    mesh size at the two query points as the error budget.
+    distance equals exactly the sum, in the search's accumulation order, of
+    the trapezoid weights _segment_weights gives the segments of node_path
+    (see path_qh_length), and endpoint_spacing records the local mesh size at
+    the two query points as the error budget.
     """
 
     distance: float
@@ -123,10 +124,6 @@ class QhMesh:
         exact = host is not None and _coord_key(self.coords[host]) == _coord_key(z)
         return host if exact else None
 
-    def edge_weight(self, a: complex, da: float, b: complex, db: float) -> float:
-        # Trapezoid rule for the integral of 1/delta along the straight edge.
-        return abs(a - b) * (1.0 / da + 1.0 / db) / 2.0
-
     def __repr__(self) -> str:
         return (f"QhMesh({self.region.name}, grading={self.grading}, metric={self.metric}, "
                 f"nodes={self.node_count}, edges={self.edge_count})")
@@ -135,6 +132,13 @@ class QhMesh:
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
+
+def _segment_weights(A, dA, B, dB):
+    """Trapezoid rule for the integral of 1/delta along each straight segment
+    A -> B, with dA and dB the delta at its ends; arrays or scalars.  Every
+    edge, anchor and segment weight in this module is this expression."""
+    return np.abs(A - B) * (1.0 / dA + 1.0 / dB) / 2.0
+
 
 def _region_delta(region: Region, metric: str, z: complex) -> float:
     """delta'_G(z) for length-metric meshes, delta_G(z) otherwise."""
@@ -303,8 +307,7 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
     ok = region.segments_inside_many(coords[pu], coords[pv])
     rejected = len(pu) - int(np.count_nonzero(ok))
     pu, pv = pu[ok], pv[ok]
-    lengths = np.abs(coords[pu] - coords[pv])
-    w = lengths * (1.0 / delta[pu] + 1.0 / delta[pv]) / 2.0
+    w = _segment_weights(coords[pu], delta[pu], coords[pv], delta[pv])
 
     n = len(coords)
     graph = sp.csr_matrix((np.concatenate([w, w]),
@@ -435,15 +438,13 @@ def _attach_plane(mesh: QhMesh, z: complex) -> _Attachment:
     if _coord_key(mesh.coords[host]) == _coord_key(z):
         return _node_attachment(mesh, host)
     dz = mesh.delta_at(z)
-    cand = [host] + list(mesh.neighbors(host))
-    anchors = []
-    for a in cand:
-        ca = mesh.coords[a]
-        if mesh.region.segment_inside(z, ca):
-            anchors.append((int(a), mesh.edge_weight(z, dz, ca, float(mesh.delta[a]))))
-    if not anchors:
+    cand = np.concatenate([[host], mesh.neighbors(host)])
+    cand = cand[mesh.region.segments_inside_many(np.full(len(cand), z), mesh.coords[cand])]
+    if not len(cand):
         raise ConnectivityError(f"query point {z} cannot be joined to the mesh")
-    return _Attachment(z, None, anchors, float(mesh.spacing[host]), dz)
+    w = _segment_weights(z, dz, mesh.coords[cand], mesh.delta[cand])
+    return _Attachment(z, None, list(zip(cand.tolist(), w.tolist())),
+                       float(mesh.spacing[host]), dz)
 
 
 def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
@@ -457,20 +458,15 @@ def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
     for k in (pos - 1, pos, pos + 1):
         if 0 <= k < len(cuts) and abs(cuts[k] - s) <= 1e-12 and ids[k] >= 0:
             return _node_attachment(mesh, ids[k])
-    dz = mesh.delta_at(z)
-    anchors = []
-    spacing = 0.0
-    if pos - 1 >= 0 and ids[pos - 1] >= 0:
-        a = ids[pos - 1]
-        anchors.append((a, mesh.edge_weight(z, dz, mesh.coords[a], float(mesh.delta[a]))))
-        spacing = max(spacing, s - cuts[pos - 1])
-    if pos < len(cuts) and ids[pos] >= 0:
-        a = ids[pos]
-        anchors.append((a, mesh.edge_weight(z, dz, mesh.coords[a], float(mesh.delta[a]))))
-        spacing = max(spacing, cuts[pos] - s)
-    if not anchors:
+    # The cuts on either side of s, cuts[pos - 1] < s <= cuts[pos].
+    ks = [k for k in (pos - 1, pos) if 0 <= k < len(cuts) and ids[k] >= 0]
+    if not ks:
         raise ConnectivityError(f"query point {z} is isolated by the boundary")
-    return _Attachment(z, None, anchors, spacing, dz)
+    dz = mesh.delta_at(z)
+    a = np.array([ids[k] for k in ks])
+    w = _segment_weights(z, dz, mesh.coords[a], mesh.delta[a])
+    return _Attachment(z, None, list(zip(a.tolist(), w.tolist())),
+                       max(abs(cuts[k] - s) for k in ks), dz)
 
 
 def _canonical(x: complex, y: complex) -> bool:
@@ -481,11 +477,13 @@ def _canonical(x: complex, y: complex) -> bool:
 def qh_distance(m: QhMesh, x, y, stats: Optional[dict] = None) -> PathResult:
     """Mesh quasihyperbolic distance between two region points.
 
-    A query point that is not a mesh node joins the mesh through trapezoid
-    edges to its anchors (the host cell's node and its mesh neighbours that
-    it sees along a segment inside G), so the reported distance is for the
-    exact endpoints.  Endpoints a few cells apart also compare the straight
-    segment between them.  The distance converges to k_G as the grading
+    A query point that is not a mesh node joins the mesh through edges to
+    its anchors (the host cell's node and its mesh neighbours that it sees
+    along a segment inside G), so the reported distance is for the exact
+    endpoints.  Endpoints a few cells apart also compare the straight
+    segment between them.  Mesh edges, anchor edges and that segment are
+    all weighted by one trapezoid rule, _segment_weights, the same kernel
+    for every segment.  The distance converges to k_G as the grading
     factor shrinks; restricting to graph paths biases it upward, and
     trapezoid quadrature can offset a sliver of that on edges where 1/delta
     is concave.  stats is filled as by qh_distance_many.
@@ -666,18 +664,22 @@ class _Limits:
         return float(self._bound[self._first[r]:self._first[r + 1]].max()) * (1.0 + 1e-9)
 
 
+_GUESS_PIECES = 16   # sub-segments per segment in _segment_guess
+_GUESS_FACTOR = 1.1  # covers the mesh's overshoot of the segment's integral
+
+
 def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
-    """A likely Dijkstra limit for one source row of a plane mesh: 1.1 times
-    the largest, over the row's pairs (a, b), composite trapezoid of 1/delta
-    at 17 equally spaced points of the segment a -> b, an upper estimate of
-    k_G(a, b); inf when some segment leaves G."""
-    guess = 0.0
-    for a, b, *_ in jobs:
-        if not m.region.segment_inside(a, b):
-            return np.inf
-        f = [1.0 / m.delta_at(a + (b - a) * (k / 16.0)) for k in range(17)]
-        guess = max(guess, abs(b - a) / 16.0 * (sum(f) - (f[0] + f[-1]) / 2.0))
-    return 1.1 * guess
+    """A likely Dijkstra limit for one source row of a plane mesh:
+    _GUESS_FACTOR times the largest, over the row's pairs (a, b), sum of
+    _segment_weights over _GUESS_PIECES equal sub-segments of a -> b, an
+    upper estimate of k_G(a, b); inf when some segment leaves G."""
+    A, B = (np.array([job[i] for job in jobs], dtype=np.complex128) for i in (0, 1))
+    if not m.region.segments_inside_many(A, B).all():
+        return np.inf
+    P = A[:, None] + (B - A)[:, None] * (np.arange(_GUESS_PIECES + 1) / _GUESS_PIECES)
+    d = np.array([m.delta_at(p) for p in P.ravel().tolist()]).reshape(P.shape)
+    w = _segment_weights(P[:, :-1], d[:, :-1], P[:, 1:], d[:, 1:])
+    return _GUESS_FACTOR * float(w.sum(axis=1).max())
 
 
 def _slacks(graph: sp.csr_matrix, sources: list[_Attachment]) -> np.ndarray:
@@ -713,7 +715,7 @@ def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
         att_b.node in m.neighbors(att_a.node)
     if not joined and abs(pa - pb) <= 3.0 * max(att_a.spacing, att_b.spacing) \
             and m.region.segment_inside(pa, pb):
-        direct = m.edge_weight(pa, att_a.delta, pb, att_b.delta)
+        direct = _segment_weights(pa, att_a.delta, pb, att_b.delta)
         if direct < best[0]:
             best = (direct, src, pb)
     d, v, tail = best
@@ -752,23 +754,19 @@ def _with_source_rows(graph: sp.csr_matrix, sources: list[_Attachment]) -> sp.cs
 
 
 def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
-    """Sum the QH edge weights along a returned path.
+    """Sum the QH weights of the segments of a returned path.
 
-    Matches PathResult.distance exactly: stored graph weights for mesh edges,
-    query-attachment weights recomputed the same way the query built them,
-    accumulated in the same canonical order the search used.
+    Matches PathResult.distance exactly: mesh edges, anchor edges and the
+    near-pair segment all carry the weight _segment_weights gives, so each
+    is recomputed from the path's points, and the sum runs in the canonical
+    order the search accumulated it.
     """
     path = result.node_path
     if len(path) > 1 and not _canonical(path[0], path[-1]):
-        path = tuple(reversed(path))
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        ia, ib = mesh.exact_node(a), mesh.exact_node(b)
-        if ia is not None and ib is not None and ib in mesh.neighbors(ia):
-            total += float(mesh.graph[ia, ib])
-        else:
-            total += mesh.edge_weight(a, mesh.delta_at(a), b, mesh.delta_at(b))
-    return total
+        path = path[::-1]
+    P = np.array(path, dtype=np.complex128)
+    d = np.array([mesh.delta_at(p) for p in path])
+    return sum(_segment_weights(P[:-1], d[:-1], P[1:], d[1:]).tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,8 @@ def _golden_outcome(case: str, hp_mesh) -> str:
 
 
 # Recorded from the per-estimator best/used bookkeeping that _Envelope replaced.
+# semisolid/shear-mesh/3 and /7 were re-pinned when anchor weights took the
+# mesh's np.abs segment length (values moved by at most 2.1e-16 relative).
 GOLDEN_REPORTS = {
     "local_weak_qs/affine/3":
         "f88acab126e6be8994b44a97067b5db2cb3d175de7ac1dff1896ac37e0abacd3",
@@ -416,9 +418,9 @@ GOLDEN_REPORTS = {
     "semisolid/inversion-analytic/7":
         "7eda7f3831fface9a1a044280094480bd27970d2f8e49afddf24673869e7bba7",
     "semisolid/shear-mesh/3":
-        "5fa242312067773277a541e153c0ad71997ecd5e61ddcfbc263c92117511c1f0",
+        "e37bff51e63b0b3b8359a325b70c5a68976ce9a424c9559ec00aa338fba6e1f4",
     "semisolid/shear-mesh/7":
-        "24850d6661b9ffedd6c659c236951ffbbe7e9d0f3ba9f3e701addc39ceb26d2a",
+        "730f1a46e6080bd1ca39de97feadcc55510614f6c8bb595c0f5e4bb847491a72",
     "weak_qs-extra/identity/3":
         "c0583167d61fac318577276a140d0f75e5b5a34e2e2604f334c2c11a450dbb7b",
     "weak_qs-extra/shear/3":
