@@ -115,13 +115,12 @@ class _Envelope:
             collected.append((x, a, b))
         return ratio
 
-    def report(self, property: str, seed: int, empty_msg: str, table, meta: dict,
-               used: Optional[int] = None) -> PropertyReport:
+    def report(self, property: str, seed: int, empty_msg: str, table,
+               meta: dict) -> PropertyReport:
         if self.best is None:
             raise ConfigurationError(empty_msg)
-        return PropertyReport(property, self.best[0], self.best[1],
-                              self.used if used is None else used, seed, tuple(table),
-                              self.skipped, meta)
+        return PropertyReport(property, self.best[0], self.best[1], self.used, seed,
+                              tuple(table), self.skipped, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +177,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     return env.report("quasiconformality", spec.seed,
                       "no admissible (point, radius) sample; shrink the radii", table,
                       {"directions": _N_DIRECTIONS,
-                       "radius_schedule": list(spec.radius_schedule)},
-                      used=spec.count)
+                       "radius_schedule": list(spec.radius_schedule)})
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,13 @@ def test_qc_inadmissible_radii_are_skipped_and_logged(halfplane):
     assert report.estimate == 1.0
 
 
+def test_qc_counts_only_base_points_that_offer_a_ratio():
+    # On frame-omega some base points have no admissible radius and add no ratio.
+    report = estimate_qc(IdentityMap(frame_region_omega()),
+                         SampleSpec(seed=3, count=20, radius_schedule=(0.5, 0.3)))
+    assert report.samples_used == len({(x, y) for x, y, _, _ in report.table}) < 20
+
+
 def test_semisolid_report_records_backends(hp_mesh_01, halfplane):
     backend = MeshBackend(hp_mesh_01)
     report = estimate_semisolid(IdentityMap(halfplane), backend, backend,
@@ -332,6 +339,8 @@ def _golden_outcome(case: str, hp_mesh) -> str:
 # Recorded from the per-estimator best/used bookkeeping that _Envelope replaced.
 # semisolid/shear-mesh/3 and /7 were re-pinned when anchor weights took the
 # mesh's np.abs segment length (values moved by at most 2.1e-16 relative).
+# qc/identity-omega/3 and /7 were re-pinned when samples_used came to count
+# only the base points that offer a ratio (20 -> 18 and 20 -> 19).
 GOLDEN_REPORTS = {
     "local_weak_qs/affine/3":
         "f88acab126e6be8994b44a97067b5db2cb3d175de7ac1dff1896ac37e0abacd3",
@@ -358,9 +367,9 @@ GOLDEN_REPORTS = {
     "qc/affine/7":
         "5d7d8967dcff7d6e27ce06d90b6e50fca2a6d9fc096dbdccf1f343f5545d62ae",
     "qc/identity-omega/3":
-        "12c058e7eb9a2a621f8bdd9d3c47faf97d47ca663597fbae730e1670ac631a92",
+        "1c19aa1b6d8de04d60f4d9d6ffc29feae6f5cea3d600615526711a26de0ebf8d",
     "qc/identity-omega/7":
-        "959c8ae31f7a68e7711f2e4a5b3feeed81252967f49fcfe5e61bc5c1854cf1cd",
+        "df024e1b70de88cb193b5180bee16e824c5ae7f4095fb88f57cca622fbdc0915",
     "qc/identity/3":
         "560dbd7cf8083ff316dda8415279a65a2865ccf0ff0b963dea676d5f9fdb63c7",
     "qc/identity/7":
