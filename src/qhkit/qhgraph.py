@@ -12,6 +12,7 @@ exercise.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from bisect import bisect_left
@@ -59,10 +60,9 @@ DEFAULT_MAX_DEPTH = 12
 class PathResult:
     """Shortest-path answer: QH distance, node chain, and Euclidean length.
 
-    distance equals exactly the sum, in the search's accumulation order, of
-    the trapezoid weights _segment_weights gives the segments of node_path
-    (see path_qh_length), and endpoint_spacing records the local mesh size at
-    the two query points as the error budget.
+    distance equals the sum of the _segment_weights of node_path's segments
+    exactly (see path_qh_length), and endpoint_spacing records the local
+    mesh size at the two query points as the error budget.
     """
 
     distance: float
@@ -458,7 +458,6 @@ def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
     for k in (pos - 1, pos, pos + 1):
         if 0 <= k < len(cuts) and abs(cuts[k] - s) <= 1e-12 and ids[k] >= 0:
             return _node_attachment(mesh, ids[k])
-    # The cuts on either side of s, cuts[pos - 1] < s <= cuts[pos].
     ks = [k for k in (pos - 1, pos) if 0 <= k < len(cuts) and ids[k] >= 0]
     if not ks:
         raise ConnectivityError(f"query point {z} is isolated by the boundary")
@@ -481,9 +480,8 @@ def qh_distance(m: QhMesh, x, y, stats: Optional[dict] = None) -> PathResult:
     its anchors (the host cell's node and its mesh neighbours that it sees
     along a segment inside G), so the reported distance is for the exact
     endpoints.  Endpoints a few cells apart also compare the straight
-    segment between them.  Mesh edges, anchor edges and that segment are
-    all weighted by one trapezoid rule, _segment_weights, the same kernel
-    for every segment.  The distance converges to k_G as the grading
+    segment between them.  Every one of these segments and every mesh edge
+    weighs _segment_weights.  The distance converges to k_G as the grading
     factor shrinks; restricting to graph paths biases it upward, and
     trapezoid quadrature can offset a sliver of that on edges where 1/delta
     is concave.  stats is filled as by qh_distance_many.
@@ -780,9 +778,12 @@ def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     (equal to arccosh(1 + |x-y|^2 / (2 Im x Im y)), which loses every digit
     when the points are close: it returns 0 for 1j -> 1j + 1e-8).
     PuncturedPlane: sqrt((log|y|-log|x|)^2 + dtheta^2) with dtheta in [0, pi],
-    the flat metric of the log-cylinder.
+    the flat metric of the log-cylinder.  A non-finite point raises
+    MembershipError.
     """
     x, y = as_point(x), as_point(y)
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise MembershipError("oracle points must be finite")
     name = domain if isinstance(domain, str) else oracle_for(domain)
     if name is None:
         raise ConfigurationError(f"no analytic oracle for {domain!r}")

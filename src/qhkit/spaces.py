@@ -9,6 +9,7 @@ estimators layered on top.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -326,7 +327,8 @@ class HalfPlaneRegion(Region):
         self.sample_window = sample_window
 
     def contains(self, z: complex) -> bool:
-        return as_point(z).imag > 0.0
+        z = as_point(z)
+        return z.imag > 0.0 and cmath.isfinite(z)
 
     def _delta(self, z: complex) -> float:
         return z.imag
@@ -356,7 +358,7 @@ class PuncturedPlaneRegion(Region):
         self.sample_radii = sample_radii
 
     def contains(self, z: complex) -> bool:
-        return abs(as_point(z)) > 0.0
+        return 0.0 < abs(as_point(z)) < math.inf
 
     def _delta(self, z: complex) -> float:
         return abs(z)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import pytest
 
@@ -84,6 +85,17 @@ def test_bad_input_is_one_line_error(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("domain, point", [("halfplane", "nan,1"), ("halfplane", "inf,1"),
+                                           ("punctured", "inf,1")])
+def test_non_finite_query_point_is_one_line_error(capsys, domain, point):
+    # Warnings are errors here, so a numpy RuntimeWarning fails the run.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "qh", "--domain", domain, "--from", point, "--to", "0,1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "is not in region" in err and err.count("\n") == 1
 
 
 CHECK_QC = ("check-qc", "--map", "shear")
