@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse.csgraph import dijkstra
 
 from qhkit import (
@@ -27,7 +28,7 @@ from qhkit import (
     qhgraph,
 )
 from qhkit.qhgraph import MAX_PLANE_DEPTH
-from qhkit.scenarios import make_region
+from qhkit.scenarios import BUILTIN_DOMAINS, make_region
 from qhkit.spaces import PLANE, sample_pairs
 
 from conftest import HP_BBOX, PP_BBOX
@@ -250,6 +251,25 @@ def test_oracle_values():
         qh_distance_exact("punctured", 0j, 1j)
 
 
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_COORD = st.floats(-1e6, 1e6)
+
+
+@given(st.one_of(st.tuples(_NON_FINITE, _COORD), st.tuples(_COORD, _NON_FINITE),
+                 st.tuples(_NON_FINITE, _NON_FINITE)))
+def test_non_finite_points_lie_in_no_domain_and_no_oracle(hp_mesh_01, omega_mesh, xy):
+    z = complex(*xy)
+    for name in BUILTIN_DOMAINS:
+        assert not make_region(name).contains(z)
+    for oracle, inside in (("halfplane", 1j), ("punctured", 1 + 0j)):
+        for x, y in ((z, inside), (inside, z)):
+            with pytest.raises(MembershipError):
+                qh_distance_exact(oracle, x, y)
+    for mesh, inside in ((hp_mesh_01, 1j), (omega_mesh, 0j)):
+        with pytest.raises(MembershipError):
+            qh_distance(mesh, z, inside)
+
+
 @pytest.mark.parametrize("t", [1e-8, 1e-6])
 def test_halfplane_oracle_keeps_its_digits_at_close_range(t):
     # Vertical: k = log(y / 1) exactly, with y - 1 exact in floating point.
@@ -299,11 +319,23 @@ def test_triangle_inequality_on_nodes(hp_mesh_01):
         assert dac <= dab + dbc + 1e-12
 
 
-def test_path_qh_length_equals_distance(hp_mesh_01, omega_mesh):
-    r = qh_distance(hp_mesh_01, 0.2 + 0.9j, -0.7 + 2.3j)
-    assert path_qh_length(hp_mesh_01, r) == r.distance
-    r2 = qh_distance(omega_mesh, 0j, complex(1.5, 0.0))
-    assert path_qh_length(omega_mesh, r2) == r2.distance
+@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "disk_mesh", "omega_mesh",
+                                       "omega_mesh_length"])
+def test_path_qh_length_equals_distance(request, mesh_name):
+    # Off-node endpoints: anchor edges at both ends of far pairs, and near
+    # pairs (a point and the midpoint to one of its anchors) whose answer
+    # can be the straight segment.
+    mesh = request.getfixturevalue(mesh_name)
+    sample_point = _covered(mesh, mesh.region.sample_point) if mesh_name == "disk_mesh" \
+        else mesh.region.sample_point
+    points = [p for p in sample_pairs(sample_point, random.Random(59), 15) for p in p]
+    points = [p for p in points if mesh.exact_node(p) is None]
+    near = [(p, (p + mesh.coords[qhgraph._attach(mesh, p).anchors[0][0]]) / 2.0)
+            for p in points]
+    results = qh_distance_many(mesh, list(zip(points[0::2], points[1::2])) + near)
+    for r in results:
+        assert path_qh_length(mesh, r) == r.distance
+    assert any(len(r.node_path) == 2 for r in results[-len(near):])
 
 
 def _covered(mesh, sample_point):
