@@ -462,10 +462,9 @@ def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
     if not ks:
         raise ConnectivityError(f"query point {z} is isolated by the boundary")
     dz = mesh.delta_at(z)
-    a = np.array([ids[k] for k in ks])
-    w = _segment_weights(z, dz, mesh.coords[a], mesh.delta[a])
-    return _Attachment(z, None, list(zip(a.tolist(), w.tolist())),
-                       max(abs(cuts[k] - s) for k in ks), dz)
+    anchors = [(ids[k], float(_segment_weights(z, dz, mesh.coords[ids[k]], mesh.delta[ids[k]])))
+               for k in ks]
+    return _Attachment(z, None, anchors, max(abs(cuts[k] - s) for k in ks), dz)
 
 
 def _canonical(x: complex, y: complex) -> bool:
