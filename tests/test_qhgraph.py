@@ -328,7 +328,7 @@ def test_path_qh_length_equals_distance(request, mesh_name):
     mesh = request.getfixturevalue(mesh_name)
     sample_point = _covered(mesh, mesh.region.sample_point) if mesh_name == "disk_mesh" \
         else mesh.region.sample_point
-    points = [p for p in sample_pairs(sample_point, random.Random(59), 15) for p in p]
+    points = [p for pair in sample_pairs(sample_point, random.Random(59), 15) for p in pair]
     points = [p for p in points if mesh.exact_node(p) is None]
     near = [(p, (p + mesh.coords[qhgraph._attach(mesh, p).anchors[0][0]]) / 2.0)
             for p in points]
