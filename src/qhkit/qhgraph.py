@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -72,7 +74,13 @@ class PathResult:
 
 
 class QhMesh:
-    """Immutable graded graph over a region with quasihyperbolic edge weights."""
+    """Graded graph over a region with quasihyperbolic edge weights.
+
+    The graph's content never changes once built.  Its CSR indices and data
+    may sit at the head of larger private buffers, whose spare room after
+    graph.nnz holds the source rows of the query in progress (see
+    _with_source_rows); _lock serialises the queries that use it.
+    """
 
     def __init__(self, region: Region, grading: float, metric: str,
                  coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
@@ -85,6 +93,9 @@ class QhMesh:
         self.spacing = spacing
         self.graph = graph  # symmetric CSR: each undirected edge stored both ways
         self.stats = stats
+        # graph.indices and graph.data are the first graph.nnz entries of these.
+        self._indices, self._data = graph.indices, graph.data
+        self._lock = threading.Lock()
         # Filled by the builders.  Plane quadtrees: the root cell (x0, y0, size)
         # and the sorted cell keys, node i owning the i-th.  Curve complexes:
         # the piece registry and the coordinate index of the nodes.
@@ -112,9 +123,10 @@ class QhMesh:
         """The plane-mesh node whose quadtree cell holds z, or None."""
         x0, y0, s0 = self._root
         d = np.arange((self._keys[-1] >> (2 * _KEY_BITS)) + 1)
-        # Clipping keeps far points out of int64 overflow; _find rejects them.
-        i, j = np.clip(np.floor(np.array([[z.real - x0], [z.imag - y0]]) / (s0 / (1 << d))),
-                       -1, 1 << _KEY_BITS).astype(np.int64)
+        # Clipping keeps far points out of float and int64 overflow; _find
+        # rejects them.
+        off = np.clip(np.array([[z.real - x0], [z.imag - y0]]), -s0, 2.0 * s0)
+        i, j = np.clip(np.floor(off / (s0 / (1 << d))), -1, 1 << _KEY_BITS).astype(np.int64)
         return next((int(h) for h in _find(self._keys, d, i, j) if h >= 0), None)
 
     def exact_node(self, z: complex) -> Optional[int]:
@@ -513,6 +525,11 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     change.  Each row is unwound and folded into the bounds right after its
     search, so one row is held at a time.
 
+    The source rows are written into spare room after the mesh's own CSR
+    entries (see _with_source_rows), so calls on one mesh run one at a
+    time: each holds the mesh's lock from appending its rows to its last
+    search.  Calls on different meshes do not wait for each other.
+
     stats, when given, receives the counts sources, appended_rows, anchors
     (over the distinct endpoints), dijkstra_full and dijkstra_limited (the
     searches by their limit, reruns included), dijkstra_guessed (searches
@@ -557,50 +574,51 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
             results[i] = PathResult(0.0, (b if swap else a,), 0.0, spacing)
         else:
             jobs[row_of[vertex[_coord_key(a)]]].append(i)
-    graph = _with_source_rows(m.graph, appended)
-    t1 = perf_counter()
-    limits = _Limits(m.graph, [todo[js[0]][2] for js in jobs],
-                     [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
-    counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
-                            "dijkstra_retried", "reached"), 0)
-    times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
-
-    def coord_of(v: int) -> complex:
-        return m.coords[v] if v < n else appended[v - n].point
-
-    def search(r: int, src: int, limit: float) -> np.ndarray:
+    with m._lock:  # the appended rows live in the mesh's spare room
+        graph = _with_source_rows(m, appended)
         t1 = perf_counter()
-        dist, pred = dijkstra(graph, directed=True, indices=[src],
-                              return_predecessors=True, limit=limit)
-        dist, pred = dist[0], pred[0]
-        t2 = perf_counter()
-        for i in jobs[r]:
-            results[i] = _unwind(m, todo[i], src, dist, pred, coord_of)
-        times["dijkstra_s"] += t2 - t1
-        times["unwind_s"] += perf_counter() - t2
-        counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
-        if stats is not None:
-            counts["reached"] += int(np.count_nonzero(np.isfinite(dist)))
-        return dist
+        limits = _Limits(m.graph, [todo[js[0]][2] for js in jobs],
+                         [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
+        counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
+                                "dijkstra_retried", "reached"), 0)
+        times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
 
-    for r, src in enumerate(sources):
-        t0 = perf_counter()
-        limit = limits.limit(r) if r else np.inf
-        if limit == np.inf and not m._piece_registry:
-            limit = _segment_guess(m, [todo[i] for i in jobs[r]])
-            counts["dijkstra_guessed"] += limit < np.inf
-        times["bound_s"] += perf_counter() - t0
-        dist = search(r, src, limit)
-        # A limited row is exact wherever it is finite, so an answer within
-        # the limit is the full search's; a guess can be too small.
-        worst = max(np.inf if results[i] is None else results[i].distance for i in jobs[r])
-        if worst > limit:
-            counts["dijkstra_retried"] += 1
-            dist = search(r, src, worst * (1.0 + 1e-9))
-        t0 = perf_counter()
-        if r + 1 < len(sources):
-            limits.add_row(r, dist)
-        times["bound_s"] += perf_counter() - t0
+        def coord_of(v: int) -> complex:
+            return m.coords[v] if v < n else appended[v - n].point
+
+        def search(r: int, src: int, limit: float) -> np.ndarray:
+            t1 = perf_counter()
+            dist, pred = dijkstra(graph, directed=True, indices=[src],
+                                  return_predecessors=True, limit=limit)
+            dist, pred = dist[0], pred[0]
+            t2 = perf_counter()
+            for i in jobs[r]:
+                results[i] = _unwind(m, todo[i], src, dist, pred, coord_of)
+            times["dijkstra_s"] += t2 - t1
+            times["unwind_s"] += perf_counter() - t2
+            counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
+            if stats is not None:
+                counts["reached"] += int(np.count_nonzero(np.isfinite(dist)))
+            return dist
+
+        for r, src in enumerate(sources):
+            t0 = perf_counter()
+            limit = limits.limit(r) if r else np.inf
+            if limit == np.inf and not m._piece_registry:
+                limit = _segment_guess(m, [todo[i] for i in jobs[r]])
+                counts["dijkstra_guessed"] += limit < np.inf
+            times["bound_s"] += perf_counter() - t0
+            dist = search(r, src, limit)
+            # A limited row is exact wherever it is finite, so an answer within
+            # the limit is the full search's; a guess can be too small.
+            worst = max(np.inf if results[i] is None else results[i].distance for i in jobs[r])
+            if worst > limit:
+                counts["dijkstra_retried"] += 1
+                dist = search(r, src, worst * (1.0 + 1e-9))
+            t0 = perf_counter()
+            if r + 1 < len(sources):
+                limits.add_row(r, dist)
+            times["bound_s"] += perf_counter() - t0
     if stats is not None:
         stats.update(sources=len(sources), appended_rows=len(appended),
                      anchors=sum(len(att.anchors) for att in atts.values()), **counts, **times)
@@ -735,19 +753,45 @@ def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
     return PathResult(float(d), path, elen, spacing)
 
 
-def _with_source_rows(graph: sp.csr_matrix, sources: list[_Attachment]) -> sp.csr_matrix:
-    """The mesh graph with one appended row of anchor out-edges per source."""
+def _with_source_rows(m: QhMesh, sources: list[_Attachment]) -> sp.csr_matrix:
+    """The mesh graph with one appended row of anchor out-edges per source.
+
+    The rows are written into the spare room after the graph's entries in
+    m's CSR buffers, and the result views those buffers through a fresh
+    indptr, so the graph's entries are not copied.  A batch that needs more
+    room than there is grows the buffers (see _grow_room).  The result is
+    good until the next call; callers hold m._lock.
+    """
     if not sources:
-        return graph
-    ends = graph.indptr[-1] + np.cumsum([len(s.anchors) for s in sources])
-    total = graph.shape[0] + len(sources)
-    return sp.csr_matrix(
-        (np.concatenate([graph.data, [w for s in sources for _, w in s.anchors]]),
-         np.concatenate([graph.indices,
-                         np.array([v for s in sources for v, _ in s.anchors],
-                                  dtype=graph.indices.dtype)]),
-         np.concatenate([graph.indptr, ends.astype(graph.indptr.dtype)])),
-        shape=(total, total))
+        return m.graph
+    sizes = [len(s.anchors) for s in sources]
+    nnz = m.graph.nnz
+    end = nnz + sum(sizes)
+    if end > len(m._data):
+        _grow_room(m, end - nnz)
+    m._data[nnz:end] = [w for s in sources for _, w in s.anchors]
+    m._indices[nnz:end] = [v for s in sources for v, _ in s.anchors]
+    g = m.graph
+    indptr = np.concatenate([g.indptr, (nnz + np.cumsum(sizes)).astype(g.indptr.dtype)])
+    total = g.shape[0] + len(sources)
+    return sp.csr_matrix((m._data[:end], m._indices[:end], indptr), shape=(total, total),
+                         copy=False)
+
+
+def _grow_room(m: QhMesh, need: int) -> None:
+    """Move m's CSR entries to new buffers with at least need spare entries.
+
+    The room doubles, up to nnz: scipy copies a view of less than half its
+    buffer, and m.graph must stay a view of the new buffers.
+    """
+    g = m.graph
+    nnz = g.nnz
+    room = max(need, min(2 * (len(m._data) - nnz), nnz))
+    m._data = np.empty(nnz + room, dtype=g.data.dtype)
+    m._indices = np.empty(nnz + room, dtype=g.indices.dtype)
+    m._data[:nnz], m._indices[:nnz] = g.data, g.indices
+    m.graph = sp.csr_matrix((m._data[:nnz], m._indices[:nnz], g.indptr), shape=g.shape,
+                            copy=False)
 
 
 def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
@@ -777,8 +821,10 @@ def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     (equal to arccosh(1 + |x-y|^2 / (2 Im x Im y)), which loses every digit
     when the points are close: it returns 0 for 1j -> 1j + 1e-8).
     PuncturedPlane: sqrt((log|y|-log|x|)^2 + dtheta^2) with dtheta in [0, pi],
-    the flat metric of the log-cylinder.  A non-finite point raises
-    MembershipError.
+    the flat metric of the log-cylinder.  Both hold at every finite scale:
+    where a product or modulus would leave the float range they are taken
+    in a scaled form (see _halfplane_far and _log_modulus_ratio).  A
+    non-finite point raises MembershipError.
     """
     x, y = as_point(x), as_point(y)
     if not (cmath.isfinite(x) and cmath.isfinite(y)):
@@ -790,18 +836,52 @@ def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
     if name in ("halfplane", "upperhalfplane"):
         if x.imag <= 0 or y.imag <= 0:
             raise MembershipError("oracle points must lie in the upper half-plane")
-        return 2.0 * math.asinh(abs(x - y) / (2.0 * math.sqrt(x.imag * y.imag)))
+        p = x.imag * y.imag
+        if sys.float_info.min <= p <= sys.float_info.max:
+            try:
+                k = 2.0 * math.asinh(abs(x - y) / (2.0 * math.sqrt(p)))
+            except OverflowError:  # |x - y| beyond the float range
+                k = math.inf
+            if k < math.inf:
+                return k
+        return _halfplane_far(x, y)
     if name in ("punctured", "puncturedplane"):
-        if abs(x) == 0 or abs(y) == 0:
+        if x == 0 or y == 0:
             raise MembershipError("oracle points must avoid the puncture")
         if x == y:
             return 0.0
-        du = math.log(abs(y)) - math.log(abs(x))
+        du = _log_modulus_ratio(x, y)
         dth = abs(math.atan2(x.imag, x.real) - math.atan2(y.imag, y.real))
         if dth > math.pi:
             dth = 2.0 * math.pi - dth
         return math.hypot(du, dth)
     raise ConfigurationError(f"unknown oracle domain {domain!r}")
+
+
+def _halfplane_far(x: complex, y: complex) -> float:
+    """The half-plane oracle where Im x Im y leaves the normal floats or
+    |x - y| overflows: the difference is quartered and the square roots
+    taken one at a time, so no step leaves the float range."""
+    h = math.hypot(0.25 * x.real - 0.25 * y.real, 0.25 * x.imag - 0.25 * y.imag)
+    s = math.sqrt(x.imag) * math.sqrt(y.imag)
+    q = h / s  # |x - y| / (4 sqrt(Im x Im y))
+    if q < 2.0 ** 1000:
+        return 2.0 * math.asinh(2.0 * q)
+    # asinh(r) = log(2 r) to double precision once r exceeds 2^28.
+    return 2.0 * (math.log(4.0) + math.log(h) - math.log(s))
+
+
+def _log_modulus_ratio(x: complex, y: complex) -> float:
+    """log|y| - log|x| for nonzero finite points.  Beyond 2^+-16, where |z|
+    can overflow and the two logarithms lose digits to their size, each
+    point is first scaled by a power of two to unit size, which makes the
+    value exactly invariant under dilations by powers of two."""
+    ex, ey = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (x, y))
+    if max(abs(ex), abs(ey)) <= 16:  # the plain form, whose values the reports pin
+        return math.log(abs(y)) - math.log(abs(x))
+    xs = complex(math.ldexp(x.real, -ex), math.ldexp(x.imag, -ex))
+    ys = complex(math.ldexp(y.real, -ey), math.ldexp(y.imag, -ey))
+    return math.log(abs(ys)) - math.log(abs(xs)) + (ey - ex) * math.log(2.0)
 
 
 def oracle_for(region: Region) -> Optional[str]:

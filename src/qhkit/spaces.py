@@ -358,7 +358,8 @@ class PuncturedPlaneRegion(Region):
         self.sample_radii = sample_radii
 
     def contains(self, z: complex) -> bool:
-        return 0.0 < abs(as_point(z)) < math.inf
+        z = as_point(z)
+        return z != 0 and cmath.isfinite(z)
 
     def _delta(self, z: complex) -> float:
         return abs(z)
@@ -401,7 +402,10 @@ class DiskRegion(Region):
         self.name = name
 
     def contains(self, z: complex) -> bool:
-        return abs(as_point(z) - self.center) < self.radius
+        try:
+            return abs(as_point(z) - self.center) < self.radius
+        except OverflowError:  # |z - center| beyond the float range
+            return False
 
     def _delta(self, z: complex) -> float:
         return self.radius - abs(z - self.center)

@@ -98,6 +98,19 @@ def test_non_finite_query_point_is_one_line_error(capsys, domain, point):
     assert err.startswith("error: ") and "is not in region" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("domain", ["halfplane", "punctured", "disk"])
+def test_huge_query_point_is_one_line_error(capsys, domain):
+    # |z| overflows a float: the point is inside or outside the region, but
+    # never inside the mesh.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "qh", "--domain", domain, "--from", "1.7e308,1.7e308",
+                             "--to", "0.5,0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("is not in region" if domain == "disk" else "is not covered by the mesh") in err
+
+
 CHECK_QC = ("check-qc", "--map", "shear")
 QH = ("qh", "--domain", "halfplane", "--from", "0,1", "--to", "0,2")
 

@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -281,6 +283,46 @@ def test_halfplane_oracle_keeps_its_digits_at_close_range(t):
         pytest.approx(t - t ** 3 / 24.0, rel=1e-12, abs=0.0)
 
 
+_GRID = st.integers(-8000, 8000).map(lambda i: i / 1000.0)
+_HEIGHT = st.integers(1, 8000).map(lambda i: i / 1000.0)
+
+
+@given(st.tuples(_GRID, _HEIGHT, _GRID, _HEIGHT), st.integers(-996, 996))
+def test_oracles_are_invariant_under_dilation(c, e):
+    # lam = 2^e spans 1e-300 to 1e300 and scales the grid points exactly.
+    # The half-plane oracle is accurate to a few ulp relative; the
+    # log-cylinder one subtracts two logarithms, so its error is a few ulp
+    # of log|x| absolute whatever the scale.
+    lam = 2.0 ** e
+    x, y = complex(c[0], c[1]), complex(c[2], c[3])
+    for domain, abs_tol in (("halfplane", 0.0), ("punctured", 1e-14)):
+        k = qh_distance_exact(domain, x, y)
+        try:
+            k_lam = qh_distance_exact(domain, lam * x, lam * y)
+        except MembershipError:
+            continue
+        assert math.isfinite(k_lam)
+        assert math.isclose(k_lam, k, rel_tol=1e-12, abs_tol=abs_tol)
+
+
+@pytest.mark.parametrize("x, y, k", [
+    (1e-200j, 1 + 1e-200j, 2.0 * math.asinh(0.5e200)),
+    (1e-170j, 1e-170 + 1e-170j, 2.0 * math.asinh(0.5)),
+    (1e200j, 1e200 + 1e200j, 2.0 * math.asinh(0.5)),
+    (-1.7e308 + 1j, 1.7e308 + 1j, 2.0 * (math.log(1.7e308) + math.log(2.0))),
+])
+def test_halfplane_oracle_at_extreme_scales(x, y, k):
+    assert qh_distance_exact("halfplane", x, y) == pytest.approx(k, rel=1e-12, abs=0.0)
+
+
+def test_punctured_oracle_and_regions_take_moduli_beyond_the_float_range():
+    z = 1.7e308 + 1.7e308j  # |z| overflows
+    k = math.hypot(math.log(1.7e308) + 0.5 * math.log(2.0), math.pi / 4.0)
+    assert qh_distance_exact("punctured", z, 1.0) == pytest.approx(k, rel=1e-12, abs=0.0)
+    assert make_region("punctured").contains(z)
+    assert not make_region("disk").contains(z)
+
+
 def test_mesh_overestimates_oracle(hp_mesh_01, pp_mesh_005, halfplane, punctured):
     # Shortest path over a restricted curve family dominates the infimum.  In
     # the half-plane 1/delta is convex along every chord, so the trapezoid
@@ -479,7 +521,7 @@ def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name,
     atts = [a for a in atts if a.node is None]
     slacks = qhgraph._slacks(mesh.graph, atts)
     n = mesh.node_count
-    rows = dijkstra(qhgraph._with_source_rows(mesh.graph, atts), directed=True,
+    rows = dijkstra(qhgraph._with_source_rows(mesh, atts), directed=True,
                     indices=range(n, n + len(atts)))[:, :n]
     checked = 0
     for att, slack, row in zip(atts, slacks, rows):
@@ -490,6 +532,89 @@ def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name,
             assert np.all(d0 <= row + slack + 1e-12 * (1.0 + row))
             checked += 1
     assert checked >= len(atts) // 2 > 0
+
+
+def _concatenated_rows(graph, atts):
+    """The augmented graph as a fresh concatenation of the mesh's arrays."""
+    n, k = graph.shape[0], len(atts)
+    ends = graph.nnz + np.cumsum([len(a.anchors) for a in atts])
+    return (np.concatenate([graph.indptr, ends.astype(graph.indptr.dtype)]),
+            np.concatenate([graph.indices, np.array([v for a in atts for v, _ in a.anchors],
+                                                    dtype=graph.indices.dtype)]),
+            np.concatenate([graph.data, [w for a in atts for _, w in a.anchors]]),
+            (n + k, n + k))
+
+
+def _graph_digest(graph) -> str:
+    h = hashlib.sha256()
+    for a in (graph.indptr, graph.indices, graph.data):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_source_rows_are_written_after_the_mesh_entries(hp_mesh_005, halfplane):
+    mesh = hp_mesh_005
+    digest = _graph_digest(mesh.graph)
+    rng = random.Random(23)
+    atts = []
+    # Enough anchor rows to outgrow whatever room earlier queries left.
+    while sum(len(a.anchors) for a in atts) <= len(mesh._data) - mesh.graph.nnz:
+        att = qhgraph._attach(mesh, halfplane.sample_point(rng))
+        if att.node is None:
+            atts.append(att)
+    old = mesh._data
+    expected = _concatenated_rows(mesh.graph, atts)
+    aug = qhgraph._with_source_rows(mesh, atts)
+    assert mesh._data is not old  # the room grew
+    for got, want in zip((aug.indptr, aug.indices, aug.data), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert aug.shape == expected[3]
+    # The graph and the augmented view share the new buffers: no copy.
+    assert np.shares_memory(aug.indices, mesh.graph.indices)
+    assert np.shares_memory(aug.data, mesh.graph.data)
+    assert _graph_digest(mesh.graph) == digest
+
+
+def test_queries_leave_the_mesh_graph_unchanged(hp_mesh_01, halfplane):
+    mesh = hp_mesh_01
+    digest = _graph_digest(mesh.graph)
+    rng = random.Random(29)
+    for size in (1, 40, 1, 3, 120, 1):
+        pairs = sample_pairs(halfplane.sample_point, rng, size)
+        if size == 1:
+            qh_distance(mesh, *pairs[0])
+        else:
+            qh_distance_many(mesh, pairs)
+    assert _graph_digest(mesh.graph) == digest
+
+
+def test_threads_querying_one_mesh_get_the_sequential_answers(hp_mesh_01, halfplane):
+    # Each query writes its source rows into the mesh's one spare room; the
+    # mesh lock keeps another thread's rows out of a search in progress.
+    mesh = hp_mesh_01
+    rng = random.Random(31)
+    work = [sample_pairs(halfplane.sample_point, rng, 60) for _ in range(2)]
+
+    def answers(pairs):
+        return [(r.distance, r.node_path) for r in (qh_distance(mesh, *p) for p in pairs)]
+
+    want = [answers(pairs) for pairs in work]
+    got = [None, None]
+
+    def run(t):
+        got[t] = answers(work[t])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 @pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "omega_mesh"])
