@@ -76,10 +76,11 @@ class PathResult:
 class QhMesh:
     """Graded graph over a region with quasihyperbolic edge weights.
 
-    The graph's content never changes once built.  Its CSR indices and data
-    may sit at the head of larger private buffers, whose spare room after
-    graph.nnz holds the source rows of the query in progress (see
-    _with_source_rows); _lock serialises the queries that use it.
+    The graph never changes once built.  Its CSR arrays are the head of
+    private buffers (_indptr, _indices, _data) reserved at build with room
+    for one more row, of the query vertex node_count: a search writes its
+    source's anchors there (see _with_source_row), and _lock serialises the
+    queries that use it.  Once build_mesh returns, nothing moves them.
     """
 
     def __init__(self, region: Region, grading: float, metric: str,
@@ -93,8 +94,6 @@ class QhMesh:
         self.spacing = spacing
         self.graph = graph  # symmetric CSR: each undirected edge stored both ways
         self.stats = stats
-        # graph.indices and graph.data are the first graph.nnz entries of these.
-        self._indices, self._data = graph.indices, graph.data
         self._lock = threading.Lock()
         # Filled by the builders.  Plane quadtrees: the root cell (x0, y0, size)
         # and the sorted cell keys, node i owning the i-th.  Curve complexes:
@@ -103,6 +102,22 @@ class QhMesh:
         self._keys = np.zeros(0, dtype=np.int64)
         self._piece_registry: list[tuple[list[float], list[int]]] = []
         self._node_of: dict[tuple[float, float], int] = {}
+
+    def _reserve_room(self) -> None:
+        """Move graph into buffers with room for the row of the query vertex
+        n = node_count and make _query_graph, graph plus n, over them; last in
+        build_mesh, as buffers made beside its temporaries raised peak RSS."""
+        g, n, nnz = self.graph, self.node_count, self.graph.nnz
+        # Anchors: a plane point's host node and its neighbours, 2 on a complex.
+        room = 1 + int(np.diff(g.indptr).max(initial=1))
+        self._data, self._indices, self._indptr = (
+            np.concatenate([a, np.zeros(k, a.dtype)])
+            for a, k in ((g.data, room), (g.indices, room), (g.indptr, 1)))
+        self.graph = sp.csr_matrix((self._data[:nnz], self._indices[:nnz], self._indptr[:-1]),
+                                   shape=g.shape, copy=False)
+        self._indptr[-1] = nnz + room  # all the room: a CSR may keep storage past indptr[-1]
+        self._query_graph = sp.csr_matrix((self._data, self._indices, self._indptr),
+                                          shape=(n + 1, n + 1), copy=False)
 
     @property
     def node_count(self) -> int:
@@ -185,10 +200,13 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     if metric not in ("euclidean", "length"):
         raise ConfigurationError(f"unknown metric {metric!r}")
     if isinstance(region, CurveRegion):
-        return _build_complex_mesh(region, grading_factor, metric, max_depth)
-    if max_depth > MAX_PLANE_DEPTH:
+        mesh = _build_complex_mesh(region, grading_factor, metric, max_depth)
+    elif max_depth > MAX_PLANE_DEPTH:
         raise ConfigurationError(f"max_depth must be at most {MAX_PLANE_DEPTH} for plane regions")
-    return _build_plane_mesh(region, grading_factor, bbox, metric, max_depth)
+    else:
+        mesh = _build_plane_mesh(region, grading_factor, bbox, metric, max_depth)
+    mesh._reserve_room()
+    return mesh
 
 
 def _cell_keys(d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -505,10 +523,10 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     """qh_distance for each pair, with one Dijkstra search per source.
 
     Each answer is the one qh_distance gives for its pair alone: a source
-    that is not a mesh node gets its own appended CSR row of out-edges to
-    its anchors, so no pair's endpoints are on another pair's paths; a
-    target is resolved as the minimum of dist[a] + w(a, target) over its
-    anchors.
+    that is not a mesh node is searched from the query vertex, whose CSR
+    row holds out-edges to its anchors only, so no pair's endpoints are on
+    another pair's paths; a target is resolved as the minimum of
+    dist[a] + w(a, target) over its anchors.
 
     Each source stops at a limit.  A source with a finite landmark bound
     from the rows already searched (ALT search, see _Limits) takes it.  On
@@ -525,18 +543,19 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     change.  Each row is unwound and folded into the bounds right after its
     search, so one row is held at a time.
 
-    The source rows are written into spare room after the mesh's own CSR
-    entries (see _with_source_rows), so calls on one mesh run one at a
-    time: each holds the mesh's lock from appending its rows to its last
-    search.  Calls on different meshes do not wait for each other.
+    Each source's row is written, just before its search, into the room the
+    mesh reserves after its own CSR entries (see _with_source_row), so
+    calls on one mesh run one at a time: each holds the mesh's lock over
+    its searches.  Calls on different meshes do not wait for each other.
 
     stats, when given, receives the counts sources, appended_rows, anchors
     (over the distinct endpoints), dijkstra_full and dijkstra_limited (the
     searches by their limit, reruns included), dijkstra_guessed (searches
     whose limit is a segment guess), dijkstra_retried (searches run again
     after a guess missed) and reached (finite distances summed over the
-    searches), and the seconds attach_s (endpoints and appended rows),
-    bound_s (limits, guesses and slacks), dijkstra_s and unwind_s.
+    searches), and the seconds attach_s (the endpoints), bound_s (limits,
+    guesses and slacks), dijkstra_s (the searches and their row writes) and
+    unwind_s.
     """
     t0 = perf_counter()
     atts: dict[tuple[float, float], _Attachment] = {}
@@ -556,44 +575,38 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
         todo.append((a, b, attach(a), attach(b), swap))
 
     n = m.node_count
-    vertex: dict[tuple[float, float], int] = {}  # source point -> graph vertex
-    appended: list[_Attachment] = []              # sources with their own CSR row
-    for a, _, att_a, att_b, _ in todo:
-        k = _coord_key(a)
-        if att_a is not att_b and k not in vertex:
-            vertex[k] = n + len(appended) if att_a.node is None else att_a.node
-            if att_a.node is None:
-                appended.append(att_a)
-    sources = sorted(set(vertex.values()))
-    row_of = {s: r for r, s in enumerate(sources)}
-    jobs: list[list[int]] = [[] for _ in sources]  # the pairs of each source row
+
+    def vertex(att: _Attachment) -> int:  # a source's graph vertex
+        return n if att.node is None else att.node
+
+    rows: dict = {}  # source, a mesh node or an off-mesh point -> its pairs
     results: list[Optional[PathResult]] = [None] * len(todo)
     for i, (a, b, att_a, att_b, swap) in enumerate(todo):
         if att_a is att_b:
             spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
             results[i] = PathResult(0.0, (b if swap else a,), 0.0, spacing)
         else:
-            jobs[row_of[vertex[_coord_key(a)]]].append(i)
-    with m._lock:  # the appended rows live in the mesh's spare room
-        graph = _with_source_rows(m, appended)
+            rows.setdefault(_coord_key(a) if att_a.node is None else att_a.node, []).append(i)
+    # Mesh-node sources by id, then off-mesh ones by first appearance.
+    jobs = sorted(rows.values(), key=lambda js: vertex(todo[js[0]][2]))
+    sources = [todo[js[0]][2] for js in jobs]
+    with m._lock:  # the source row lives in the mesh's reserved room
         t1 = perf_counter()
-        limits = _Limits(m.graph, [todo[js[0]][2] for js in jobs],
+        limits = _Limits(m.graph, sources,
                          [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
         counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
                                 "dijkstra_retried", "reached"), 0)
         times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
 
-        def coord_of(v: int) -> complex:
-            return m.coords[v] if v < n else appended[v - n].point
-
-        def search(r: int, src: int, limit: float) -> np.ndarray:
+        def search(r: int, limit: float) -> np.ndarray:
             t1 = perf_counter()
-            dist, pred = dijkstra(graph, directed=True, indices=[src],
+            src = vertex(sources[r])
+            dist, pred = dijkstra(_with_source_row(m, sources[r]), directed=True, indices=[src],
                                   return_predecessors=True, limit=limit)
             dist, pred = dist[0], pred[0]
             t2 = perf_counter()
             for i in jobs[r]:
-                results[i] = _unwind(m, todo[i], src, dist, pred, coord_of)
+                results[i] = _unwind(m, todo[i], src, dist, pred)
             times["dijkstra_s"] += t2 - t1
             times["unwind_s"] += perf_counter() - t2
             counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
@@ -601,26 +614,27 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
                 counts["reached"] += int(np.count_nonzero(np.isfinite(dist)))
             return dist
 
-        for r, src in enumerate(sources):
+        for r in range(len(sources)):
             t0 = perf_counter()
             limit = limits.limit(r) if r else np.inf
             if limit == np.inf and not m._piece_registry:
                 limit = _segment_guess(m, [todo[i] for i in jobs[r]])
                 counts["dijkstra_guessed"] += limit < np.inf
             times["bound_s"] += perf_counter() - t0
-            dist = search(r, src, limit)
+            dist = search(r, limit)
             # A limited row is exact wherever it is finite, so an answer within
             # the limit is the full search's; a guess can be too small.
             worst = max(np.inf if results[i] is None else results[i].distance for i in jobs[r])
             if worst > limit:
                 counts["dijkstra_retried"] += 1
-                dist = search(r, src, worst * (1.0 + 1e-9))
+                dist = search(r, worst * (1.0 + 1e-9))
             t0 = perf_counter()
             if r + 1 < len(sources):
                 limits.add_row(r, dist)
             times["bound_s"] += perf_counter() - t0
     if stats is not None:
-        stats.update(sources=len(sources), appended_rows=len(appended),
+        stats.update(sources=len(sources),
+                     appended_rows=sum(att.node is None for att in sources),
                      anchors=sum(len(att.anchors) for att in atts.values()), **counts, **times)
     for (a, b, *_), result in zip(todo, results):
         if result is None:
@@ -713,8 +727,8 @@ def _slacks(graph: sp.csr_matrix, sources: list[_Attachment]) -> np.ndarray:
     return np.maximum.reduceat(edge - ends.weights, ends.starts)
 
 
-def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
-            coord_of) -> Optional[PathResult]:
+def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray,
+            pred: np.ndarray) -> Optional[PathResult]:
     """The answer of one pair from its source's distance and predecessor rows,
     or None when the target is not reached."""
     a, b, att_a, att_b, swap = job
@@ -742,7 +756,7 @@ def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
         if p < 0:
             raise ConnectivityError("predecessor chain broken")
         chain.append(p)
-    path = tuple(coord_of(u) for u in reversed(chain))
+    path = tuple(m.coords[u] if u < len(m.coords) else pa for u in reversed(chain))
     if tail is not None:
         path += (tail,)
     elen = 0.0
@@ -753,45 +767,17 @@ def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray, pred: np.ndarray,
     return PathResult(float(d), path, elen, spacing)
 
 
-def _with_source_rows(m: QhMesh, sources: list[_Attachment]) -> sp.csr_matrix:
-    """The mesh graph with one appended row of anchor out-edges per source.
-
-    The rows are written into the spare room after the graph's entries in
-    m's CSR buffers, and the result views those buffers through a fresh
-    indptr, so the graph's entries are not copied.  A batch that needs more
-    room than there is grows the buffers (see _grow_room).  The result is
-    good until the next call; callers hold m._lock.
-    """
-    if not sources:
-        return m.graph
-    sizes = [len(s.anchors) for s in sources]
+def _with_source_row(m: QhMesh, source: _Attachment) -> sp.csr_matrix:
+    """The mesh graph plus the query vertex n = m.node_count, whose row holds
+    the source's anchor out-edges (none for a mesh node), written into the
+    room after the graph's entries in m's CSR buffers: nothing is copied.
+    Good until the next call; callers hold m._lock."""
     nnz = m.graph.nnz
-    end = nnz + sum(sizes)
-    if end > len(m._data):
-        _grow_room(m, end - nnz)
-    m._data[nnz:end] = [w for s in sources for _, w in s.anchors]
-    m._indices[nnz:end] = [v for s in sources for v, _ in s.anchors]
-    g = m.graph
-    indptr = np.concatenate([g.indptr, (nnz + np.cumsum(sizes)).astype(g.indptr.dtype)])
-    total = g.shape[0] + len(sources)
-    return sp.csr_matrix((m._data[:end], m._indices[:end], indptr), shape=(total, total),
-                         copy=False)
-
-
-def _grow_room(m: QhMesh, need: int) -> None:
-    """Move m's CSR entries to new buffers with at least need spare entries.
-
-    The room doubles, up to nnz: scipy copies a view of less than half its
-    buffer, and m.graph must stay a view of the new buffers.
-    """
-    g = m.graph
-    nnz = g.nnz
-    room = max(need, min(2 * (len(m._data) - nnz), nnz))
-    m._data = np.empty(nnz + room, dtype=g.data.dtype)
-    m._indices = np.empty(nnz + room, dtype=g.indices.dtype)
-    m._data[:nnz], m._indices[:nnz] = g.data, g.indices
-    m.graph = sp.csr_matrix((m._data[:nnz], m._indices[:nnz], g.indptr), shape=g.shape,
-                            copy=False)
+    end = nnz + len(source.anchors)
+    m._data[nnz:end] = [w for _, w in source.anchors]
+    m._indices[nnz:end] = [v for v, _ in source.anchors]
+    m._indptr[-1] = end
+    return m._query_graph
 
 
 def path_qh_length(mesh: QhMesh, result: PathResult) -> float:

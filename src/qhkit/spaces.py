@@ -50,11 +50,14 @@ def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
     """(arclength from a of the point of [a, b] closest to z, distance from z to it)."""
     d = b - a
     L2 = d.real * d.real + d.imag * d.imag
-    if L2 == 0.0:
-        return 0.0, abs(z - a)
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
-    t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return t * math.sqrt(L2), abs(z - (a + d * t))
+    t = 0.0
+    if L2 != 0.0:
+        t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
+        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+    try:  # abs(), not math.hypot, which rounds some results differently
+        return t * math.sqrt(L2), abs(z - (a + d * t))
+    except OverflowError:  # the distance is beyond the float range
+        return t * math.sqrt(L2), math.inf
 
 
 def _orient(a: complex, b: complex, c: complex) -> float:
@@ -362,10 +365,13 @@ class PuncturedPlaneRegion(Region):
         return z != 0 and cmath.isfinite(z)
 
     def _delta(self, z: complex) -> float:
-        return abs(z)
+        try:
+            return abs(z)
+        except OverflowError:  # |z| beyond the float range
+            return math.inf
 
     def boundary_gap(self, z: complex) -> float:
-        return abs(as_point(z))
+        return self._delta(as_point(z))
 
     def segment_inside(self, a: complex, b: complex) -> bool:
         if not (self.contains(a) and self.contains(b)):
@@ -411,7 +417,10 @@ class DiskRegion(Region):
         return self.radius - abs(z - self.center)
 
     def boundary_gap(self, z: complex) -> float:
-        return abs(self.radius - abs(as_point(z) - self.center))
+        try:
+            return abs(self.radius - abs(as_point(z) - self.center))
+        except OverflowError:  # |z - center| beyond the float range
+            return math.inf
 
     def segment_inside(self, a: complex, b: complex) -> bool:
         return self.contains(a) and self.contains(b)
@@ -614,6 +623,10 @@ def _check_ball_points(count: int, z: complex, r: float, h: float) -> None:
 def _component_ball_plane(region: Region, z: complex, r: float, h: float) -> ComponentBall:
     n = int(math.ceil(r / h)) + 1
     _check_ball_points((2 * n + 1) ** 2, z, r, h)
+    ulp = math.ulp(max(abs(z.real), abs(z.imag)) + r + 2.0 * h)  # at the grid's edge
+    if h <= ulp:  # the grid points would round onto one another
+        raise ResolutionError(f"resolution {h} is not above the float spacing {ulp} "
+                              f"of the coordinates of B({z}, {r})")
     accept: dict[tuple[int, int], complex] = {}
     candidates: dict[tuple[int, int], complex] = {}
     for i in range(-n, n + 1):
@@ -768,7 +781,8 @@ def component_ball(region: Region, z, r: float, resolution: float) -> ComponentB
     the grid L*k/m, m = ceil(L/h), but only the part of it within r + 2h of
     z is cut: O(r/h) points per nearby piece, and the same nodes and frontier
     as cutting every piece whole.  A mesh of more than MAX_BALL_POINTS
-    points raises ResolutionError before anything is built.
+    points, or a plane grid whose h is not above the float spacing of its
+    coordinates, raises ResolutionError before anything is built.
     """
     z = region.require_member(as_point(z), "center")
     if not 0.0 < r < math.inf:

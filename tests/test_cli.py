@@ -111,6 +111,19 @@ def test_huge_query_point_is_one_line_error(capsys, domain):
     assert ("is not in region" if domain == "disk" else "is not covered by the mesh") in err
 
 
+@pytest.mark.parametrize("domain, center", [("punctured", "1.7e308,1.7e308"),
+                                            ("halfplane", "0,1e200")])
+def test_ball_at_a_huge_center_is_one_line_error(capsys, domain, center):
+    # The grid of spacing 0.5 would collapse at these coordinates.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "ball", "--domain", domain, "--center", center,
+                             "--radius", "1", "--resolution", "0.5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "float spacing" in err
+
+
 CHECK_QC = ("check-qc", "--map", "shear")
 QH = ("qh", "--domain", "halfplane", "--from", "0,1", "--to", "0,2")
 

@@ -189,6 +189,14 @@ def test_overflowing_grid_is_a_resolution_error(domain, z):
         component_ball(make_region(domain), z, 1e-300, 1e-320)
 
 
+@pytest.mark.parametrize("domain, z", [("halfplane", 1e200j), ("halfplane", 1e16j),
+                                       ("punctured", 1.7e308 + 1.7e308j)])
+def test_grid_below_the_float_spacing_is_a_resolution_error(domain, z):
+    # The grid points z + h (i + j i) would round onto one another.
+    with pytest.raises(ResolutionError, match="float spacing"):
+        component_ball(make_region(domain), z, 1.0, 0.5)
+
+
 def test_plane_point_count_meets_the_cap_exactly(monkeypatch, halfplane):
     # r/h = 10 gives n = 11, a 23 x 23 grid.
     monkeypatch.setattr(spaces, "MAX_BALL_POINTS", 23 * 23)

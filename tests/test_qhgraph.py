@@ -31,7 +31,7 @@ from qhkit import (
 )
 from qhkit.qhgraph import MAX_PLANE_DEPTH
 from qhkit.scenarios import BUILTIN_DOMAINS, make_region
-from qhkit.spaces import PLANE, sample_pairs
+from qhkit.spaces import PLANE, project_segment, sample_pairs
 
 from conftest import HP_BBOX, PP_BBOX
 
@@ -321,6 +321,12 @@ def test_punctured_oracle_and_regions_take_moduli_beyond_the_float_range():
     assert qh_distance_exact("punctured", z, 1.0) == pytest.approx(k, rel=1e-12, abs=0.0)
     assert make_region("punctured").contains(z)
     assert not make_region("disk").contains(z)
+    # The distances that pass through |z| are inf instead of an OverflowError.
+    assert make_region("punctured").boundary_distance(z) == math.inf
+    assert make_region("punctured").boundary_gap(z) == math.inf
+    assert make_region("disk").boundary_gap(z) == math.inf
+    assert project_segment(z, 0j, 1 + 0j) == (1.0, math.inf)
+    assert project_segment(0j, z, z) == (0.0, math.inf)
 
 
 def test_mesh_overestimates_oracle(hp_mesh_01, pp_mesh_005, halfplane, punctured):
@@ -521,8 +527,8 @@ def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name,
     atts = [a for a in atts if a.node is None]
     slacks = qhgraph._slacks(mesh.graph, atts)
     n = mesh.node_count
-    rows = dijkstra(qhgraph._with_source_rows(mesh, atts), directed=True,
-                    indices=range(n, n + len(atts)))[:, :n]
+    rows = [dijkstra(qhgraph._with_source_row(mesh, att), directed=True, indices=n)[:n]
+            for att in atts]
     checked = 0
     for att, slack, row in zip(atts, slacks, rows):
         k0 = min(att.anchors, key=lambda c: c[1])[0]
@@ -534,15 +540,14 @@ def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name,
     assert checked >= len(atts) // 2 > 0
 
 
-def _concatenated_rows(graph, atts):
-    """The augmented graph as a fresh concatenation of the mesh's arrays."""
-    n, k = graph.shape[0], len(atts)
-    ends = graph.nnz + np.cumsum([len(a.anchors) for a in atts])
-    return (np.concatenate([graph.indptr, ends.astype(graph.indptr.dtype)]),
-            np.concatenate([graph.indices, np.array([v for a in atts for v, _ in a.anchors],
+def _concatenated_row(graph, att):
+    """The graph plus the query vertex's row as a fresh concatenation."""
+    n, end = graph.shape[0], graph.nnz + len(att.anchors)
+    return (np.concatenate([graph.indptr, [end]]).astype(graph.indptr.dtype),
+            np.concatenate([graph.indices, np.array([v for v, _ in att.anchors],
                                                     dtype=graph.indices.dtype)]),
-            np.concatenate([graph.data, [w for a in atts for _, w in a.anchors]]),
-            (n + k, n + k))
+            np.concatenate([graph.data, [w for _, w in att.anchors]]),
+            (n + 1, n + 1))
 
 
 def _graph_digest(graph) -> str:
@@ -552,27 +557,44 @@ def _graph_digest(graph) -> str:
     return h.hexdigest()
 
 
-def test_source_rows_are_written_after_the_mesh_entries(hp_mesh_005, halfplane):
+def test_source_rows_are_written_after_the_mesh_entries(request, hp_mesh_005, halfplane):
     mesh = hp_mesh_005
     digest = _graph_digest(mesh.graph)
+    buffers = (mesh._data, mesh._indices, mesh.graph.data)
     rng = random.Random(23)
-    atts = []
-    # Enough anchor rows to outgrow whatever room earlier queries left.
-    while sum(len(a.anchors) for a in atts) <= len(mesh._data) - mesh.graph.nnz:
-        att = qhgraph._attach(mesh, halfplane.sample_point(rng))
-        if att.node is None:
-            atts.append(att)
-    old = mesh._data
-    expected = _concatenated_rows(mesh.graph, atts)
-    aug = qhgraph._with_source_rows(mesh, atts)
-    assert mesh._data is not old  # the room grew
-    for got, want in zip((aug.indptr, aug.indices, aug.data), expected):
+    att = next(a for a in (qhgraph._attach(mesh, halfplane.sample_point(rng)) for _ in range(50))
+               if a.node is None)
+    expected = _concatenated_row(mesh.graph, att)
+    aug = qhgraph._with_source_row(mesh, att)
+    # Past indptr[-1] is unused room.
+    for got, want in zip((aug.indptr, aug.indices[:aug.nnz], aug.data[:aug.nnz]), expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert aug.shape == expected[3]
-    # The graph and the augmented view share the new buffers: no copy.
+    # The graph and the augmented view share the reserved buffers: no copy.
     assert np.shares_memory(aug.indices, mesh.graph.indices)
     assert np.shares_memory(aug.data, mesh.graph.data)
+    # Queries write into the room reserved at build; nothing reallocates it.
+    pairs = sample_pairs(halfplane.sample_point, rng, 250)
+    qh_distance_many(mesh, pairs[:200])
+    for x, y in pairs[200:]:
+        qh_distance(mesh, x, y)
+    assert all(a is b for a, b in zip((mesh._data, mesh._indices, mesh.graph.data), buffers))
     assert _graph_digest(mesh.graph) == digest
+    # The room holds the anchors of any attachment.
+    for mesh_name, region_name in (("hp_mesh_005", "halfplane"), ("pp_mesh_005", "punctured"),
+                                   ("disk_mesh", "disk"), ("omega_mesh", "omega")):
+        m, region = request.getfixturevalue(mesh_name), request.getfixturevalue(region_name)
+        room = len(m._data) - m.graph.nnz
+        rng = random.Random(37)
+        attached = 0
+        for _ in range(300):
+            try:
+                att = qhgraph._attach(m, region.sample_point(rng))
+            except ConnectivityError:  # the disk's uncovered rim
+                continue
+            assert len(att.anchors) <= room
+            attached += 1
+        assert attached >= 250
 
 
 def test_queries_leave_the_mesh_graph_unchanged(hp_mesh_01, halfplane):
