@@ -191,9 +191,12 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     complexes ignore it.  metric="length" swaps delta_G for the length-metric
     boundary distance delta'_G in the edge weights; the plane is convex, so
     the two agree there and only curve complexes change.  Plane quadtrees
-    refine to at most MAX_PLANE_DEPTH levels.  mesh.stats["stage_s"] holds
-    the seconds of each build stage: refine, stencil, cross_depth, dedupe
-    and assemble for plane meshes, cuts and assemble for curve complexes.
+    refine breadth first to at most MAX_PLANE_DEPTH levels, one array pass
+    per depth through the region's contains_many and boundary_gaps_many;
+    each leaf takes its delta from boundary_gaps_many.  mesh.stats["stage_s"]
+    holds the seconds of each build stage: refine, stencil, cross_depth,
+    dedupe and assemble for plane meshes, cuts and assemble for curve
+    complexes.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -245,40 +248,7 @@ def _build_plane_mesh(region: Region, grading: float,
         raise ConfigurationError(f"degenerate bbox {bbox}")
     s0 = max(x1 - x0, y1 - y0)
 
-    leaves: list[tuple[int, int, int, complex, float]] = []
-    stack: list[tuple[int, int, int]] = [(0, 0, 0)]
-    while stack:
-        d, i, j = stack.pop()
-        s = s0 / (1 << d)
-        ox, oy = x0 + i * s, y0 + j * s
-        if ox >= x1 or oy >= y1:
-            continue  # no overlap with the bbox
-        cx, cy = ox + s / 2.0, oy + s / 2.0
-        c = complex(cx, cy)
-        in_bbox = (x0 <= cx <= x1) and (y0 <= cy <= y1)
-        if in_bbox and region.contains(c):
-            dz = region.boundary_distance(c)
-            if s <= grading * dz:
-                leaves.append((d, i, j, c, dz))
-                continue
-        else:
-            gap = region.boundary_gap(c)
-            if not region.contains(c) and gap > s * math.sqrt(2.0) / 2.0:
-                continue  # cell lies wholly outside G
-        if d >= max_depth:
-            continue  # unresolvable sliver hugging the boundary
-        stack.extend(((d + 1, 2 * i, 2 * j), (d + 1, 2 * i + 1, 2 * j),
-                      (d + 1, 2 * i, 2 * j + 1), (d + 1, 2 * i + 1, 2 * j + 1)))
-
-    if not leaves:
-        raise ConfigurationError("bbox does not intersect the region at this grading")
-
-    D, I, J = (np.array(col, dtype=np.int64) for col in list(zip(*leaves))[:3])
-    keys = _cell_keys(D, I, J)
-    order = np.argsort(keys)
-    keys, D, I, J = keys[order], D[order], I[order], J[order]
-    coords = np.array([leaves[k][3] for k in order], dtype=np.complex128)
-    delta = np.array([leaves[k][4] for k in order], dtype=np.float64)
+    keys, D, I, J, coords, delta = _refine(region, grading, (x0, x1, y0, y1), s0, max_depth)
     spacing = s0 / (1 << D)
     t1 = perf_counter()
 
@@ -320,6 +290,39 @@ def _build_plane_mesh(region: Region, grading: float,
     mesh.stats["stage_s"] = {"refine": t1 - t0, "stencil": t2 - t1, "cross_depth": t3 - t2,
                              "dedupe": t4 - t3, "assemble": perf_counter() - t4}
     return mesh
+
+
+def _refine(region: Region, grading: float, bbox: tuple[float, float, float, float],
+            s0: float, max_depth: int) -> tuple[np.ndarray, ...]:
+    """The quadtree's leaves as arrays (keys, D, I, J, coords, delta), sorted
+    by key.  A breadth-first sweep tests each depth's cells at once: a cell
+    whose centre lies in the bbox and in G is a leaf once s <= grading *
+    delta; a cell whose centre is outside G by more than half its diagonal is
+    dropped; any other cell above max_depth splits into four."""
+    x0, x1, y0, y1 = bbox
+    I = J = np.zeros(1, dtype=np.int64)
+    found = []
+    for d in range(max_depth + 1):
+        s = s0 / (1 << d)
+        ox, oy = x0 + I * s, y0 + J * s
+        overlap = (ox < x1) & (oy < y1)
+        I, J = I[overlap], J[overlap]
+        cx, cy = ox[overlap] + s / 2.0, oy[overlap] + s / 2.0
+        C = np.column_stack((cx, cy)).view(np.complex128).ravel()
+        inside = region.contains_many(C)
+        gap = region.boundary_gaps_many(C)  # delta_G at the centres in G
+        leaf = inside & (x0 <= cx) & (cx <= x1) & (y0 <= cy) & (cy <= y1) & (s <= grading * gap)
+        found.append((np.full(np.count_nonzero(leaf), d, dtype=np.int64), I[leaf], J[leaf],
+                      C[leaf], gap[leaf]))
+        split = ~(leaf | (~inside & (gap > s * math.sqrt(2.0) / 2.0)))
+        I, J = 2 * I[split], 2 * J[split]
+        I, J = np.concatenate([I, I + 1, I, I + 1]), np.concatenate([J, J, J + 1, J + 1])
+    D, I, J, coords, delta = (np.concatenate(col) for col in zip(*found))
+    if not len(D):
+        raise ConfigurationError("bbox does not intersect the region at this grading")
+    keys = _cell_keys(D, I, J)
+    order = np.argsort(keys)
+    return keys[order], D[order], I[order], J[order], coords[order], delta[order]
 
 
 def _unique_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -46,10 +46,17 @@ def disk_point(rng: random.Random, center: complex, radius: float) -> complex:
     return center + complex(r * math.cos(th), r * math.sin(th))
 
 
+#: An exact power of two that brings the square of any finite length into range.
+_TINY = 2.0 ** -600
+
+
 def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
     """(arclength from a of the point of [a, b] closest to z, distance from z to it)."""
     d = b - a
     L2 = d.real * d.real + d.imag * d.imag
+    if L2 == math.inf and cmath.isfinite(a) and cmath.isfinite(b):  # the square overflows
+        s, dist = project_segment(z * _TINY, a * _TINY, b * _TINY)
+        return s / _TINY, dist / _TINY
     t = 0.0
     if L2 != 0.0:
         t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
@@ -58,6 +65,31 @@ def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
         return t * math.sqrt(L2), abs(z - (a + d * t))
     except OverflowError:  # the distance is beyond the float range
         return t * math.sqrt(L2), math.inf
+
+
+def _moduli(Z: np.ndarray, center: complex = 0j) -> np.ndarray:
+    """abs(z - center) for each z of a complex array, bit for bit as abs()
+    gives it (np.abs rounds some differently), and inf where abs() overflows."""
+    with np.errstate(over="ignore"):
+        W = Z - center
+        return np.hypot(W.real, W.imag)
+
+
+def _origin_clearances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distance from 0 to each segment [A, B]: project_segment(0j, a, b)[1]
+    over complex arrays, rescaled by _TINY where the square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = B - A
+        L2 = D.real * D.real + D.imag * D.imag
+        t = np.clip(-(A.real * D.real + A.imag * D.imag) / np.where(L2 == 0.0, 1.0, L2),
+                    0.0, 1.0)
+        Q = A + D * t
+        dist = np.hypot(Q.real, Q.imag)
+        big = np.isinf(L2)
+        if big.any():
+            big &= np.isfinite(A) & np.isfinite(B)
+            dist[big] = _origin_clearances(A[big] * _TINY, B[big] * _TINY) / _TINY
+    return dist
 
 
 def _orient(a: complex, b: complex, c: complex) -> float:
@@ -264,7 +296,18 @@ class CurveComplexSpace(SpaceModel):
 # ---------------------------------------------------------------------------
 
 class Region:
-    """Nonempty proper open connected subset G of a space, with exact delta_G."""
+    """Nonempty proper open connected subset G of a space, with exact delta_G.
+
+    The plane mesh builder calls the array forms of the predicates, over
+    complex arrays: contains_many, boundary_gaps_many and
+    segments_inside_many.  Region's own array forms loop over the scalar
+    methods; the built-in analytic regions override them with numpy
+    expressions that equal the scalar results bit for bit.  A subclass that
+    overrides a scalar predicate must override its array form too, or the
+    builder keeps using the inherited one.  On members boundary_gap must equal
+    boundary_distance, as the builder takes each leaf's delta from
+    boundary_gaps_many.
+    """
 
     name: str = "region"
     space: SpaceModel
@@ -298,6 +341,14 @@ class Region:
     def segment_inside(self, a: complex, b: complex) -> bool:
         """True when the straight segment [a, b] stays inside G."""
         raise NotImplementedError
+
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        """contains over a complex array (loop fallback)."""
+        return np.array([self.contains(z) for z in Z.tolist()], dtype=bool)
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        """boundary_gap over a complex array (loop fallback)."""
+        return np.array([self.boundary_gap(z) for z in Z.tolist()], dtype=np.float64)
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Vectorized segment_inside over complex arrays (loop fallback)."""
@@ -339,6 +390,12 @@ class HalfPlaneRegion(Region):
     def boundary_gap(self, z: complex) -> float:
         return abs(as_point(z).imag)
 
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        return (Z.imag > 0.0) & np.isfinite(Z)
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        return np.abs(Z.imag)
+
     def segment_inside(self, a: complex, b: complex) -> bool:
         return a.imag > 0.0 and b.imag > 0.0
 
@@ -373,19 +430,19 @@ class PuncturedPlaneRegion(Region):
     def boundary_gap(self, z: complex) -> float:
         return self._delta(as_point(z))
 
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        return (Z != 0) & np.isfinite(Z)
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        return _moduli(Z)
+
     def segment_inside(self, a: complex, b: complex) -> bool:
         if not (self.contains(a) and self.contains(b)):
             return False
         return project_segment(0j, a, b)[1] > 1e-12
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        D = B - A
-        L2 = D.real * D.real + D.imag * D.imag
-        L2 = np.where(L2 == 0.0, 1.0, L2)
-        t = np.clip(-(A.real * D.real + A.imag * D.imag) / L2, 0.0, 1.0)
-        Q = A + D * t
-        d = np.hypot(Q.real, Q.imag)
-        return (np.abs(A) > 0.0) & (np.abs(B) > 0.0) & (d > 1e-12)
+        return self.contains_many(A) & self.contains_many(B) & (_origin_clearances(A, B) > 1e-12)
 
     def sample_point(self, rng: random.Random) -> complex:
         r0, r1 = self.sample_radii
@@ -425,8 +482,14 @@ class DiskRegion(Region):
     def segment_inside(self, a: complex, b: complex) -> bool:
         return self.contains(a) and self.contains(b)
 
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        return _moduli(Z, self.center) < self.radius
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        return np.abs(self.radius - _moduli(Z, self.center))
+
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return (np.abs(A - self.center) < self.radius) & (np.abs(B - self.center) < self.radius)
+        return self.contains_many(A) & self.contains_many(B)
 
     def sample_point(self, rng: random.Random) -> complex:
         return disk_point(rng, self.center, self.radius * 0.95)

@@ -86,11 +86,12 @@ def test_bbox_missing_the_region_fails():
         build_mesh(disk, 0.2, (10.0, 11.0, 10.0, 11.0))
 
 
+# A comb whose thin tooth falls apart at depth 6, so pruning drops nodes.
+_COMB = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j, 2.9 + 2j, 2j])
+
+
 def _comb_mesh():
-    # A comb whose thin tooth falls apart at this depth, so pruning drops nodes.
-    comb = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j,
-                          2.9 + 2j, 2j])
-    return build_mesh(comb, 0.3, max_depth=6)
+    return build_mesh(_COMB, 0.3, max_depth=6)
 
 
 def _digest(*arrays):
@@ -177,6 +178,65 @@ class _WalledHalfPlane(HalfPlaneRegion):
     def segments_inside_many(self, A, B):
         crosses = (np.sign(A.real) != np.sign(B.real)) & (np.minimum(A.imag, B.imag) > 2.0)
         return super().segments_inside_many(A, B) & ~crosses
+
+
+def _stack_refine(region, grading, bbox, max_depth):
+    """The per-cell stack loop that qhgraph._refine replaced, kept as its
+    reference: the sorted keys, coords and delta of the leaves."""
+    x0, x1, y0, y1 = bbox
+    s0 = max(x1 - x0, y1 - y0)
+    leaves = []
+    stack = [(0, 0, 0)]
+    while stack:
+        d, i, j = stack.pop()
+        s = s0 / (1 << d)
+        ox, oy = x0 + i * s, y0 + j * s
+        if ox >= x1 or oy >= y1:
+            continue
+        cx, cy = ox + s / 2.0, oy + s / 2.0
+        c = complex(cx, cy)
+        if (x0 <= cx <= x1) and (y0 <= cy <= y1) and region.contains(c):
+            dz = region.boundary_distance(c)
+            if s <= grading * dz:
+                leaves.append((d, i, j, c, dz))
+                continue
+        elif not region.contains(c) and region.boundary_gap(c) > s * math.sqrt(2.0) / 2.0:
+            continue
+        if d >= max_depth:
+            continue
+        stack.extend(((d + 1, 2 * i, 2 * j), (d + 1, 2 * i + 1, 2 * j),
+                      (d + 1, 2 * i, 2 * j + 1), (d + 1, 2 * i + 1, 2 * j + 1)))
+    D, I, J = (np.array(col, dtype=np.int64) for col in list(zip(*leaves))[:3])
+    keys = qhgraph._cell_keys(D, I, J)
+    order = np.argsort(keys)
+    return (keys[order], np.array([leaves[k][3] for k in order], dtype=np.complex128),
+            np.array([leaves[k][4] for k in order], dtype=np.float64))
+
+
+_L_SHAPE = PolygonRegion([0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+_UNIT_BOX = (-1.0, 1.0, -1.0, 1.0)
+
+REFINE_CASES = {
+    **{f"{name}-{g}": (make_region(name), g, bbox, qhgraph.DEFAULT_MAX_DEPTH)
+       for name, bbox in (("halfplane", HP_BBOX), ("punctured", PP_BBOX), ("disk", _UNIT_BOX))
+       for g in (0.05, 0.1, 0.2)},
+    "disk-depth-8": (DiskRegion(0j, 1.0), 0.1, _UNIT_BOX, 8),
+    "comb": (_COMB, 0.3, (0.0, 4.0, 0.0, 2.0), 6),
+    "l-shape": (_L_SHAPE, 0.3, (0.0, 2.0, 0.0, 2.0), 6),
+    "walled": (_WalledHalfPlane(), 0.2, HP_BBOX, qhgraph.DEFAULT_MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINE_CASES))
+def test_refine_sweep_matches_the_stack_loop(name):
+    region, grading, bbox, max_depth = REFINE_CASES[name]
+    s0 = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
+    keys, D, I, J, coords, delta = qhgraph._refine(region, grading, bbox, s0, max_depth)
+    ref_keys, ref_coords, ref_delta = _stack_refine(region, grading, bbox, max_depth)
+    assert keys.tobytes() == ref_keys.tobytes()
+    assert coords.tobytes() == ref_coords.tobytes()
+    assert delta.tobytes() == ref_delta.tobytes()
+    assert keys.tobytes() == qhgraph._cell_keys(D, I, J).tobytes()
 
 
 def test_segment_rejections_count_filtered_pairs(halfplane):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,8 @@ from qhkit import (
     length_distance,
     quasiconvexity_estimate,
 )
-from qhkit.spaces import PLANE
+from qhkit.scenarios import make_region
+from qhkit.spaces import PLANE, project_segment
 
 SQRT2 = math.sqrt(2.0)
 
@@ -233,3 +235,61 @@ def test_delta_one_lipschitz_omega(omega):
         dp = omega.boundary_distance(p)
         dq = omega.boundary_distance(q)
         assert abs(dp - dq) <= abs(p - q) + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# array forms of the predicates
+# ---------------------------------------------------------------------------
+
+# The built-in regions' numpy forms, and Region's loop fallback (polygon).
+ARRAY_REGIONS = (make_region("halfplane"), make_region("punctured"), make_region("disk"),
+                 DiskRegion(0.5 - 2j, 3.0),
+                 PolygonRegion([0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j]))
+
+_coordinates = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-1, 1), st.integers(-300, 300)),
+    st.floats(-3, 3),
+    st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan, 1.7e308]))
+
+
+def _bits(values) -> bytes:
+    a = np.asarray(values, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).tobytes()  # one nan for all
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.builds(complex, _coordinates, _coordinates), min_size=1, max_size=16))
+def test_array_predicates_equal_the_scalar_ones_bit_for_bit(points):
+    Z = np.array(points, dtype=np.complex128)
+    for region in ARRAY_REGIONS:
+        inside = region.contains_many(Z)
+        assert inside.tolist() == [region.contains(z) for z in points]
+        gaps = region.boundary_gaps_many(Z)
+        assert _bits(gaps) == _bits([region.boundary_gap(z) for z in points])
+        # The mesh builder takes a member's delta from boundary_gaps_many.
+        members = [z for z in points if region.contains(z)]
+        assert _bits(gaps[inside]) == _bits([region.boundary_distance(z) for z in members])
+
+
+def test_disk_segment_filter_agrees_with_contains_at_the_rim():
+    disk = DiskRegion(0.3 + 0.1j, 1.0)
+    rng = np.random.default_rng(5)
+    r = 1.0 + rng.uniform(-1e-15, 1e-15, 20_000)
+    Z = disk.center + r * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, len(r)))
+    inside = [disk.contains(z) for z in Z.tolist()]
+    assert 0 < sum(inside) < len(inside)
+    assert disk.contains_many(Z).tolist() == inside
+    assert disk.segments_inside_many(Z, np.full(len(Z), disk.center)).tolist() == inside
+
+
+def test_segments_longer_than_the_root_of_the_float_range():
+    # The squared length overflows; so does b - a in the second segment.
+    assert project_segment(0j, 1e200 + 1j, -1e200 + 1j) == (1e200, 1.0)
+    assert project_segment(0j, -1.7e308 + 1j, 1.7e308 + 1j) == (1.7e308, 1.0)
+    assert project_segment(2e200 + 3j, 1e200 + 1j, -1e200 + 1j) == (0.0, 1e200)
+    punctured = make_region("punctured")
+    A = np.array([1e200 + 1j, 1e200 + 0j, -1.7e308 + 1j, 1e200 + 1e200j, 1 + 1j])
+    B = np.array([-1e200 + 1j, -1e200 + 0j, 1.7e308 + 1j, -1e200 - 1e200j, 2 + 1j])
+    expected = [True, False, True, False, True]
+    assert [punctured.segment_inside(a, b) for a, b in zip(A.tolist(), B.tolist())] == expected
+    assert punctured.segments_inside_many(A, B).tolist() == expected  # no RuntimeWarning
