@@ -248,7 +248,8 @@ def _build_plane_mesh(region: Region, grading: float,
         raise ConfigurationError(f"degenerate bbox {bbox}")
     s0 = max(x1 - x0, y1 - y0)
 
-    keys, D, I, J, coords, delta = _refine(region, grading, (x0, x1, y0, y1), s0, max_depth)
+    keys, D, I, J, coords, delta, capped = _refine(region, grading, (x0, x1, y0, y1), s0,
+                                                   max_depth)
     spacing = s0 / (1 << D)
     t1 = perf_counter()
 
@@ -286,6 +287,7 @@ def _build_plane_mesh(region: Region, grading: float,
     mesh.stats["leaves_per_depth"] = {int(d): int(c) for d, c in
                                       enumerate(np.bincount(Dk)) if c}
     mesh.stats["cross_depth_edges"] = int(np.count_nonzero(rows != Dk[g.indices])) // 2
+    mesh.stats["capped_cells"] = capped
     mesh.stats["bbox"] = (x0, x1, y0, y1)
     mesh.stats["stage_s"] = {"refine": t1 - t0, "stencil": t2 - t1, "cross_depth": t3 - t2,
                              "dedupe": t4 - t3, "assemble": perf_counter() - t4}
@@ -295,8 +297,9 @@ def _build_plane_mesh(region: Region, grading: float,
 def _refine(region: Region, grading: float, bbox: tuple[float, float, float, float],
             s0: float, max_depth: int) -> tuple[np.ndarray, ...]:
     """The quadtree's leaves as arrays (keys, D, I, J, coords, delta), sorted
-    by key.  A breadth-first sweep tests each depth's cells at once: a cell
-    whose centre lies in the bbox and in G is a leaf once s <= grading *
+    by key, and the count of cells with centres in G that max_depth stops
+    from splitting.  A breadth-first sweep tests each depth's cells at once: a
+    cell whose centre lies in the bbox and in G is a leaf once s <= grading *
     delta; a cell whose centre is outside G by more than half its diagonal is
     dropped; any other cell above max_depth splits into four."""
     x0, x1, y0, y1 = bbox
@@ -322,7 +325,8 @@ def _refine(region: Region, grading: float, bbox: tuple[float, float, float, flo
         raise ConfigurationError("bbox does not intersect the region at this grading")
     keys = _cell_keys(D, I, J)
     order = np.argsort(keys)
-    return keys[order], D[order], I[order], J[order], coords[order], delta[order]
+    capped = int(np.count_nonzero(split & inside))  # at max_depth
+    return keys[order], D[order], I[order], J[order], coords[order], delta[order], capped
 
 
 def _unique_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -369,8 +373,10 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     spacing: list[float] = []
     registry: list[tuple[list[float], list[int]]] = []
     pairs: list[tuple[int, int]] = []
+    capped = 0
     for seg in region.pieces:
-        cuts = _piece_cuts(region, seg, grading, max_depth)
+        cuts, piece_capped = _piece_cuts(region, seg, grading, max_depth)
+        capped += piece_capped
         ids: list[int] = []
         for k, s in enumerate(cuts):
             p = seg.point_at(s)
@@ -408,11 +414,15 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
                             for cuts, ids in registry]
     mesh._node_of = {k: int(remap[i]) for k, i in node_of.items() if keep[i]}
+    mesh.stats["capped_cells"] = capped
     mesh.stats["stage_s"] = {"cuts": t1 - t0, "assemble": perf_counter() - t1}
     return mesh
 
 
-def _piece_cuts(region: CurveRegion, seg, grading: float, max_depth: int) -> list[float]:
+def _piece_cuts(region: CurveRegion, seg, grading: float,
+                max_depth: int) -> tuple[list[float], int]:
+    """The sorted cuts of one piece, and the count of intervals that min_len
+    stops while they are still coarser than grading * gap."""
     cuts = {0.0, seg.length}
     for bp in region.boundary_points:
         s, d = seg.project(bp)
@@ -421,20 +431,20 @@ def _piece_cuts(region: CurveRegion, seg, grading: float, max_depth: int) -> lis
     base = sorted(cuts)
     min_len = seg.length / (1 << max_depth)
 
-    def split(lo: float, hi: float) -> None:
+    def split(lo: float, hi: float) -> int:
         L = hi - lo
         mid = seg.point_at((lo + hi) / 2.0)
         gap = region.boundary_gap(mid)
-        if L <= grading * gap or L <= min_len:
-            return
+        if L <= grading * gap:
+            return 0
+        if L <= min_len:
+            return 1
         m = (lo + hi) / 2.0
         cuts.add(m)
-        split(lo, m)
-        split(m, hi)
+        return split(lo, m) + split(m, hi)
 
-    for lo, hi in zip(base, base[1:]):
-        split(lo, hi)
-    return sorted(cuts)
+    capped = sum(split(lo, hi) for lo, hi in zip(base, base[1:]))
+    return sorted(cuts), capped
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, MembershipError, ResolutionError
 
@@ -54,12 +56,15 @@ def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
     """(arclength from a of the point of [a, b] closest to z, distance from z to it)."""
     d = b - a
     L2 = d.real * d.real + d.imag * d.imag
-    if L2 == math.inf and cmath.isfinite(a) and cmath.isfinite(b):  # the square overflows
+    dot = (z - a).real * d.real + (z - a).imag * d.imag
+    # Rescale where the square overflows, or the dot product reads inf - inf.
+    if (L2 == math.inf or (dot != dot and cmath.isfinite(z))) and \
+            cmath.isfinite(a) and cmath.isfinite(b):
         s, dist = project_segment(z * _TINY, a * _TINY, b * _TINY)
         return s / _TINY, dist / _TINY
     t = 0.0
     if L2 != 0.0:
-        t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
+        t = dot / L2
         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
     try:  # abs(), not math.hypot, which rounds some results differently
         return t * math.sqrt(L2), abs(z - (a + d * t))
@@ -77,15 +82,16 @@ def _moduli(Z: np.ndarray, center: complex = 0j) -> np.ndarray:
 
 def _origin_clearances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Distance from 0 to each segment [A, B]: project_segment(0j, a, b)[1]
-    over complex arrays, rescaled by _TINY where the square overflows."""
+    over complex arrays, rescaled by _TINY where the square overflows or the
+    dot product reads inf - inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         D = B - A
         L2 = D.real * D.real + D.imag * D.imag
-        t = np.clip(-(A.real * D.real + A.imag * D.imag) / np.where(L2 == 0.0, 1.0, L2),
-                    0.0, 1.0)
+        dot = -(A.real * D.real + A.imag * D.imag)
+        t = np.clip(dot / np.where(L2 == 0.0, 1.0, L2), 0.0, 1.0)
         Q = A + D * t
         dist = np.hypot(Q.real, Q.imag)
-        big = np.isinf(L2)
+        big = np.isinf(L2) | np.isnan(dot)
         if big.any():
             big &= np.isfinite(A) & np.isfinite(B)
             dist[big] = _origin_clearances(A[big] * _TINY, B[big] * _TINY) / _TINY
@@ -298,13 +304,14 @@ class CurveComplexSpace(SpaceModel):
 class Region:
     """Nonempty proper open connected subset G of a space, with exact delta_G.
 
-    The plane mesh builder calls the array forms of the predicates, over
-    complex arrays: contains_many, boundary_gaps_many and
-    segments_inside_many.  Region's own array forms loop over the scalar
-    methods; the built-in analytic regions override them with numpy
-    expressions that equal the scalar results bit for bit.  A subclass that
-    overrides a scalar predicate must override its array form too, or the
-    builder keeps using the inherited one.  On members boundary_gap must equal
+    The plane mesh builder and the plane component balls call the array
+    forms of the predicates, over complex arrays: contains_many,
+    boundary_gaps_many (the builder only) and segments_inside_many.
+    Region's own array forms loop over the scalar methods; the built-in
+    analytic regions override them with numpy expressions that equal the
+    scalar results bit for bit.  A subclass that overrides a scalar predicate
+    must override its array form too, or the builder and the balls keep
+    using the inherited one.  On members boundary_gap must equal
     boundary_distance, as the builder takes each leaf's delta from
     boundary_gaps_many.
     """
@@ -352,7 +359,8 @@ class Region:
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Vectorized segment_inside over complex arrays (loop fallback)."""
-        return np.array([self.segment_inside(a, b) for a, b in zip(A, B)], dtype=bool)
+        return np.array([self.segment_inside(a, b) for a, b in zip(A.tolist(), B.tolist())],
+                        dtype=bool)
 
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
@@ -653,9 +661,10 @@ class CurveRegion(Region):
 class ComponentBall:
     """Mesh realization of B^G(z, r): the z-component of B(z, r) and G.
 
-    nodes are the flood-filled mesh points; frontier holds the mesh points
-    adjacent to the component but excluded from it (outside the ball, outside
-    G, or cut off by the boundary); spacing is the mesh size h.
+    nodes are the mesh points of the component that component_ball's array
+    flood finds; frontier holds the mesh points paired with the component but
+    excluded from it (outside the ball, outside G, or cut off by the
+    boundary); spacing is the mesh size h.
     """
 
     center: complex
@@ -673,8 +682,6 @@ class ComponentBall:
 #: ResolutionError before any point is built.
 MAX_BALL_POINTS = 250_000
 
-_BALL_NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
-
 
 def _check_ball_points(count: int, z: complex, r: float, h: float) -> None:
     if count > MAX_BALL_POINTS:
@@ -683,76 +690,62 @@ def _check_ball_points(count: int, z: complex, r: float, h: float) -> None:
             f"over the cap MAX_BALL_POINTS = {MAX_BALL_POINTS}")
 
 
+def _flood(z: complex, r: float, h: float, P: np.ndarray, u: np.ndarray, v: np.ndarray,
+           joined: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, frontier) masks over the points P: the component of start in
+    the graph of the joined pairs (u, v), and the points outside it that
+    share a pair with it, joined or not."""
+    graph = csr_matrix((np.ones(np.count_nonzero(joined)), (u[joined], v[joined])),
+                       shape=(len(P), len(P)))
+    labels = connected_components(graph, directed=False)[1]
+    nodes = labels == labels[start]
+    if np.count_nonzero(nodes) < 2:
+        raise ResolutionError(
+            f"resolution {h} places no mesh node besides the center in B({z}, {r})")
+    frontier = np.zeros(len(P), dtype=bool)
+    frontier[v[nodes[u]]] = frontier[u[nodes[v]]] = True
+    return nodes, frontier & ~nodes
+
+
 def _component_ball_plane(region: Region, z: complex, r: float, h: float) -> ComponentBall:
     n = int(math.ceil(r / h)) + 1
-    _check_ball_points((2 * n + 1) ** 2, z, r, h)
+    side = 2 * n + 1
+    _check_ball_points(side * side, z, r, h)
     ulp = math.ulp(max(abs(z.real), abs(z.imag)) + r + 2.0 * h)  # at the grid's edge
     if h <= ulp:  # the grid points would round onto one another
         raise ResolutionError(f"resolution {h} is not above the float spacing {ulp} "
                               f"of the coordinates of B({z}, {r})")
-    accept: dict[tuple[int, int], complex] = {}
-    candidates: dict[tuple[int, int], complex] = {}
-    for i in range(-n, n + 1):
-        for j in range(-n, n + 1):
-            g = z + complex(i * h, j * h)
-            candidates[(i, j)] = g
-            if math.hypot(i * h, j * h) < r and region.contains(g):
-                accept[(i, j)] = g
-
-    if (0, 0) not in accept:
-        accept[(0, 0)] = z  # center always belongs to its own component
-    visited = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        ci, cj = stack.pop()
-        a = accept[(ci, cj)]
-        for di, dj in _BALL_NEIGHBORS:
-            key = (ci + di, cj + dj)
-            if key in visited or key not in accept:
-                continue
-            b = accept[key]
-            if region.segment_inside(a, b):
-                visited.add(key)
-                stack.append(key)
-
-    if len(visited) < 2:
-        raise ResolutionError(
-            f"resolution {h} places no mesh node besides the center in B({z}, {r})")
-
-    frontier = []
-    for ci, cj in visited:
-        for di, dj in _BALL_NEIGHBORS:
-            key = (ci + di, cj + dj)
-            if key not in visited and key in candidates:
-                frontier.append(candidates[key])
-    nodes = tuple(accept[k] for k in sorted(visited))
-    frontier_t = tuple(sorted(set(frontier), key=_coord_key))
-    return ComponentBall(z, r, nodes, frontier_t, h)
+    # The grid z + h (i + j i), |i|, |j| <= n, flat in (i, j) order.
+    I, J = np.divmod(np.arange(side * side), side)
+    X, Y = (I - n) * h, (J - n) * h
+    P = np.column_stack((z.real + X, z.imag + Y)).view(np.complex128).ravel()
+    D = np.hypot(X, Y)  # math.hypot rounds some differently; it decides near r
+    near = np.flatnonzero(np.abs(D - r) <= 4.0 * math.ulp(r))
+    D[near] = [math.hypot(x, y) for x, y in zip(X[near].tolist(), Y[near].tolist())]
+    ok = D < r
+    ok[ok] = region.contains_many(P[ok])
+    ok[n * side + n] = True  # the center always belongs to its own component
+    # Each 8-neighbour pair once, along the 4 one-sided offsets.
+    u, v = [], []
+    for di, dj in ((0, 1), (1, -1), (1, 0), (1, 1)):
+        u.append(np.flatnonzero((I + di < side) & (0 <= J + dj) & (J + dj < side)))
+        v.append(u[-1] + (di * side + dj))
+    u, v = np.concatenate(u), np.concatenate(v)
+    joined = ok[u] & ok[v]
+    joined[joined] = region.segments_inside_many(P[u[joined]], P[v[joined]])
+    nodes, frontier = _flood(z, r, h, P, u, v, joined, n * side + n)
+    return ComponentBall(z, r, tuple(P[nodes].tolist()),
+                         tuple(sorted(P[frontier].tolist(), key=_coord_key)), h)
 
 
 def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
     loc = region.locate(z)
     if loc is None:
         raise MembershipError(f"center {z} is not on the complex")
-
-    node_ids: dict[tuple[float, float], int] = {}
-    coords: list[complex] = []
-    in_ball: list[bool] = []
-    adj: list[list[int]] = []
-
-    def get_node(p: complex) -> int:
-        k = _coord_key(p)
-        if k not in node_ids:
-            node_ids[k] = len(coords)
-            coords.append(p)
-            in_ball.append(abs(p - z) < r and region.contains(p))
-            adj.append([])
-        return node_ids[k]
-
-    # Each piece keeps its whole-length grid L*k/m, visited only over the
-    # indices within r + 2h of z, one index of margin on each side.  Visited
-    # nodes lie within r of z and their neighbours within r + h, so every
-    # node, edge and frontier point of the ball is cut as before.
+    # Each piece keeps its whole-length grid L*k/m, cut only over the indices
+    # within r + 2h of z, one index of margin on each side.  Component nodes
+    # lie within r of z and their neighbours within r + h, so every node,
+    # pair and frontier point of the ball is cut as from the whole grid.
     reach = r + 2.0 * h
     windows = []
     for pi, seg in enumerate(region.pieces):
@@ -769,38 +762,34 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
         windows.append((pi, seg, m, lo, hi))
     _check_ball_points(sum(hi - lo + 1 for *_, lo, hi in windows), z, r, h)
 
+    # Points in window order; the first point of each _coord_key is its node.
+    ids: dict[tuple[float, float], int] = {}
+    points, idx, steps = [], [], []
     for pi, seg, m, lo, hi in windows:
-        params = [seg.length * k / m for k in range(lo, hi + 1)]
-        if pi == loc[0]:
-            params = sorted(set(params + [loc[1]]))
-        prev = None
-        for s in params:
-            p = seg.point_at(s)
-            nid = get_node(p)
-            if prev is not None and region.segment_inside(coords[prev], coords[nid]):
-                adj[prev].append(nid)
-                adj[nid].append(prev)
-            prev = nid
-
-    start = get_node(region.pieces[loc[0]].point_at(loc[1]))
+        S = seg.length * np.arange(lo, hi + 1) / m
+        if pi == loc[0] and not (S == loc[1]).any():
+            S = np.insert(S, np.searchsorted(S, loc[1]), loc[1])
+        points.append(seg.a + (seg.b - seg.a) * (S / seg.length) if seg.length > 0.0
+                      else np.full(len(S), seg.a, dtype=np.complex128))
+        k = np.array([ids.setdefault(_coord_key(p), len(ids)) for p in points[-1].tolist()])
+        # A step along the piece is blocked by a boundary point strictly inside it.
+        B = np.sort([s for s, d in map(seg.project, region.boundary_points) if d <= COORD_TOL])
+        open_ = (np.searchsorted(B, S[1:] - COORD_TOL)
+                 <= np.searchsorted(B, S[:-1] + COORD_TOL, side="right"))
+        idx.append(k)
+        steps.append(np.stack((k[:-1], k[1:]))[:, open_])
+    P = np.concatenate(points)[np.unique(np.concatenate(idx), return_index=True)[1]]
+    member = np.min([_moduli(P, bp) for bp in region.boundary_points], axis=0) > COORD_TOL
+    steps = np.concatenate(steps, axis=1)
+    u, v = steps[:, member[steps].all(axis=0)]  # the open steps between members
+    in_ball = member & (_moduli(P, z) < r)
+    start = ids[_coord_key(region.pieces[loc[0]].point_at(loc[1]))]
     in_ball[start] = True
-    visited = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in visited and in_ball[v]:
-                visited.add(v)
-                stack.append(v)
-
-    if len(visited) < 2:
-        raise ResolutionError(
-            f"resolution {h} places no mesh node besides the center in B({z}, {r})")
-
-    frontier = sorted({_coord_key(coords[v]) for u in visited for v in adj[u]
-                       if v not in visited})
-    nodes = tuple(sorted((coords[u] for u in visited), key=_coord_key))
-    return ComponentBall(z, r, nodes, tuple(complex(a, b) for a, b in frontier), h)
+    nodes, frontier = _flood(z, r, h, P, u, v, in_ball[u] & in_ball[v], start)
+    keys = list(ids)
+    nodes = sorted(np.flatnonzero(nodes).tolist(), key=keys.__getitem__)
+    frontier = sorted(keys[i] for i in np.flatnonzero(frontier).tolist())
+    return ComponentBall(z, r, tuple(P[nodes].tolist()), tuple(complex(*k) for k in frontier), h)
 
 
 # ---------------------------------------------------------------------------
@@ -837,15 +826,18 @@ def quasiconvexity_estimate(space: SpaceModel, samples: int, seed: int) -> float
 def component_ball(region: Region, z, r: float, resolution: float) -> ComponentBall:
     """Flood-fill realization of the component ball B^G(z, r) at mesh size h.
 
-    Edges whose endpoints leave the open ball are excluded outright, which
-    keeps every node within distance r of the center.  In the plane the mesh
-    is the square grid of spacing h around z, (2n + 1)^2 points with
-    n = ceil(r/h) + 1.  On a curve complex each piece of length L carries
-    the grid L*k/m, m = ceil(L/h), but only the part of it within r + 2h of
-    z is cut: O(r/h) points per nearby piece, and the same nodes and frontier
-    as cutting every piece whole.  A mesh of more than MAX_BALL_POINTS
-    points, or a plane grid whose h is not above the float spacing of its
-    coordinates, raises ResolutionError before anything is built.
+    One array flood serves the plane and curve complexes: scipy's
+    connected_components labels the center's component over the pairs of
+    mesh points that both lie in the open ball and in G and whose step stays
+    in G.  In the plane the mesh is the square grid of spacing h around z,
+    (2n + 1)^2 points with n = ceil(r/h) + 1, each paired with its 8
+    neighbours.  On a curve complex each piece of length L carries the grid
+    L*k/m, m = ceil(L/h), cut only within r + 2h of z: O(r/h) points per
+    nearby piece, and the same ball as cutting every piece whole.  There
+    consecutive points pair unless a boundary point lies strictly between
+    them.  A mesh of more than MAX_BALL_POINTS points, or a plane grid whose
+    h is not above the float spacing of its coordinates, raises
+    ResolutionError before anything is built.
     """
     z = region.require_member(as_point(z), "center")
     if not 0.0 < r < math.inf:

@@ -72,6 +72,14 @@ def test_qh_stats_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
             (tmp_path / "stats" / name).read_bytes()
 
 
+def test_qh_stats_name_the_capped_cells(capsys):
+    # The default disk mesh stops 7,720 in-region cells at its depth cap.
+    code, _, err = run(capsys, "qh", "--domain", "disk", "--from", "0,0", "--to", "0.3,0",
+                       "--stats")
+    line, = err.splitlines()
+    assert code == 0 and json.loads(line.removeprefix("stats: "))["mesh"]["capped_cells"] == 7720
+
+
 @pytest.mark.parametrize("argv", [
     ("qh", "--domain", "halfplane", "--from", "0;1", "--to", "0,2"),
     ("check-wqs", "--map", "identity", "--domain", "halfplane", "--count", "5",

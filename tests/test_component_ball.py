@@ -1,31 +1,80 @@
-"""Component balls on curve complexes: pinned digests, a whole-complex
-reference, a fine-resolution ball and the point cap.
+"""Component balls: pinned digests, the stack floods they replaced as
+references, fine-resolution balls and the point cap.
 
-The digests were recorded with the routine that cut every piece of the
-complex along its whole length.  The windowed routine cuts each piece only
-within r + 2h of the centre and must reproduce the nodes, the frontier and
-the error strings bit for bit.
+The complex digests were recorded with the routine that cut every piece of
+the complex along its whole length, the plane digest with the Python stack
+flood over a dict of grid points.  The array flood must reproduce the nodes,
+the frontier and the error strings of both bit for bit.
 """
 import hashlib
 import math
 import random
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from qhkit import ConfigurationError, QhkitError, ResolutionError, component_ball, spaces
 from qhkit.scenarios import make_region
-from qhkit.spaces import ComponentBall, CurveRegion, _coord_key
+from qhkit.spaces import ComponentBall, CurveRegion, PolygonRegion, _coord_key
 
 from test_complex_table import random_complex
+from test_qhgraph import _COMB, _L_SHAPE
 
 BALL_SHA256 = {
     "frame-omega": "12d53d8e68ebbb93d6657674552c25670730395741fc2e0c6786903780095482",
     "frame-bottom": "a2854659e8f8be12694edd801b231fca26c3e47dbaf4d62b17a13569b3ce99d8",
     "random": "703fcc84099bbeba5f26b2ba5648e03bed4d7ac06e2c2622861de38ef49d5280",
+    "plane": "7f9f3e44ce344da59ff7fda4772b3af73e5e669a2812f38f745a7ab5f867c1af",
 }
+
+_HOLED = PolygonRegion([0j, 4 + 0j, 4 + 4j, 4j], [[1.5 + 1.5j, 2.5 + 1.5j, 2.5 + 2.5j, 1.5 + 2.5j]],
+                       name="holed")
+
+#: Per plane region: the finest r/h of its seeded cases (the polygons run the
+#: scalar loop fallbacks, so they stay coarser) and fixed cases where the
+#: grid meets the boundary: a grid point on the puncture, balls across the
+#: half-plane's edge, the disk's rim, the L's re-entrant corner, the hole
+#: and the comb's slot, and radii on a 3-4-5 grid triangle.  At the last
+#: half-plane case, math.hypot puts the grid points (6h, 8h) inside r = 10h
+#: and np.hypot does not.
+PLANE_CASES = {
+    "halfplane": (40.0, [(1j, 0.5, 0.05), (1j, 0.5, 0.1), (0.3 + 0.04j, 0.25, 0.01),
+                         (-1 + 0.5j, 1.0, 0.2), (1j, 0.7947134602381254, 0.07947134602381253)]),
+    "punctured": (40.0, [(0.05 + 0.05j, 0.2, 0.01), (0.013 + 0.007j, 0.1, 0.004),
+                         (1 + 0j, 1.5, 0.1), (-0.3 + 0.2j, 0.5, 0.05)]),
+    "disk": (40.0, [(0.9 + 0j, 0.3, 0.02), (0j, 1.0, 0.1), (0.5 + 0.5j, 0.5, 0.05)]),
+    "l-shape": (16.0, [(1.1 + 0.9j, 0.5, 0.1), (0.9 + 1.1j, 0.4, 0.05), (0.5 + 0.5j, 0.5, 0.1)]),
+    "holed": (16.0, [(1.2 + 2j, 0.8, 0.1), (2 + 1.3j, 0.5, 0.1), (3 + 3j, 1.5, 0.3)]),
+    "comb": (16.0, [(2.85 + 1j, 0.2, 0.04), (3.05 + 1.5j, 0.3, 0.05), (2.95 + 0.01j, 0.1, 0.02)]),
+}
+
+
+def plane_region(name: str):
+    return {"l-shape": _L_SHAPE, "holed": _HOLED, "comb": _COMB}.get(name) or make_region(name)
+
+
+def plane_ball_cases(name: str, rng: random.Random,
+                     count: int) -> list[tuple[complex, float, float]]:
+    """The fixed cases of PLANE_CASES, then count sampled centres, each with
+    r from 0.01 to 5 times its boundary gap at a fine h (r/finest to r/1.1)
+    and at a coarse one (r to 4r)."""
+    region = plane_region(name)
+    finest, cases = PLANE_CASES[name]
+    cases = list(cases)
+    for z in (region.sample_point(rng) for _ in range(count)):
+        r = max(region.boundary_gap(z), 0.05) * math.exp(rng.uniform(math.log(0.01),
+                                                                      math.log(5.0)))
+        cases.append((z, r, r / rng.uniform(1.1, finest)))
+        cases.append((z, r, r * rng.uniform(1.0, 4.0)))
+    return cases
+
+
+#: Balls that fail before the flood: the point cap and the float spacing.
+PLANE_ERROR_CASES = [("halfplane", 1j, 0.5, 1e-6), ("halfplane", 1e200j, 1.0, 0.5),
+                     ("punctured", 1.7e308 + 1.7e308j, 1.0, 0.5)]
 
 
 def random_region(rng: random.Random) -> CurveRegion:
@@ -50,9 +99,9 @@ def ball_cases(region: CurveRegion, rng: random.Random,
     return cases + [(p, 1.0, 0.1) for p in region.boundary_points]
 
 
-def ball_bytes(region, z, r, h) -> bytes:
+def ball_bytes(region, z, r, h, flood=component_ball) -> bytes:
     try:
-        ball = component_ball(region, z, r, h)
+        ball = flood(region, z, r, h)
     except QhkitError as exc:
         return f"{type(exc).__name__}: {exc}".encode()
     return (np.array(ball.nodes, dtype="<c16").tobytes() + b"|"
@@ -61,7 +110,14 @@ def ball_bytes(region, z, r, h) -> bytes:
 
 def digest(name: str) -> str:
     h = hashlib.sha256()
-    if name == "random":
+    if name == "plane":
+        for domain in PLANE_CASES:
+            region = plane_region(domain)
+            for case in plane_ball_cases(domain, random.Random(11), 16):
+                h.update(ball_bytes(region, *case))
+        for domain, *case in PLANE_ERROR_CASES:
+            h.update(ball_bytes(make_region(domain), *case))
+    elif name == "random":
         for seed in range(12):
             rng = random.Random(seed)
             region = random_region(rng)
@@ -81,8 +137,53 @@ def test_ball_digest(name):
 
 
 # ---------------------------------------------------------------------------
-# Reference: the same flood fill over every piece cut along its whole length
+# References: the Python stack floods the array flood replaced
 # ---------------------------------------------------------------------------
+
+_BALL_NEIGHBORS = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)]
+
+
+def stack_plane_ball(region, z: complex, r: float, h: float) -> ComponentBall:
+    """The plane flood over a dict of grid points, with a scalar contains
+    per point and segment_inside per edge; the caller checks the point cap
+    and the float spacing."""
+    z = region.require_member(z, "center")
+    n = int(math.ceil(r / h)) + 1
+    accept: dict = {}
+    candidates: dict = {}
+    for i in range(-n, n + 1):
+        for j in range(-n, n + 1):
+            g = z + complex(i * h, j * h)
+            candidates[(i, j)] = g
+            if math.hypot(i * h, j * h) < r and region.contains(g):
+                accept[(i, j)] = g
+    if (0, 0) not in accept:
+        accept[(0, 0)] = z
+    visited = {(0, 0)}
+    stack = [(0, 0)]
+    while stack:
+        ci, cj = stack.pop()
+        a = accept[(ci, cj)]
+        for di, dj in _BALL_NEIGHBORS:
+            key = (ci + di, cj + dj)
+            if key in visited or key not in accept:
+                continue
+            b = accept[key]
+            if region.segment_inside(a, b):
+                visited.add(key)
+                stack.append(key)
+    if len(visited) < 2:
+        raise ResolutionError(
+            f"resolution {h} places no mesh node besides the center in B({z}, {r})")
+    frontier = []
+    for ci, cj in visited:
+        for di, dj in _BALL_NEIGHBORS:
+            key = (ci + di, cj + dj)
+            if key not in visited and key in candidates:
+                frontier.append(candidates[key])
+    nodes = tuple(accept[k] for k in sorted(visited))
+    return ComponentBall(z, r, nodes, tuple(sorted(set(frontier), key=_coord_key)), h)
+
 
 def whole_complex_ball(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
     z = region.require_member(z, "center")
@@ -155,6 +256,36 @@ def test_windowed_ball_matches_whole_complex(seed):
                     == np.array(b, dtype="<c16").tobytes()), (z, r, h)
         compared += 1
     assert compared >= 2
+
+
+@pytest.mark.parametrize("name", sorted(PLANE_CASES))
+def test_plane_ball_matches_the_stack_flood(name):
+    region = plane_region(name)
+    for case in plane_ball_cases(name, random.Random(29), 8):
+        assert ball_bytes(region, *case) == ball_bytes(region, *case, flood=stack_plane_ball), case
+
+
+@pytest.mark.parametrize("domain, z, r, h, count, seconds", [
+    ("halfplane", 1j, 0.5, 0.003, 87_253, 0.5),        # the stack flood: about 1 s
+    ("frame-omega", 0.5 + 0j, 5e-3, 1e-6, 10_001, 0.2),  # the scalar predicates: about 0.4 s
+])
+def test_fine_ball_is_one_array_flood(domain, z, r, h, count, seconds):
+    region = make_region(domain)
+    t0 = time.perf_counter()
+    ball = component_ball(region, z, r, h)
+    assert time.perf_counter() - t0 < seconds
+    assert len(ball.nodes) == count
+
+
+def test_extreme_scale_ball(punctured):
+    # Every anti-diagonal step's dot product with its start reads inf - inf.
+    z, r, h = 1e160 + 1e160j, 1e151, 1e150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ball = component_ball(punctured, z, r, h)
+    assert ball == stack_plane_ball(punctured, z, r, h)
+    assert len(ball.nodes) == sum(math.hypot(i * h, j * h) < r
+                                  for i in range(-11, 12) for j in range(-11, 12))
 
 
 def test_fine_ball_cuts_only_near_the_centre(omega):

@@ -171,6 +171,17 @@ def test_mesh_structure_stats(golden_meshes, omega_mesh):
         assert st["cross_depth_edges"] == cross > 0
 
 
+def test_capped_cells_count_what_the_depth_cap_stops(disk_mesh, pp_mesh_005, omega_mesh,
+                                                    hp_mesh_005):
+    # In-region cells still split at max_depth on the plane; intervals that
+    # min_len stops above grading * gap on the frame, next to its boundary
+    # points.
+    assert disk_mesh.stats["capped_cells"] == 7720
+    assert pp_mesh_005.stats["capped_cells"] == 1264
+    assert hp_mesh_005.stats["capped_cells"] == 0
+    assert omega_mesh.stats["capped_cells"] == 40
+
+
 class _WalledHalfPlane(HalfPlaneRegion):
     """The half-plane whose segment filter also rejects crossings of the
     wall Re z = 0, Im z > 2 (the region itself is unchanged)."""
@@ -231,7 +242,7 @@ REFINE_CASES = {
 def test_refine_sweep_matches_the_stack_loop(name):
     region, grading, bbox, max_depth = REFINE_CASES[name]
     s0 = max(bbox[1] - bbox[0], bbox[3] - bbox[2])
-    keys, D, I, J, coords, delta = qhgraph._refine(region, grading, bbox, s0, max_depth)
+    keys, D, I, J, coords, delta, _ = qhgraph._refine(region, grading, bbox, s0, max_depth)
     ref_keys, ref_coords, ref_delta = _stack_refine(region, grading, bbox, max_depth)
     assert keys.tobytes() == ref_keys.tobytes()
     assert coords.tobytes() == ref_coords.tobytes()

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -293,3 +294,19 @@ def test_segments_longer_than_the_root_of_the_float_range():
     expected = [True, False, True, False, True]
     assert [punctured.segment_inside(a, b) for a, b in zip(A.tolist(), B.tolist())] == expected
     assert punctured.segments_inside_many(A, B).tolist() == expected  # no RuntimeWarning
+
+
+def test_dot_products_beyond_the_float_range():
+    # |b - a|^2 is finite, but (z - a).(b - a) reads inf - inf: a is
+    # perpendicular to b - a, so 0 projects onto a.
+    a = 1e160 + 1e160j
+    b = a + (1e150 - 1e150j)
+    punctured = make_region("punctured")
+    A = np.array([a, b, -a, -1 - 1j])
+    B = np.array([b, a, -b, 1 + 1j])
+    expected = [True, True, True, False]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert project_segment(0j, a, b) == (0.0, abs(a))
+        assert [punctured.segment_inside(p, q) for p, q in zip(A.tolist(), B.tolist())] == expected
+        assert punctured.segments_inside_many(A, B).tolist() == expected
