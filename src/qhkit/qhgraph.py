@@ -39,6 +39,7 @@ from .spaces import (
     PuncturedPlaneRegion,
     Region,
     _coord_key,
+    _cut_pieces,
     as_point,
     component_ball,
     disk_point,
@@ -193,10 +194,12 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     the two agree there and only curve complexes change.  Plane quadtrees
     refine breadth first to at most MAX_PLANE_DEPTH levels, one array pass
     per depth through the region's contains_many and boundary_gaps_many;
-    each leaf takes its delta from boundary_gaps_many.  mesh.stats["stage_s"]
-    holds the seconds of each build stage: refine, stencil, cross_depth,
-    dedupe and assemble for plane meshes, cuts and assemble for curve
-    complexes.
+    each leaf takes its delta from boundary_gaps_many.  Curve-complex pieces
+    are halved breadth first as well (_piece_cuts), and spaces._cut_pieces,
+    which also cuts component balls, makes the nodes and steps.
+    mesh.stats["stage_s"] holds the seconds of each build stage: refine,
+    stencil, cross_depth, dedupe and assemble for plane meshes, cuts and
+    assemble for curve complexes.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -367,84 +370,58 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
                         max_depth: int) -> QhMesh:
     t0 = perf_counter()
-    node_of: dict[tuple[float, float], int] = {}
-    coords: list[complex] = []
-    delta: list[float] = []
-    spacing: list[float] = []
-    registry: list[tuple[list[float], list[int]]] = []
-    pairs: list[tuple[int, int]] = []
-    capped = 0
-    for seg in region.pieces:
-        cuts, piece_capped = _piece_cuts(region, seg, grading, max_depth)
-        capped += piece_capped
-        ids: list[int] = []
-        for k, s in enumerate(cuts):
-            p = seg.point_at(s)
-            if not region.contains(p):
-                ids.append(-1)
-                continue
-            key = _coord_key(p)
-            if key in node_of:
-                nid = node_of[key]
-            else:
-                nid = len(coords)
-                node_of[key] = nid
-                coords.append(p)
-                delta.append(_region_delta(region, metric, p))
-                spacing.append(0.0)
-            ids.append(nid)
-            gap = max(cuts[k] - cuts[k - 1] if k > 0 else 0.0,
-                      cuts[k + 1] - cuts[k] if k + 1 < len(cuts) else 0.0)
-            spacing[nid] = max(spacing[nid], gap)
-        for a, b in zip(ids, ids[1:]):
-            if a >= 0 and b >= 0 and a != b:
-                pairs.append((a, b))
-        registry.append((cuts, ids))
-
+    cuts, capped = zip(*(_piece_cuts(region, seg, grading, max_depth) for seg in region.pieces))
+    P, ids, idx, member, u, v = _cut_pieces(region, list(zip(region.pieces, cuts)))
+    coords = P[member]  # nodes number the members in order of first cut
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
+    node = np.cumsum(member) - 1
+    delta = (region.boundary_gaps_many(coords) if metric == "euclidean" else
+             np.array([region.length_boundary_distance(p) for p in coords.tolist()]))
+    # A node's spacing is the longest interval next to any of its cuts.
+    k = np.concatenate(idx)
+    gap = np.concatenate([np.maximum(np.diff(S, prepend=S[0]), np.diff(S, append=S[-1]))
+                          for S in cuts])
+    spacing = np.zeros(len(coords))
+    np.maximum.at(spacing, node[k[member[k]]], gap[member[k]])
 
     t1 = perf_counter()
-    pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, len(coords))
-    mesh, keep = _assemble_mesh(region, grading, metric,
-                                np.array(coords, dtype=np.complex128),
-                                np.array(delta, dtype=np.float64),
-                                np.array(spacing, dtype=np.float64), pu, pv)
-    remap = np.where(keep, np.cumsum(keep) - 1, -1)
-    mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
-                            for cuts, ids in registry]
-    mesh._node_of = {k: int(remap[i]) for k, i in node_of.items() if keep[i]}
-    mesh.stats["capped_cells"] = capped
+    pu, pv = _unique_pairs(node[u], node[v], len(coords))
+    mesh, keep = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
+    final = np.full(len(P), -1)
+    final[member] = np.where(keep, np.cumsum(keep) - 1, -1)
+    final = final.tolist()
+    mesh._piece_registry = [(S.tolist(), [final[i] for i in k.tolist()])
+                            for S, k in zip(cuts, idx)]
+    mesh._node_of = {key: final[i] for key, i in ids.items() if final[i] >= 0}
+    mesh.stats["capped_cells"] = sum(capped)
     mesh.stats["stage_s"] = {"cuts": t1 - t0, "assemble": perf_counter() - t1}
     return mesh
 
 
 def _piece_cuts(region: CurveRegion, seg, grading: float,
-                max_depth: int) -> tuple[list[float], int]:
+                max_depth: int) -> tuple[np.ndarray, int]:
     """The sorted cuts of one piece, and the count of intervals that min_len
-    stops while they are still coarser than grading * gap."""
-    cuts = {0.0, seg.length}
-    for bp in region.boundary_points:
-        s, d = seg.project(bp)
-        if d <= COORD_TOL:
-            cuts.add(s)
-    base = sorted(cuts)
+    stops while they are still coarser than grading * gap.  A breadth-first
+    sweep from the piece's ends and boundary points: each pass halves every
+    interval longer than grading times boundary_gaps_many at its midpoint,
+    down to min_len = length / 2^max_depth."""
+    base = [0.0, seg.length] + [s for s, d in map(seg.project, region.boundary_points)
+                                if d <= COORD_TOL]
+    found = [np.unique(base)]
+    lo, hi = found[0][:-1], found[0][1:]
     min_len = seg.length / (1 << max_depth)
-
-    def split(lo: float, hi: float) -> int:
-        L = hi - lo
-        mid = seg.point_at((lo + hi) / 2.0)
-        gap = region.boundary_gap(mid)
-        if L <= grading * gap:
-            return 0
-        if L <= min_len:
-            return 1
-        m = (lo + hi) / 2.0
-        cuts.add(m)
-        return split(lo, m) + split(m, hi)
-
-    capped = sum(split(lo, hi) for lo, hi in zip(base, base[1:]))
-    return sorted(cuts), capped
+    capped = 0
+    while len(lo):
+        L, mid = hi - lo, (lo + hi) / 2.0
+        split = L > grading * region.boundary_gaps_many(seg.point_at(mid))
+        stop = split & (L <= min_len)
+        capped += int(np.count_nonzero(stop))
+        split &= ~stop
+        lo, mid, hi = lo[split], mid[split], hi[split]
+        found.append(mid)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return np.unique(np.concatenate(found)), capped
 
 
 # ---------------------------------------------------------------------------
@@ -980,12 +957,12 @@ class LemmaSuiteReport:
 
 
 def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
-                  c: Optional[float] = None, eps: float = 0.05,
-                  ball_resolution: Optional[float] = None) -> LemmaSuiteReport:
+                  c: Optional[float] = None, eps: float = 0.05) -> LemmaSuiteReport:
     """Check the three k_G comparison bounds on seeded pairs.
 
     (1) |x-y| <= (e^k - 1) delta_G(x), all pairs;
-    (2) the two-sided component-ball bound with center z and scale t;
+    (2) the two-sided component-ball bound with center z and scale t, the
+        balls of radius rho cut at h = rho / 8 on curve complexes;
     (3) (1/2)|x-y|/delta_G(x) < k <= 3c|x-y|/delta_G(x) whenever
         |x-y| <= delta_G(x)/(3c) or k <= 1.
     eps is the mesh tolerance applied multiplicatively to each bound.
@@ -1023,9 +1000,8 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
         t = rng.uniform(0.2, 0.9)
         rho = t / (2.0 * c) * dz
         if isinstance(region, CurveRegion):
-            h = ball_resolution if ball_resolution is not None else rho / 8.0
             try:
-                ball = component_ball(region, z, rho, h)
+                ball = component_ball(region, z, rho, rho / 8.0)
             except QhkitError:
                 continue
             nodes = list(ball.nodes)

@@ -24,6 +24,7 @@ from .qhgraph import (
     build_mesh,
     lemma34_check,
     lemma36_check,
+    oracle_for,
     qh_distance_exact,
     qh_distance_many,
 )
@@ -197,7 +198,7 @@ _LEMMA_DOMAINS = ("halfplane", "punctured", "frame-omega", "frame-bottom")
 
 def _domain_backend(name: str, grading: float = 0.05):
     region = make_region(name)
-    if name in ("halfplane", "punctured"):
+    if oracle_for(region) is not None:
         return region, AnalyticBackend(region), None
     mesh = build_mesh(region, grading)
     return region, MeshBackend(mesh), mesh
@@ -222,7 +223,7 @@ def repro_lemma_3_6(seed: int = 7, count: int = 200, eps: float = MESH_TOL,
     res = ReproResult("lemma-3-6", seed)
     for name in _LEMMA_DOMAINS:
         region = make_region(name)
-        if name in ("halfplane", "punctured"):
+        if oracle_for(region) is not None:
             mesh_e = mesh_l = None  # convex ambient: d = |.| makes k' = k exactly
         else:
             mesh_e = build_mesh(region, grading, metric="euclidean")

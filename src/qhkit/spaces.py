@@ -127,11 +127,12 @@ class Segment:
     def length(self) -> float:
         return abs(self.b - self.a)
 
-    def point_at(self, s: float) -> complex:
-        """Point at arclength s from endpoint a (s in [0, length])."""
+    def point_at(self, s):
+        """Point at arclength s from endpoint a (s in [0, length]); an array
+        of s gives a complex array, bit for bit the scalar results."""
         L = self.length
         if L == 0.0:
-            return self.a
+            return self.a if np.ndim(s) == 0 else np.full(np.shape(s), self.a)
         return self.a + (self.b - self.a) * (s / L)
 
     def project(self, z: complex) -> tuple[float, float]:
@@ -304,16 +305,19 @@ class CurveComplexSpace(SpaceModel):
 class Region:
     """Nonempty proper open connected subset G of a space, with exact delta_G.
 
-    The plane mesh builder and the plane component balls call the array
-    forms of the predicates, over complex arrays: contains_many,
-    boundary_gaps_many (the builder only) and segments_inside_many.
-    Region's own array forms loop over the scalar methods; the built-in
-    analytic regions override them with numpy expressions that equal the
-    scalar results bit for bit.  A subclass that overrides a scalar predicate
-    must override its array form too, or the builder and the balls keep
-    using the inherited one.  On members boundary_gap must equal
-    boundary_distance, as the builder takes each leaf's delta from
-    boundary_gaps_many.
+    The mesh builders and the component balls call the array forms of the
+    predicates, over complex arrays.  In the plane they call contains_many,
+    boundary_gaps_many (the builder only) and segments_inside_many; on curve
+    complexes boundary_gaps_many cuts the pieces and decides membership, and
+    segments_inside_many is the builder's segment filter.  Region's own
+    array forms loop over the scalar methods; the built-in analytic regions
+    override them with numpy expressions that equal the scalar results bit
+    for bit, and CurveRegion overrides boundary_gaps_many, while its
+    segments_inside_many still loops over segment_inside.  A subclass that
+    overrides a scalar predicate must override its array form too, or the
+    builders and the balls keep using the inherited one.  On members
+    boundary_gap must equal boundary_distance, as the builders take each
+    Euclidean node's delta from boundary_gaps_many.
     """
 
     name: str = "region"
@@ -589,6 +593,8 @@ class CurveRegion(Region):
                  boundary_points: Sequence[complex], name: str = "curve-region"):
         self.space = space
         self.pieces = tuple(pieces)
+        if not self.pieces:
+            raise ConfigurationError("a curve region needs at least one piece")
         self.boundary_points = tuple(as_point(p) for p in boundary_points)
         if not self.boundary_points:
             raise ConfigurationError("a proper subdomain needs a nonempty boundary")
@@ -609,6 +615,9 @@ class CurveRegion(Region):
 
     def boundary_gap(self, z: complex) -> float:
         return self._delta(as_point(z))
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        return np.min([_moduli(Z, bp) for bp in self.boundary_points], axis=0)
 
     def length_boundary_distance(self, z: complex) -> float:
         z = self.require_member(z)
@@ -673,10 +682,6 @@ class ComponentBall:
     frontier: tuple[complex, ...]
     spacing: float
 
-    def contains_point(self, z: complex, tol: float = COORD_TOL) -> bool:
-        z = as_point(z)
-        return any(abs(z - n) <= tol for n in self.nodes)
-
 
 #: Most mesh points a component ball may cut; a finer mesh raises
 #: ResolutionError before any point is built.
@@ -738,6 +743,35 @@ def _component_ball_plane(region: Region, z: complex, r: float, h: float) -> Com
                          tuple(sorted(P[frontier].tolist(), key=_coord_key)), h)
 
 
+def _cut_pieces(region: CurveRegion, cuts: Sequence[tuple[Segment, np.ndarray]]) -> tuple:
+    """Cut each piece seg at the sorted arclengths S of cuts = [(seg, S), ...].
+
+    Returns (P, ids, idx, member, u, v): the distinct points in cut order,
+    the first point of each _coord_key standing for all; the dict from
+    _coord_key to point id; each piece's array of point ids, one per cut; the
+    mask of points in G, farther than COORD_TOL from every boundary point;
+    and the open steps u - v between two distinct members that are
+    consecutive cuts of a piece with no boundary point strictly between them.
+    """
+    ids: dict[tuple[float, float], int] = {}
+    points, idx, steps = [], [], []
+    for seg, S in cuts:
+        points.append(seg.point_at(S))
+        k = np.array([ids.setdefault(_coord_key(p), len(ids)) for p in points[-1].tolist()],
+                     dtype=np.int64)
+        # A step along the piece is blocked by a boundary point strictly inside it.
+        B = np.sort([s for s, d in map(seg.project, region.boundary_points) if d <= COORD_TOL])
+        open_ = (np.searchsorted(B, S[1:] - COORD_TOL)
+                 <= np.searchsorted(B, S[:-1] + COORD_TOL, side="right"))
+        idx.append(k)
+        steps.append(np.stack((k[:-1], k[1:]))[:, open_])
+    P = np.concatenate(points)[np.unique(np.concatenate(idx), return_index=True)[1]]
+    member = region.boundary_gaps_many(P) > COORD_TOL
+    u, v = np.concatenate(steps, axis=1)
+    open_ = member[u] & member[v] & (u != v)
+    return P, ids, idx, member, u[open_], v[open_]
+
+
 def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
     loc = region.locate(z)
     if loc is None:
@@ -762,26 +796,13 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
         windows.append((pi, seg, m, lo, hi))
     _check_ball_points(sum(hi - lo + 1 for *_, lo, hi in windows), z, r, h)
 
-    # Points in window order; the first point of each _coord_key is its node.
-    ids: dict[tuple[float, float], int] = {}
-    points, idx, steps = [], [], []
+    cuts = []
     for pi, seg, m, lo, hi in windows:
         S = seg.length * np.arange(lo, hi + 1) / m
         if pi == loc[0] and not (S == loc[1]).any():
             S = np.insert(S, np.searchsorted(S, loc[1]), loc[1])
-        points.append(seg.a + (seg.b - seg.a) * (S / seg.length) if seg.length > 0.0
-                      else np.full(len(S), seg.a, dtype=np.complex128))
-        k = np.array([ids.setdefault(_coord_key(p), len(ids)) for p in points[-1].tolist()])
-        # A step along the piece is blocked by a boundary point strictly inside it.
-        B = np.sort([s for s, d in map(seg.project, region.boundary_points) if d <= COORD_TOL])
-        open_ = (np.searchsorted(B, S[1:] - COORD_TOL)
-                 <= np.searchsorted(B, S[:-1] + COORD_TOL, side="right"))
-        idx.append(k)
-        steps.append(np.stack((k[:-1], k[1:]))[:, open_])
-    P = np.concatenate(points)[np.unique(np.concatenate(idx), return_index=True)[1]]
-    member = np.min([_moduli(P, bp) for bp in region.boundary_points], axis=0) > COORD_TOL
-    steps = np.concatenate(steps, axis=1)
-    u, v = steps[:, member[steps].all(axis=0)]  # the open steps between members
+        cuts.append((seg, S))
+    P, ids, _, member, u, v = _cut_pieces(region, cuts)
     in_ball = member & (_moduli(P, z) < r)
     start = ids[_coord_key(region.pieces[loc[0]].point_at(loc[1]))]
     in_ball[start] = True
