@@ -57,6 +57,7 @@ _TOUCH_DIRS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1,
 
 DEFAULT_GRADING = 0.1
 DEFAULT_MAX_DEPTH = 12
+_SLICE = 1 << 14  # pairs per slice of _assemble_mesh's segment filter and weights
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class QhMesh:
         build_mesh, as buffers made beside its temporaries raised peak RSS."""
         g, n, nnz = self.graph, self.node_count, self.graph.nnz
         # Anchors: a plane point's host node and its neighbours, 2 on a complex.
-        room = 1 + int(np.diff(g.indptr).max(initial=1))
+        room = 1 + max(self.stats["degree_max"], 1)
         self._data, self._indices, self._indptr = (
             np.concatenate([a, np.zeros(k, a.dtype)])
             for a, k in ((g.data, room), (g.indices, room), (g.indptr, 1)))
@@ -256,12 +257,13 @@ def _build_plane_mesh(region: Region, grading: float,
     spacing = s0 / (1 << D)
     t1 = perf_counter()
 
-    # Same-depth pairs: the stencil offsets are one-sided, so each pair once.
-    ids = np.arange(len(keys))
-    di, dj = (np.array(_BASE_OFFSETS + _RAY_OFFSETS).T)[:, :, None]
-    v = _find(keys, D, I + di, J + dj)
-    u = np.broadcast_to(ids, v.shape)
-    us, vs = [u[v >= 0]], [v[v >= 0]]
+    # Same-depth pairs, one _find per offset: the offsets are one-sided, so each pair once.
+    ids = np.arange(len(keys), dtype=np.int32)
+    us, vs = [], []
+    for di, dj in _BASE_OFFSETS + _RAY_OFFSETS:
+        v = _find(keys, D, I + di, J + dj)
+        us.append(ids[v >= 0])
+        vs.append(v[v >= 0])
     t2 = perf_counter()
     # Cross-depth pairs: for each leaf and touch direction, the finest strict
     # ancestor of the neighbour cell that is a leaf.  A neighbour cell that is
@@ -279,17 +281,18 @@ def _build_plane_mesh(region: Region, grading: float,
         us.append(u[~open_])
         vs.append(v[~open_])
     t3 = perf_counter()
-    pu, pv = _unique_pairs(np.concatenate(us), np.concatenate(vs), len(keys))
+    pu, pv = _unique_pairs(np.concatenate(us, dtype=np.int32),
+                           np.concatenate(vs, dtype=np.int32), len(keys))
+    del us, vs  # freed before the assembly, whose peak is the build's
     t4 = perf_counter()
 
-    mesh, keep = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
+    mesh, keep, pu, pv = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
     mesh._root = (x0, y0, s0)
     mesh._keys = keys[keep]
-    g, Dk = mesh.graph, D[keep]
-    rows = np.repeat(Dk, np.diff(g.indptr))
+    Dk = D[keep]
     mesh.stats["leaves_per_depth"] = {int(d): int(c) for d, c in
                                       enumerate(np.bincount(Dk)) if c}
-    mesh.stats["cross_depth_edges"] = int(np.count_nonzero(rows != Dk[g.indices])) // 2
+    mesh.stats["cross_depth_edges"] = int(np.count_nonzero(Dk[pu] != Dk[pv]))
     mesh.stats["capped_cells"] = capped
     mesh.stats["bbox"] = (x0, x1, y0, y1)
     mesh.stats["stage_s"] = {"refine": t1 - t0, "stencil": t2 - t1, "cross_depth": t3 - t2,
@@ -333,38 +336,53 @@ def _refine(region: Region, grading: float, bbox: tuple[float, float, float, flo
 
 
 def _unique_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct unordered pairs as (lo, hi) arrays, sorted by lo, then hi."""
-    key = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
-    key = key[np.diff(key, prepend=-1) != 0]
-    return key // n, key % n
+    """The distinct unordered pairs of the int32 or int64 ids u, v as int32
+    (lo, hi) arrays, sorted by lo, then hi, via one int64 key sorted in place."""
+    key = np.multiply(np.minimum(u, v), n, dtype=np.int64)
+    key += np.maximum(u, v)
+    key.sort()
+    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
+    return lo.astype(np.int32), hi.astype(np.int32)
 
 
 def _assemble_mesh(region: Region, grading: float, metric: str,
                    coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
-                   pu: np.ndarray, pv: np.ndarray) -> tuple[QhMesh, np.ndarray]:
+                   pu: np.ndarray, pv: np.ndarray) -> tuple[QhMesh, np.ndarray, ...]:
     """The mesh over the largest component of the sorted distinct pairs
-    (pu, pv) that pass the segment filter, and the mask of kept nodes."""
-    ok = region.segments_inside_many(coords[pu], coords[pv])
-    rejected = len(pu) - int(np.count_nonzero(ok))
-    pu, pv = pu[ok], pv[ok]
-    w = _segment_weights(coords[pu], delta[pu], coords[pv], delta[pv])
-
-    n = len(coords)
-    graph = sp.csr_matrix((np.concatenate([w, w]),
-                           (np.concatenate([pu, pv]), np.concatenate([pv, pu]))),
-                          shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
-    stats = {"nodes": n, "edges": len(pu), "components": int(ncomp), "dropped_nodes": 0,
-             "segment_rejections": rejected}
+    (pu, pv) that pass the segment filter, the mask of kept nodes, and the
+    kept pairs, renumbered.  Filter and weights run over slices of _SLICE
+    pairs; components over the upper triangle, a CSR of the pairs as they
+    stand.  The one conversion lists the lower triangle (pv, pu) first, so
+    rows arrive sorted and 0.0 weights stay entries, as U + U.T would not."""
+    n, m = len(coords), len(pu)
+    ok, w = np.empty(m, dtype=bool), np.empty(m)
+    for s in range(0, m, _SLICE):
+        a, b = pu[s:s + _SLICE], pv[s:s + _SLICE]
+        A, B = coords[a], coords[b]
+        ok[s:s + _SLICE] = region.segments_inside_many(A, B)
+        w[s:s + _SLICE] = _segment_weights(A, delta[a], B, delta[b])
+    rejected = m - int(np.count_nonzero(ok))
+    if rejected:
+        pu, pv, w = pu[ok], pv[ok], w[ok]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pu, minlength=n))])
+    upper = sp.csr_matrix((w, pv, indptr), shape=(n, n), copy=False)
+    ncomp, labels = connected_components(upper, directed=False)
     keep = np.ones(n, dtype=bool)
     if ncomp > 1:
         keep = labels == np.argmax(np.bincount(labels))
-        graph = graph[keep][:, keep]
+        new = np.cumsum(keep, dtype=np.int32) - 1
+        kept = keep[pu]  # both ends of a pair share a component
+        pu, pv, w = new[pu[kept]], new[pv[kept]], w[kept]
         coords, delta, spacing = coords[keep], delta[keep], spacing[keep]
-        stats["dropped_nodes"] = n - len(coords)
-        stats["nodes"] = len(coords)
-        stats["edges"] = graph.nnz // 2
-    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), keep
+    k = len(coords)
+    graph = sp.csr_matrix((np.concatenate([w, w]),
+                           (np.concatenate([pv, pu]), np.concatenate([pu, pv]))),
+                          shape=(k, k))
+    degree, ratio = np.diff(graph.indptr), spacing / delta
+    stats = {"nodes": k, "edges": len(pu), "components": int(ncomp), "dropped_nodes": n - k,
+             "segment_rejections": rejected, "degree_mean": float(degree.mean()),
+             "degree_max": int(degree.max(initial=0)), "realized_grading": float(ratio.max())}
+    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), keep, pu, pv
 
 
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
@@ -387,7 +405,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
 
     t1 = perf_counter()
     pu, pv = _unique_pairs(node[u], node[v], len(coords))
-    mesh, keep = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
+    mesh, keep, _, _ = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
     final = np.full(len(P), -1)
     final[member] = np.where(keep, np.cumsum(keep) - 1, -1)
     final = final.tolist()

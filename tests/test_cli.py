@@ -80,6 +80,21 @@ def test_qh_stats_name_the_capped_cells(capsys):
     assert code == 0 and json.loads(line.removeprefix("stats: "))["mesh"]["capped_cells"] == 7720
 
 
+@pytest.mark.parametrize("domain, start, degree_max, grading", [
+    ("disk", "0,0", 64, 0.09993647934048745),
+    # The depth cap leaves the intervals next to boundary points coarse.
+    ("frame-omega", "0.5,0", 2, 1.0),
+])
+def test_qh_stats_name_degrees_and_realized_grading(capsys, domain, start, degree_max, grading):
+    code, _, err = run(capsys, "qh", "--domain", domain, "--from", start, "--to", "0.3,0",
+                       "--stats")
+    line, = err.splitlines()
+    mesh = json.loads(line.removeprefix("stats: "))["mesh"]
+    assert code == 0
+    assert (mesh["degree_max"], mesh["realized_grading"]) == (degree_max, grading)
+    assert mesh["degree_mean"] == 2 * mesh["edges"] / mesh["nodes"]
+
+
 @pytest.mark.parametrize("argv", [
     ("qh", "--domain", "halfplane", "--from", "0;1", "--to", "0,2"),
     ("check-wqs", "--map", "identity", "--domain", "halfplane", "--count", "5",

@@ -111,9 +111,10 @@ def scalar_complex_mesh(region: CurveRegion, grading: float, metric: str, max_de
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
     pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, len(coords))
-    mesh, keep = _assemble_mesh(region, grading, metric, np.array(coords, dtype=np.complex128),
-                                np.array(delta, dtype=np.float64),
-                                np.array(spacing, dtype=np.float64), pu, pv)
+    mesh, keep, _, _ = _assemble_mesh(region, grading, metric,
+                                      np.array(coords, dtype=np.complex128),
+                                      np.array(delta, dtype=np.float64),
+                                      np.array(spacing, dtype=np.float64), pu, pv)
     remap = np.where(keep, np.cumsum(keep) - 1, -1)
     mesh._piece_registry = [(cuts, [int(remap[i]) if i >= 0 else -1 for i in ids])
                             for cuts, ids in registry]
