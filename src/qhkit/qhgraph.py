@@ -388,8 +388,9 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
                         max_depth: int) -> QhMesh:
     t0 = perf_counter()
-    cuts, capped = zip(*(_piece_cuts(region, seg, grading, max_depth) for seg in region.pieces))
-    P, ids, idx, member, u, v = _cut_pieces(region, list(zip(region.pieces, cuts)))
+    cuts, capped = zip(*(_piece_cuts(region, i, grading, max_depth)
+                         for i in range(len(region.pieces))))
+    P, ids, idx, member, u, v = _cut_pieces(region, list(enumerate(cuts)))
     coords = P[member]  # nodes number the members in order of first cut
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
@@ -417,16 +418,15 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     return mesh
 
 
-def _piece_cuts(region: CurveRegion, seg, grading: float,
+def _piece_cuts(region: CurveRegion, i: int, grading: float,
                 max_depth: int) -> tuple[np.ndarray, int]:
-    """The sorted cuts of one piece, and the count of intervals that min_len
+    """The sorted cuts of piece i, and the count of intervals that min_len
     stops while they are still coarser than grading * gap.  A breadth-first
     sweep from the piece's ends and boundary points: each pass halves every
     interval longer than grading times boundary_gaps_many at its midpoint,
     down to min_len = length / 2^max_depth."""
-    base = [0.0, seg.length] + [s for s, d in map(seg.project, region.boundary_points)
-                                if d <= COORD_TOL]
-    found = [np.unique(base)]
+    seg, arcs = region.pieces[i], region._arcs[i]
+    found = [np.unique(np.concatenate(([0.0, seg.length], arcs[~np.isnan(arcs)])))]
     lo, hi = found[0][:-1], found[0][1:]
     min_len = seg.length / (1 << max_depth)
     capped = 0
@@ -714,7 +714,7 @@ def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
     if not m.region.segments_inside_many(A, B).all():
         return np.inf
     P = A[:, None] + (B - A)[:, None] * (np.arange(_GUESS_PIECES + 1) / _GUESS_PIECES)
-    d = np.array([m.delta_at(p) for p in P.ravel().tolist()]).reshape(P.shape)
+    d = m.region.boundary_gaps_many(P.ravel()).reshape(P.shape)  # delta on segments in G
     w = _segment_weights(P[:, :-1], d[:, :-1], P[:, 1:], d[:, 1:])
     return _GUESS_FACTOR * float(w.sum(axis=1).max())
 

@@ -66,10 +66,16 @@ def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
     if L2 != 0.0:
         t = dot / L2
         t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    try:  # abs(), not math.hypot, which rounds some results differently
-        return t * math.sqrt(L2), abs(z - (a + d * t))
-    except OverflowError:  # the distance is beyond the float range
-        return t * math.sqrt(L2), math.inf
+    return t * math.sqrt(L2), _modulus(z - (a + d * t))
+
+
+def _modulus(z: complex) -> float:
+    """abs(z), not math.hypot, which rounds some results differently; inf
+    where abs() overflows."""
+    try:
+        return abs(z)
+    except OverflowError:  # |z| beyond the float range
+        return math.inf
 
 
 def _moduli(Z: np.ndarray, center: complex = 0j) -> np.ndarray:
@@ -80,40 +86,27 @@ def _moduli(Z: np.ndarray, center: complex = 0j) -> np.ndarray:
         return np.hypot(W.real, W.imag)
 
 
-def _origin_clearances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Distance from 0 to each segment [A, B]: project_segment(0j, a, b)[1]
-    over complex arrays, rescaled by _TINY where the square overflows or the
-    dot product reads inf - inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = B - A
+def _projections(Z: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """project_segment(z, a, b) over broadcast complex arrays, bit for bit:
+    the arclengths and the distances, rescaled by _TINY where the square
+    overflows or the dot product reads inf - inf."""
+    with np.errstate(all="ignore"):
+        D, W = B - A, Z - A
         L2 = D.real * D.real + D.imag * D.imag
-        dot = -(A.real * D.real + A.imag * D.imag)
-        t = np.clip(dot / np.where(L2 == 0.0, 1.0, L2), 0.0, 1.0)
-        Q = A + D * t
-        dist = np.hypot(Q.real, Q.imag)
-        big = np.isinf(L2) | np.isnan(dot)
+        dot = W.real * D.real + W.imag * D.imag
+        t = np.where(L2 == 0.0, 0.0, np.clip(dot / L2, 0.0, 1.0))  # clip keeps -0.0 and nan
+        R = Z - (A + D * t)
+        S, dist = t * np.sqrt(L2), np.hypot(R.real, R.imag)
+        big = np.isinf(L2) | (np.isnan(dot) & np.isfinite(Z))
         if big.any():
             big &= np.isfinite(A) & np.isfinite(B)
-            dist[big] = _origin_clearances(A[big] * _TINY, B[big] * _TINY) / _TINY
-    return dist
+            s, d = _projections(*(np.broadcast_to(X, big.shape)[big] * _TINY for X in (Z, A, B)))
+            S[big], dist[big] = s / _TINY, d / _TINY
+    return S, dist
 
 
-def _orient(a: complex, b: complex, c: complex) -> float:
-    return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
-
-
-def segments_cross(a: complex, b: complex, c: complex, d: complex, eps: float = 1e-12) -> bool:
-    """True when segment [a,b] meets segment [c,d] (touching counts)."""
-    o1 = _orient(a, b, c)
-    o2 = _orient(a, b, d)
-    o3 = _orient(c, d, a)
-    o4 = _orient(c, d, b)
-    if (o1 * o2 < eps) and (o3 * o4 < eps):
-        # Possible proper crossing or touch; rule out disjoint collinear boxes.
-        if max(min(a.real, b.real), min(c.real, d.real)) <= min(max(a.real, b.real), max(c.real, d.real)) + eps and \
-           max(min(a.imag, b.imag), min(c.imag, d.imag)) <= min(max(a.imag, b.imag), max(c.imag, d.imag)) + eps:
-            return True
-    return False
+def _orient(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    return (B.real - A.real) * (C.imag - A.imag) - (B.imag - A.imag) * (C.real - A.real)
 
 
 @dataclass(frozen=True)
@@ -305,27 +298,44 @@ class CurveComplexSpace(SpaceModel):
 class Region:
     """Nonempty proper open connected subset G of a space, with exact delta_G.
 
-    The mesh builders and the component balls call the array forms of the
-    predicates, over complex arrays.  In the plane they call contains_many,
-    boundary_gaps_many (the builder only) and segments_inside_many; on curve
-    complexes boundary_gaps_many cuts the pieces and decides membership, and
-    segments_inside_many is the builder's segment filter.  Region's own
-    array forms loop over the scalar methods; the built-in analytic regions
-    override them with numpy expressions that equal the scalar results bit
-    for bit, and CurveRegion overrides boundary_gaps_many, while its
-    segments_inside_many still loops over segment_inside.  A subclass that
-    overrides a scalar predicate must override its array form too, or the
-    builders and the balls keep using the inherited one.  On members
-    boundary_gap must equal boundary_distance, as the builders take each
-    Euclidean node's delta from boundary_gaps_many.
+    A subclass gives three array predicates over complex arrays:
+    contains_many (membership), boundary_gaps_many (the unsigned distance to
+    the boundary set, defined on either side) and segments_inside_many
+    (whether each straight segment [a, b] stays in G).  The mesh builders
+    refine, cut, filter and weigh through these, and the component balls
+    accept and join through them.  The scalar predicates derive from them:
+    contains, boundary_gap and segment_inside are one-element calls, and
+    boundary_distance, delta_G, is the boundary_gap of a member.  A region
+    whose scalar contains or boundary_gap runs in a measured loop (the
+    estimators on the analytic regions, the queries on curve regions)
+    writes it out by hand, returning what its array form returns bit for
+    bit.
     """
 
     name: str = "region"
     space: SpaceModel
     bounded: bool = False
 
-    def contains(self, z: complex) -> bool:
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def contains(self, z: complex) -> bool:
+        return bool(self.contains_many(np.array([as_point(z)]))[0])
+
+    def boundary_gap(self, z: complex) -> float:
+        """Unsigned distance from z to the boundary set, defined on either side."""
+        return float(self.boundary_gaps_many(np.array([as_point(z)]))[0])
+
+    def segment_inside(self, a: complex, b: complex) -> bool:
+        """True when the straight segment [a, b] stays inside G."""
+        return bool(self.segments_inside_many(np.array([as_point(a)]),
+                                              np.array([as_point(b)]))[0])
 
     def require_member(self, z: complex, what: str = "point") -> complex:
         z = as_point(z)
@@ -335,36 +345,11 @@ class Region:
 
     def boundary_distance(self, z: complex) -> float:
         """delta_G(z): distance from z to the boundary of G in the ambient metric."""
-        z = self.require_member(z)
-        return self._delta(z)
-
-    def _delta(self, z: complex) -> float:
-        raise NotImplementedError
-
-    def boundary_gap(self, z: complex) -> float:
-        """Unsigned distance from z to the boundary set, defined on either side."""
-        return self._delta(z)
+        return self.boundary_gap(self.require_member(z))
 
     def length_boundary_distance(self, z: complex) -> float:
         """delta'_G(z): boundary distance in the length metric of the space."""
         return self.boundary_distance(z)
-
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        """True when the straight segment [a, b] stays inside G."""
-        raise NotImplementedError
-
-    def contains_many(self, Z: np.ndarray) -> np.ndarray:
-        """contains over a complex array (loop fallback)."""
-        return np.array([self.contains(z) for z in Z.tolist()], dtype=bool)
-
-    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
-        """boundary_gap over a complex array (loop fallback)."""
-        return np.array([self.boundary_gap(z) for z in Z.tolist()], dtype=np.float64)
-
-    def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Vectorized segment_inside over complex arrays (loop fallback)."""
-        return np.array([self.segment_inside(a, b) for a, b in zip(A.tolist(), B.tolist())],
-                        dtype=bool)
 
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
@@ -396,9 +381,6 @@ class HalfPlaneRegion(Region):
         z = as_point(z)
         return z.imag > 0.0 and cmath.isfinite(z)
 
-    def _delta(self, z: complex) -> float:
-        return z.imag
-
     def boundary_gap(self, z: complex) -> float:
         return abs(as_point(z).imag)
 
@@ -407,9 +389,6 @@ class HalfPlaneRegion(Region):
 
     def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
         return np.abs(Z.imag)
-
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        return a.imag > 0.0 and b.imag > 0.0
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (A.imag > 0.0) & (B.imag > 0.0)
@@ -433,14 +412,8 @@ class PuncturedPlaneRegion(Region):
         z = as_point(z)
         return z != 0 and cmath.isfinite(z)
 
-    def _delta(self, z: complex) -> float:
-        try:
-            return abs(z)
-        except OverflowError:  # |z| beyond the float range
-            return math.inf
-
     def boundary_gap(self, z: complex) -> float:
-        return self._delta(as_point(z))
+        return _modulus(as_point(z))
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return (Z != 0) & np.isfinite(Z)
@@ -448,13 +421,9 @@ class PuncturedPlaneRegion(Region):
     def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
         return _moduli(Z)
 
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        if not (self.contains(a) and self.contains(b)):
-            return False
-        return project_segment(0j, a, b)[1] > 1e-12
-
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return self.contains_many(A) & self.contains_many(B) & (_origin_clearances(A, B) > 1e-12)
+        return (self.contains_many(A) & self.contains_many(B)
+                & (_projections(0j, A, B)[1] > 1e-12))
 
     def sample_point(self, rng: random.Random) -> complex:
         r0, r1 = self.sample_radii
@@ -482,17 +451,8 @@ class DiskRegion(Region):
         except OverflowError:  # |z - center| beyond the float range
             return False
 
-    def _delta(self, z: complex) -> float:
-        return self.radius - abs(z - self.center)
-
     def boundary_gap(self, z: complex) -> float:
-        try:
-            return abs(self.radius - abs(as_point(z) - self.center))
-        except OverflowError:  # |z - center| beyond the float range
-            return math.inf
-
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        return self.contains(a) and self.contains(b)
+        return abs(self.radius - _modulus(as_point(z) - self.center))
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return _moduli(Z, self.center) < self.radius
@@ -515,7 +475,15 @@ class DiskRegion(Region):
 
 
 class PolygonRegion(Region):
-    """Polygon interior minus polygonal holes; delta = distance to the edges."""
+    """Polygon interior minus polygonal holes; delta = distance to the edges.
+
+    The predicates broadcast over (edges, points).  Membership is crossing-
+    number ray casting, the crossings XOR-accumulated per ring, and a gap
+    above 0; the gap is the least _projections distance to an edge, as
+    Python's min() takes it; a segment stays inside when both ends do, the
+    orientation tests (with their bounding-box rule, both to within 1e-12)
+    find no edge that it meets, and its midpoint is inside.
+    """
 
     bounded = True
 
@@ -527,46 +495,42 @@ class PolygonRegion(Region):
         if len(self.outer) < 3:
             raise ConfigurationError("polygon needs at least 3 vertices")
         self.name = name
-        self._edges: list[tuple[complex, complex]] = []
-        for ring in (self.outer, *self.holes):
-            n = len(ring)
-            for i in range(n):
-                self._edges.append((ring[i], ring[(i + 1) % n]))
+        rings = (self.outer, *self.holes)
+        # Edge k runs from _a[k] to _b[k]; ring r's edges start at _starts[r].
+        self._a = np.array([z for ring in rings for z in ring])[:, None]
+        self._b = np.array([z for ring in rings for z in ring[1:] + ring[:1]])[:, None]
+        self._starts = np.cumsum([0] + [len(ring) for ring in rings[:-1]])
 
-    @staticmethod
-    def _inside_ring(z: complex, ring: tuple[complex, ...]) -> bool:
-        x, y = z.real, z.imag
-        inside = False
-        n = len(ring)
-        for i in range(n):
-            xi, yi = ring[i].real, ring[i].imag
-            xj, yj = ring[(i + 1) % n].real, ring[(i + 1) % n].imag
-            if (yi > y) != (yj > y):
-                xc = (xj - xi) * (y - yi) / (yj - yi) + xi
-                if x < xc:
-                    inside = not inside
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        x, y = Z.real, Z.imag
+        xi, yi, xj, yj = self._a.real, self._a.imag, self._b.real, self._b.imag
+        with np.errstate(all="ignore"):
+            crossed = ((yi > y) != (yj > y)) & (x < (xj - xi) * (y - yi) / (yj - yi) + xi)
+        odd = np.logical_xor.reduceat(crossed, self._starts, axis=0)
+        inside = odd[0] & ~odd[1:].any(axis=0)
+        inside[inside] = self.boundary_gaps_many(Z[inside]) > 0.0
         return inside
 
-    def contains(self, z: complex) -> bool:
-        z = as_point(z)
-        if not self._inside_ring(z, self.outer):
-            return False
-        if any(self._inside_ring(z, h) for h in self.holes):
-            return False
-        return self.boundary_gap(z) > 0.0
+    def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
+        dist = _projections(Z, self._a, self._b)[1]
+        # min() keeps its first value when that is nan, and skips a later nan.
+        return np.where(np.isnan(dist[0]), np.nan, np.fmin.reduce(dist, axis=0))
 
-    def _delta(self, z: complex) -> float:
-        return min(project_segment(z, a, b)[1] for a, b in self._edges)
-
-    def boundary_gap(self, z: complex) -> float:
-        return self._delta(as_point(z))
-
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        if not (self.contains(a) and self.contains(b)):
-            return False
-        if any(segments_cross(a, b, p, q) for p, q in self._edges):
-            return False
-        return self.contains((a + b) / 2)
+    def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        ok = self.contains_many(A) & self.contains_many(B)
+        a, b, p, q = A[ok], B[ok], self._a, self._b
+        eps = 1e-12
+        with np.errstate(all="ignore"):
+            meets = ((_orient(a, b, p) * _orient(a, b, q) < eps)
+                     & (_orient(p, q, a) * _orient(p, q, b) < eps))
+            for part in (np.real, np.imag):
+                a_, b_, p_, q_ = part(a), part(b), part(p), part(q)
+                meets &= (np.maximum(np.minimum(a_, b_), np.minimum(p_, q_))
+                          <= np.minimum(np.maximum(a_, b_), np.maximum(p_, q_)) + eps)
+            clear = ~meets.any(axis=0)
+            clear[clear] = self.contains_many((a[clear] + b[clear]) / 2)
+        ok[ok] = clear
+        return ok
 
     def sample_point(self, rng: random.Random) -> complex:
         xs = [p.real for p in self.outer]
@@ -582,11 +546,22 @@ class PolygonRegion(Region):
                 tuple(tuple(_coord_key(p) for p in h) for h in self.holes))
 
 
+def _blocked(arcs: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The blocking rule of curve regions: True where one of the boundary
+    arclengths along the last axis of arcs (nan pads) lies strictly between
+    lo + COORD_TOL and hi - COORD_TOL.  arcs (m,) with lo and hi (n,) gives
+    (n,); arcs (k, m) with lo and hi (k, n) gives (k, n)."""
+    s = arcs[..., None]
+    return ((lo[..., None, :] + COORD_TOL < s) & (s < hi[..., None, :] - COORD_TOL)).any(axis=-2)
+
+
 class CurveRegion(Region):
     """Open subdomain of a curve complex given by kept pieces and boundary points.
 
     The boundary is an explicit finite point set relative to the ambient
-    complex, so delta_G is an exact minimum of point distances.
+    complex, so delta_G is an exact minimum of point distances.  A segment
+    stays inside when both ends are members, both lie on one piece, and no
+    boundary point on that piece lies strictly between them (_blocked).
     """
 
     def __init__(self, space: CurveComplexSpace, pieces: Sequence[Segment],
@@ -600,48 +575,43 @@ class CurveRegion(Region):
             raise ConfigurationError("a proper subdomain needs a nonempty boundary")
         self.name = name
         self.bounded = True
+        self._a = np.array([seg.a for seg in self.pieces])[:, None]
+        self._b = np.array([seg.b for seg in self.pieces])[:, None]
+        # Per piece, the sorted arclengths of the boundary points on it, nan
+        # padded: the cuts that start _piece_cuts and the blocks of _blocked.
+        S, D = _projections(np.array(self.boundary_points), self._a, self._b)
+        self._arcs = np.sort(np.where(D <= COORD_TOL, S, np.nan), axis=1)
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
         return locate(self.pieces, z, tol)
 
     def contains(self, z: complex) -> bool:
         z = as_point(z)
-        if self.locate(z) is None:
-            return False
-        return min(abs(z - bp) for bp in self.boundary_points) > COORD_TOL
-
-    def _delta(self, z: complex) -> float:
-        return min(abs(z - bp) for bp in self.boundary_points)
+        return self.locate(z) is not None and self.boundary_gap(z) > COORD_TOL
 
     def boundary_gap(self, z: complex) -> float:
-        return self._delta(as_point(z))
+        z = as_point(z)
+        return min(_modulus(z - bp) for bp in self.boundary_points)
+
+    def contains_many(self, Z: np.ndarray) -> np.ndarray:
+        on = (_projections(Z, self._a, self._b)[1] <= COORD_TOL).any(axis=0)
+        return on & (self.boundary_gaps_many(Z) > COORD_TOL)
 
     def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
         return np.min([_moduli(Z, bp) for bp in self.boundary_points], axis=0)
 
+    def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        n = len(A)
+        ends = np.concatenate((A, B))
+        S, D = _projections(ends, self._a, self._b)
+        on = (D[:, :n] <= COORD_TOL) & (D[:, n:] <= COORD_TOL)
+        lo, hi = np.minimum(S[:, :n], S[:, n:]), np.maximum(S[:, :n], S[:, n:])
+        member = self.boundary_gaps_many(ends) > COORD_TOL
+        return (on & ~_blocked(self._arcs, lo, hi)).any(axis=0) & member[:n] & member[n:]
+
     def length_boundary_distance(self, z: complex) -> float:
         z = self.require_member(z)
         return min(self.space.length_distance(z, bp) for bp in self.boundary_points)
-
-    def segment_inside(self, a: complex, b: complex) -> bool:
-        # Mesh edges on a complex run along a single piece; check the chord
-        # lies on one piece and no boundary point sits strictly between.
-        if not (self.contains(a) and self.contains(b)):
-            return False
-        for seg in self.pieces:
-            sa, da = seg.project(a)
-            sb, db = seg.project(b)
-            if da <= COORD_TOL and db <= COORD_TOL:
-                lo, hi = min(sa, sb), max(sa, sb)
-                blocked = False
-                for bp in self.boundary_points:
-                    sp, dp = seg.project(bp)
-                    if dp <= COORD_TOL and lo + COORD_TOL < sp < hi - COORD_TOL:
-                        blocked = True
-                        break
-                if not blocked:
-                    return True
-        return False
 
     def sample_point(self, rng: random.Random) -> complex:
         lengths = [seg.length for seg in self.pieces]
@@ -743,8 +713,9 @@ def _component_ball_plane(region: Region, z: complex, r: float, h: float) -> Com
                          tuple(sorted(P[frontier].tolist(), key=_coord_key)), h)
 
 
-def _cut_pieces(region: CurveRegion, cuts: Sequence[tuple[Segment, np.ndarray]]) -> tuple:
-    """Cut each piece seg at the sorted arclengths S of cuts = [(seg, S), ...].
+def _cut_pieces(region: CurveRegion, cuts: Sequence[tuple[int, np.ndarray]]) -> tuple:
+    """Cut each piece region.pieces[i] at the sorted arclengths S of
+    cuts = [(i, S), ...].
 
     Returns (P, ids, idx, member, u, v): the distinct points in cut order,
     the first point of each _coord_key standing for all; the dict from
@@ -755,16 +726,12 @@ def _cut_pieces(region: CurveRegion, cuts: Sequence[tuple[Segment, np.ndarray]])
     """
     ids: dict[tuple[float, float], int] = {}
     points, idx, steps = [], [], []
-    for seg, S in cuts:
-        points.append(seg.point_at(S))
+    for i, S in cuts:
+        points.append(region.pieces[i].point_at(S))
         k = np.array([ids.setdefault(_coord_key(p), len(ids)) for p in points[-1].tolist()],
                      dtype=np.int64)
-        # A step along the piece is blocked by a boundary point strictly inside it.
-        B = np.sort([s for s, d in map(seg.project, region.boundary_points) if d <= COORD_TOL])
-        open_ = (np.searchsorted(B, S[1:] - COORD_TOL)
-                 <= np.searchsorted(B, S[:-1] + COORD_TOL, side="right"))
         idx.append(k)
-        steps.append(np.stack((k[:-1], k[1:]))[:, open_])
+        steps.append(np.stack((k[:-1], k[1:]))[:, ~_blocked(region._arcs[i], S[:-1], S[1:])])
     P = np.concatenate(points)[np.unique(np.concatenate(idx), return_index=True)[1]]
     member = region.boundary_gaps_many(P) > COORD_TOL
     u, v = np.concatenate(steps, axis=1)
@@ -793,15 +760,15 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
         w = math.sqrt(max(reach * reach - d * d, 0.0))
         lo = max(0, math.floor((s0 - w) * m / L) - 1) if L > 0.0 else 0
         hi = min(m, math.ceil((s0 + w) * m / L) + 1) if L > 0.0 else m
-        windows.append((pi, seg, m, lo, hi))
+        windows.append((pi, L, m, lo, hi))
     _check_ball_points(sum(hi - lo + 1 for *_, lo, hi in windows), z, r, h)
 
     cuts = []
-    for pi, seg, m, lo, hi in windows:
-        S = seg.length * np.arange(lo, hi + 1) / m
+    for pi, L, m, lo, hi in windows:
+        S = L * np.arange(lo, hi + 1) / m
         if pi == loc[0] and not (S == loc[1]).any():
             S = np.insert(S, np.searchsorted(S, loc[1]), loc[1])
-        cuts.append((seg, S))
+        cuts.append((pi, S))
     P, ids, _, member, u, v = _cut_pieces(region, cuts)
     in_ball = member & (_moduli(P, z) < r)
     start = ids[_coord_key(region.pieces[loc[0]].point_at(loc[1]))]

@@ -18,28 +18,29 @@ import pytest
 
 from qhkit import ConfigurationError, QhkitError, ResolutionError, component_ball, spaces
 from qhkit.scenarios import make_region
-from qhkit.spaces import ComponentBall, CurveRegion, PolygonRegion, _coord_key
+from qhkit.spaces import ComponentBall, CurveRegion, _coord_key
 
 from test_complex_table import random_complex
-from test_qhgraph import _COMB, _L_SHAPE
+from test_qhgraph import _COMB, _HOLED, _L_SHAPE
 
 BALL_SHA256 = {
     "frame-omega": "12d53d8e68ebbb93d6657674552c25670730395741fc2e0c6786903780095482",
     "frame-bottom": "a2854659e8f8be12694edd801b231fca26c3e47dbaf4d62b17a13569b3ce99d8",
     "random": "703fcc84099bbeba5f26b2ba5648e03bed4d7ac06e2c2622861de38ef49d5280",
     "plane": "7f9f3e44ce344da59ff7fda4772b3af73e5e669a2812f38f745a7ab5f867c1af",
+    # Finer polygon balls, recorded with the scalar polygon predicates.
+    "l-shape": "494edd3ef0c4ef47d14bea36d601af27873ee5b9d468efc2b1a0301fb6c37348",
+    "holed": "0441e41439c6114ae3f9f76eee3be165be19c3f49195ab6626b54f0256b89572",
+    "comb": "ad4a94b3961309d6c6064f568cf6fe3051d348bd3fbdd3d0bc9a0311864baaaa",
 }
 
-_HOLED = PolygonRegion([0j, 4 + 0j, 4 + 4j, 4j], [[1.5 + 1.5j, 2.5 + 1.5j, 2.5 + 2.5j, 1.5 + 2.5j]],
-                       name="holed")
-
-#: Per plane region: the finest r/h of its seeded cases (the polygons run the
-#: scalar loop fallbacks, so they stay coarser) and fixed cases where the
-#: grid meets the boundary: a grid point on the puncture, balls across the
-#: half-plane's edge, the disk's rim, the L's re-entrant corner, the hole
-#: and the comb's slot, and radii on a 3-4-5 grid triangle.  At the last
-#: half-plane case, math.hypot puts the grid points (6h, 8h) inside r = 10h
-#: and np.hypot does not.
+#: Per plane region: the finest r/h of its seeded cases in the "plane" digest
+#: (coarser on the polygons, whose predicates were scalar when it was
+#: recorded) and fixed cases where the grid meets the boundary: a grid point
+#: on the puncture, balls across the half-plane's edge, the disk's rim, the
+#: L's re-entrant corner, the hole and the comb's slot, and radii on a 3-4-5
+#: grid triangle.  At the last half-plane case, math.hypot puts the grid
+#: points (6h, 8h) inside r = 10h and np.hypot does not.
 PLANE_CASES = {
     "halfplane": (40.0, [(1j, 0.5, 0.05), (1j, 0.5, 0.1), (0.3 + 0.04j, 0.25, 0.01),
                          (-1 + 0.5j, 1.0, 0.2), (1j, 0.7947134602381254, 0.07947134602381253)]),
@@ -56,13 +57,14 @@ def plane_region(name: str):
     return {"l-shape": _L_SHAPE, "holed": _HOLED, "comb": _COMB}.get(name) or make_region(name)
 
 
-def plane_ball_cases(name: str, rng: random.Random,
-                     count: int) -> list[tuple[complex, float, float]]:
+def plane_ball_cases(name: str, rng: random.Random, count: int,
+                     finest: float = 0.0) -> list[tuple[complex, float, float]]:
     """The fixed cases of PLANE_CASES, then count sampled centres, each with
-    r from 0.01 to 5 times its boundary gap at a fine h (r/finest to r/1.1)
-    and at a coarse one (r to 4r)."""
+    r from 0.01 to 5 times its boundary gap at a fine h (r/finest to r/1.1,
+    finest from PLANE_CASES unless given) and at a coarse one (r to 4r)."""
     region = plane_region(name)
-    finest, cases = PLANE_CASES[name]
+    default, cases = PLANE_CASES[name]
+    finest = finest or default
     cases = list(cases)
     for z in (region.sample_point(rng) for _ in range(count)):
         r = max(region.boundary_gap(z), 0.05) * math.exp(rng.uniform(math.log(0.01),
@@ -117,6 +119,9 @@ def digest(name: str) -> str:
                 h.update(ball_bytes(region, *case))
         for domain, *case in PLANE_ERROR_CASES:
             h.update(ball_bytes(make_region(domain), *case))
+    elif name in ("l-shape", "holed", "comb"):
+        for case in plane_ball_cases(name, random.Random(13), 12, finest=40.0):
+            h.update(ball_bytes(plane_region(name), *case))
     elif name == "random":
         for seed in range(12):
             rng = random.Random(seed)

@@ -55,7 +55,8 @@ def test_unbounded_region_requires_bbox(halfplane):
 
 
 class _UnitSquare(Region):
-    """A bounded plane region with neither a disk centre nor polygon vertices."""
+    """A bounded plane region with neither a disk centre nor polygon
+    vertices, given by the three array predicates alone."""
 
     name = "unit-square"
     bounded = True
@@ -63,14 +64,15 @@ class _UnitSquare(Region):
     def __init__(self):
         self.space = PLANE
 
-    def contains(self, z):
-        return 0.0 < z.real < 1.0 and 0.0 < z.imag < 1.0
+    def contains_many(self, Z):
+        return (0.0 < Z.real) & (Z.real < 1.0) & (0.0 < Z.imag) & (Z.imag < 1.0)
 
-    def _delta(self, z):
-        return min(z.real, 1.0 - z.real, z.imag, 1.0 - z.imag)
+    def boundary_gaps_many(self, Z):
+        x, y = Z.real, Z.imag
+        return np.abs(np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y)))
 
     def segments_inside_many(self, A, B):
-        return np.ones(len(A), dtype=bool)
+        return self.contains_many(A) & self.contains_many(B)  # the square is convex
 
 
 def test_bounded_region_without_default_bbox_needs_one():
@@ -78,6 +80,21 @@ def test_bounded_region_without_default_bbox_needs_one():
     with pytest.raises(ConfigurationError, match="has no default bbox"):
         build_mesh(square, 0.2)
     assert build_mesh(square, 0.2, (0.0, 1.0, 0.0, 1.0)).node_count > 0
+
+
+def test_the_array_predicates_are_the_whole_region_contract():
+    square = _UnitSquare()
+    assert square.contains(0.25 + 0.5j) is True
+    assert square.contains((1.5, 0.5)) is False
+    assert square.boundary_distance(0.25 + 0.5j) == 0.25
+    assert square.boundary_gap(1.5 + 0.5j) == 0.5
+    with pytest.raises(MembershipError):
+        square.boundary_distance(1.5 + 0.5j)
+    assert square.segment_inside(0.25 + 0.5j, 0.75 + 0.25j) is True
+    assert square.segment_inside(0.25 + 0.5j, 1.5 + 0.5j) is False
+    mesh = build_mesh(square, 0.2, (0.0, 1.0, 0.0, 1.0))
+    r = qh_distance(mesh, 0.25 + 0.5j, 0.75 + 0.5j)
+    assert r.distance == path_qh_length(mesh, r) > 0.0
 
 
 def test_bbox_missing_the_region_fails():
@@ -88,6 +105,9 @@ def test_bbox_missing_the_region_fails():
 
 # A comb whose thin tooth falls apart at depth 6, so pruning drops nodes.
 _COMB = PolygonRegion([0j, 4 + 0j, 4 + 2j, 3 + 2j, 3 + 0.02j, 2.9 + 0.02j, 2.9 + 2j, 2j])
+_L_SHAPE = PolygonRegion([0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+_HOLED = PolygonRegion([0j, 4 + 0j, 4 + 4j, 4j], [[1.5 + 1.5j, 2.5 + 1.5j, 2.5 + 2.5j, 1.5 + 2.5j]],
+                       name="holed")
 
 
 def _comb_mesh():
@@ -130,6 +150,48 @@ def test_mesh_arrays_match_golden_digests(golden_meshes, name):
     assert (_digest(mesh.coords, mesh.delta, mesh.spacing),
             _digest(g.indptr.astype(np.int64), g.indices.astype(np.int64), g.data)) \
         == GOLDEN_MESHES[name]
+
+
+# sha256 of a polygon mesh's arrays (as in GOLDEN_MESHES), of its node, edge,
+# component, dropped-node and segment-rejection counts, and of the answers
+# to 20 seeded queries, recorded with the scalar polygon predicates that
+# tests/region_reference.py keeps.
+POLYGON_MESHES = {
+    "l-shape-0.3-6": (_L_SHAPE, 0.3, 6,
+                     "1a3e6f43521cc46e0ce6a0f3e92e82a8b2a8d51b3b3d942fb228262e35ccfb4b"),
+    "l-shape-0.2-7": (_L_SHAPE, 0.2, 7,
+                     "286768d7c903bddbb2025e9598af8aa44115d027b9993a4814f8331de9270b88"),
+    "comb-0.3-6": (_COMB, 0.3, 6,
+                  "3ddb166cd64e33045b0e460a423c50c1a80bad133a0fc46ecd896af09c02fa9f"),
+    "holed-0.3-7": (_HOLED, 0.3, 7,
+                   "0fb991201d7fe54ca73605f67c0cafab442d05e3f15a982f4459a9f03015b2d7"),
+}
+
+
+def polygon_mesh_digest(region, grading, max_depth) -> str:
+    mesh = build_mesh(region, grading, max_depth=max_depth)
+    g = mesh.graph
+    h = hashlib.sha256()
+    for a in (mesh.coords, mesh.delta, mesh.spacing, g.indptr.astype(np.int64),
+              g.indices.astype(np.int64), g.data):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr([mesh.stats[k] for k in ("nodes", "edges", "components", "dropped_nodes",
+                                           "segment_rejections")]).encode())
+    for x, y in sample_pairs(_covered(mesh, region.sample_point), random.Random(3), 20):
+        try:
+            r = qh_distance(mesh, x, y)
+        except ConnectivityError as exc:
+            h.update(str(exc).encode())
+            continue
+        h.update(np.array([r.distance, r.euclidean_length, *r.node_path],
+                          dtype=np.complex128).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(POLYGON_MESHES))
+def test_polygon_meshes_match_the_scalar_predicates(name):
+    region, grading, max_depth, want = POLYGON_MESHES[name]
+    assert polygon_mesh_digest(region, grading, max_depth) == want
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MESHES))
@@ -224,7 +286,6 @@ def _stack_refine(region, grading, bbox, max_depth):
             np.array([leaves[k][4] for k in order], dtype=np.float64))
 
 
-_L_SHAPE = PolygonRegion([0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
 _UNIT_BOX = (-1.0, 1.0, -1.0, 1.0)
 
 REFINE_CASES = {
