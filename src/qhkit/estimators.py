@@ -8,6 +8,8 @@ for the true coefficient.  estimate_semisolid over a MeshBackend divides two
 mesh approximations of k_G, so its envelope is an estimate, not a bound.
 Sampling is a single seeded stream, so estimates are non-decreasing in the
 sample count at a fixed seed and reports are bit-for-bit reproducible.
+A modulus that overflows reads inf (spaces._modulus, np.hypot), never an
+OverflowError; a ratio that comes out nan is a ResolutionError.
 """
 from __future__ import annotations
 
@@ -18,9 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, QhkitError
+from .errors import ConfigurationError, QhkitError, ResolutionError
 from .maps import HalfPlaneShearMap, InversionMap, MapSpec
-from .spaces import COORD_TOL, CurveRegion, Region, as_point, component_ball, disk_point, sample_pairs
+from .spaces import (COORD_TOL, CurveRegion, Region, _modulus, as_point, component_ball,
+                     disk_point, sample_pairs)
 
 _N_DIRECTIONS = 64  # deterministic angular resolution for L_f / l_f probing
 
@@ -84,7 +87,9 @@ class _Envelope:
     """Running maximum of the offered ratios and the witness that attains it.
 
     Only a strictly larger ratio replaces the maximum, so the first witness
-    of a tie is kept.  used counts the offers; skipped is counted by callers.
+    of a tie is kept; a nan ratio (say inf / inf after an overflow) is a
+    ResolutionError naming its sample.  used counts the offers; skipped is
+    counted by callers.
     """
 
     def __init__(self):
@@ -93,6 +98,9 @@ class _Envelope:
         self.skipped = 0
 
     def offer(self, ratio: float, witness: dict) -> None:
+        if math.isnan(ratio):
+            sample = {k: v for k, v in witness.items() if k != "ratio"}
+            raise ResolutionError(f"the ratio is nan at {sample}")
         if self.best is None or ratio > self.best[0]:
             self.best = (ratio, witness)
         self.used += 1
@@ -102,14 +110,14 @@ class _Envelope:
         """Offer |f(x)-f(a)| / |f(x)-f(b)| with the triple ordered so |x-a| <= |x-b|,
         its witness extended by extra, and append (x, a, b) to collected.
         A degenerate triple offers nothing and returns None."""
-        u, v = (b, a) if abs(x - a) > abs(x - b) else (a, b)
-        if abs(x - v) == 0.0:
+        u, v = (b, a) if _modulus(x - a) > _modulus(x - b) else (a, b)
+        if _modulus(x - v) == 0.0:
             return None
         fx = f.eval(x)
-        denom = abs(fx - f.eval(v))
+        denom = _modulus(fx - f.eval(v))
         if denom == 0.0:
             return None
-        ratio = abs(fx - f.eval(u)) / denom
+        ratio = _modulus(fx - f.eval(u)) / denom
         self.offer(ratio, {"x": _pt(x), "a": _pt(u), "b": _pt(v), "ratio": ratio, **extra})
         if collected is not None:
             collected.append((x, a, b))
@@ -127,6 +135,21 @@ class _Envelope:
 # Quasiconformality
 # ---------------------------------------------------------------------------
 
+def _unit_circle(n: int) -> np.ndarray:
+    """The n equispaced unit directions, as math.cos and math.sin give them."""
+    return np.array([complex(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
+                     for k in range(n)])
+
+
+def _circle_points(z: np.ndarray, rho: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """z + rho * e broadcast over z, rho and the directions E, bit for bit as
+    Python computes it: rho * e promotes rho to complex(rho, 0.0)."""
+    re = z.real + (rho * E.real - 0.0 * E.imag)
+    P = np.empty(re.shape, dtype=complex)
+    P.real, P.imag = re, z.imag + (rho * E.imag + 0.0 * E.real)
+    return P
+
+
 def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     """Directional distortion table H(x, r) over the radius schedule.
 
@@ -134,45 +157,49 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     equispaced directions of |f(x + r e^(i theta)) - f(x)| / |(x + r e^(i
     theta)) - x| approximates L_f/l_f; the estimate is the envelope at each
     point's smallest admissible radius.  The limit r -> 0 is reported as the
-    trend table, never extrapolated.
+    trend table, never extrapolated.  The base points are drawn first, every
+    (point, radius, direction) probe is evaluated in one array pass, and the
+    rows fold into the table and the envelope in sampling order.  A ratio
+    max/min that is undefined (min 0, or inf / inf) is a ResolutionError.
     """
     region = f.source_region
     rng = random.Random(spec.seed)
-    table: list[tuple] = []
-    env = _Envelope()
-    dirs = [complex(math.cos(2.0 * math.pi * k / _N_DIRECTIONS),
-                    math.sin(2.0 * math.pi * k / _N_DIRECTIONS))
-            for k in range(_N_DIRECTIONS)]
+    X = np.array([region.sample_point(rng) for _ in range(spec.count)], dtype=complex)
+    FX = f.eval_many(X)
+    radii = np.array(spec.radius_schedule)
+    # One row k per admissible (point pt[k], radius rad[k]), in sampling order.
+    pt, rad = np.nonzero(~(radii >= region.boundary_gaps_many(X)[:, None]))
+    A = _circle_points(X[pt, None], radii[rad, None], _unit_circle(_N_DIRECTIONS))
+    with np.errstate(all="ignore"):
+        D = A - X[pt, None]
+        chord = np.hypot(D.real, D.imag)
+        ok = region.contains_many(A.ravel()).reshape(A.shape) & (chord != 0.0)
+        G = f.eval_many(A[ok]) - np.broadcast_to(FX[pt, None], A.shape)[ok]
+        ratios = np.zeros(A.shape)
+        ratios[ok] = np.hypot(G.real, G.imag) / chord[ok]
+        # First occurrences, as max() and min() pick them.
+        hi = np.where(ok, ratios, -np.inf).argmax(axis=1)
+        lo = np.where(ok, ratios, np.inf).argmin(axis=1)
+        rows = np.arange(len(pt))
+        H = ratios[rows, hi] / ratios[rows, lo]
+    counted = np.flatnonzero(ok.sum(axis=1) >= 2)
 
-    for _ in range(spec.count):
-        x = region.sample_point(rng)
-        dx = region.boundary_distance(x)
-        fx = f.eval(x)
-        smallest: Optional[tuple[float, float, dict]] = None
-        for r in spec.radius_schedule:
-            if r >= dx:
-                env.skipped += 1
-                continue
-            ratios: list[tuple[float, complex]] = []
-            for e in dirs:
-                a = x + r * e
-                if not region.contains(a):
-                    continue
-                chord = abs(a - x)
-                if chord == 0.0:
-                    continue
-                ratios.append((abs(f.eval(a) - fx) / chord, a))
-            if len(ratios) < 2:
-                env.skipped += 1
-                continue
-            hi = max(ratios, key=lambda t: t[0])
-            lo = min(ratios, key=lambda t: t[0])
-            H = hi[0] / lo[0]
-            table.append((x.real, x.imag, r, H))
-            smallest = (r, H, {"x": _pt(x), "r": r, "a_max": _pt(hi[1]),
-                               "a_min": _pt(lo[1]), "ratio": H})
-        if smallest is not None:
-            env.offer(smallest[1], smallest[2])
+    env = _Envelope()
+    env.skipped = spec.count * len(radii) - len(counted)
+    table: list[tuple] = []
+    smallest: dict[int, tuple[float, dict]] = {}  # per point, its last row
+    for k in counted:
+        x, r = complex(X[pt[k]]), spec.radius_schedule[rad[k]]
+        top, bottom = float(ratios[k, hi[k]]), float(ratios[k, lo[k]])
+        if bottom == 0.0 or math.isnan(H[k]):
+            raise ResolutionError(f"directional distortion {top!r} / {bottom!r} is "
+                                  f"undefined at x = {_pt(x)}, r = {r!r}")
+        ratio = float(H[k])
+        table.append((x.real, x.imag, r, ratio))
+        smallest[pt[k]] = (ratio, {"x": _pt(x), "r": r, "a_max": _pt(complex(A[k, hi[k]])),
+                                   "a_min": _pt(complex(A[k, lo[k]])), "ratio": ratio})
+    for ratio, witness in smallest.values():
+        env.offer(ratio, witness)
 
     return env.report("quasiconformality", spec.seed,
                       "no admissible (point, radius) sample; shrink the radii", table,
@@ -257,7 +284,7 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
         x = region.sample_point(rng)
         a = region.sample_point(rng)
         b = region.sample_point(rng)
-        while abs(b - x) <= COORD_TOL:  # b == x: resample, same stream
+        while _modulus(b - x) <= COORD_TOL:  # b == x: resample, same stream
             b = region.sample_point(rng)
         env.triple(f, x, a, b)
         _offer_probes(env, f, region, x, 0.3 * region.boundary_distance(x), rng)
@@ -309,7 +336,7 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
                 continue
         env.triple(f, x, a, b, collected, z=_pt(z))
         if not isinstance(region, CurveRegion):
-            margin = 0.9 * (rho - abs(x - z))
+            margin = 0.9 * (rho - _modulus(x - z))
             if margin > 0.0:
                 _offer_probes(env, f, region, x, margin, rng, collected)
 
@@ -400,13 +427,13 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
         rho = rng.uniform(0.0, 1.0) * t0 * dx
         th = rng.uniform(0.0, 2.0 * math.pi)
         y = x + rho * complex(math.cos(th), math.sin(th))
-        sep = abs(x - y)
+        sep = _modulus(x - y)
         if not region.contains(y) or sep == 0.0 or sep >= t0 * dx:
             env.skipped += 1
             continue
         t = sep / dx
         fx = f.eval(x)
-        ratio = abs(fx - f.eval(y)) / image.boundary_distance(fx)
+        ratio = _modulus(fx - f.eval(y)) / image.boundary_distance(fx)
         b = min(bins - 1, int(t / t0 * bins))
         if ratio > peaks[b]:
             peaks[b] = ratio
@@ -426,31 +453,33 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
 # Ring property
 # ---------------------------------------------------------------------------
 
-def _ring_probes(z: complex, r: float, n: int, region: Region,
-                 radii: Sequence[float]) -> list[complex]:
-    pts = [z]
-    for rho in radii:
-        for k in range(n):
-            th = 2.0 * math.pi * k / n
-            p = z + rho * complex(math.cos(th), math.sin(th))
-            if region.contains(p):
-                pts.append(p)
-    return pts
+def _ring_extents(f: MapSpec, region: Region, Z: np.ndarray, R: np.ndarray, alpha: float,
+                  probes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per ball B = B(z, r): diam f(closed B) and dist(f(closed B), f(alpha-sphere)),
+    nan where fewer than 3 probes land on either.
 
-
-def _ring_extent(f: MapSpec, region: Region, z: complex, r: float, alpha: float,
-                 probes: int) -> Optional[tuple[float, float]]:
-    """(diam f(closed B), dist(f(closed B), f(alpha-sphere))) for B = B(z, r)
-    from the probe rings, or None when fewer than 3 probes land on either."""
-    ball_pts = _ring_probes(z, r, probes, region, [r, 0.75 * r, 0.5 * r, 0.25 * r])
-    ring_pts = [p for p in _ring_probes(z, r, 2 * probes, region, [alpha * r])
-                if p != z]
-    if len(ball_pts) < 3 or len(ring_pts) < 3:
-        return None
-    S = np.array([f.eval(p) for p in ball_pts])
-    T = np.array([f.eval(p) for p in ring_pts])
-    return (float(np.max(np.abs(S[:, None] - S[None, :]))),
-            float(np.min(np.abs(S[:, None] - T[None, :]))))
+    The closed ball is probed by z and by probes directions on the rings of
+    radius r, 3r/4, r/2 and r/4, the alpha-sphere by 2 probes directions;
+    only the probes inside the region count, and the sphere's never equal z.
+    """
+    rho = R[:, None, None] * np.array([1.0, 0.75, 0.5, 0.25])[:, None]
+    P = _circle_points(Z[:, None, None], rho, _unit_circle(probes)).reshape(len(Z), 4 * probes)
+    Q = _circle_points(Z[:, None], alpha * R[:, None], _unit_circle(2 * probes))
+    in_p = region.contains_many(P.ravel()).reshape(P.shape)
+    in_q = region.contains_many(Q.ravel()).reshape(Q.shape) & (Q != Z[:, None])
+    enough = np.flatnonzero((in_p.sum(axis=1) >= 2) & (in_q.sum(axis=1) >= 3))
+    in_p, in_q = in_p[enough], in_q[enough]
+    FZ, FP, FQ = np.split(f.eval_many(np.concatenate(
+        (Z[enough], P[enough][in_p], Q[enough][in_q]))), np.cumsum([len(enough), in_p.sum()]))
+    p_at, q_at = (np.concatenate(([0], np.cumsum(m.sum(axis=1)))) for m in (in_p, in_q))
+    diam, dist = np.full(len(Z), np.nan), np.full(len(Z), np.nan)
+    with np.errstate(all="ignore"):
+        for i, k in enumerate(enough):  # one ball's pairwise arrays at a time
+            S = np.concatenate((FZ[i:i + 1], FP[p_at[i]:p_at[i + 1]]))
+            T = FQ[q_at[i]:q_at[i + 1]]
+            diam[k] = np.max(np.abs(S[:, None] - S[None, :]))
+            dist[k] = np.min(np.abs(S[:, None] - T[None, :]))
+    return diam, dist
 
 
 def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
@@ -461,27 +490,31 @@ def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
     alpha B stay round and inside G for the analytic regions.  The closed ball
     is probed on exact-radius rings (plus the center) and the boundary of
     alpha B on its exact sphere, keeping the convex identity case exact.
+    Every (z, r) is drawn first; _ring_extents then evaluates the probes of
+    all balls in one array pass, and the balls fold into the envelope in
+    sampling order.
     """
     if not (1.0 < alpha <= beta):
         raise ConfigurationError("ring property needs 1 < alpha <= beta")
     region = f.source_region
     rng = random.Random(spec.seed)
     env = _Envelope()
-
+    balls = []
     for _ in range(spec.count):
         z = region.sample_point(rng)
-        dz = region.boundary_distance(z)
-        r = rng.uniform(0.3, 0.99) * dz / beta
+        r = rng.uniform(0.3, 0.99) * region.boundary_distance(z) / beta
         if r <= 0.0 or not math.isfinite(r):
             env.skipped += 1
-            continue
-        extent = _ring_extent(f, region, z, r, alpha, probes)
-        if extent is None or extent[1] <= 0.0:
+        else:
+            balls.append((z, r))
+    Z, R = np.array([z for z, _ in balls], dtype=complex), np.array([r for _, r in balls])
+    diam, dist = _ring_extents(f, region, Z, R, alpha, probes)
+    for (z, r), d, s in zip(balls, diam.tolist(), dist.tolist()):
+        if not s > 0.0:  # too few probes (nan), or a distance of 0
             env.skipped += 1
             continue
-        diam, dist = extent
-        ratio = diam / dist
-        env.offer(ratio, {"z": _pt(z), "r": r, "diam": diam, "dist": dist, "ratio": ratio})
+        ratio = d / s
+        env.offer(ratio, {"z": _pt(z), "r": r, "diam": d, "dist": s, "ratio": ratio})
 
     return env.report("ring", spec.seed, "no admissible ball was sampled", (),
                       {"alpha": alpha, "beta": beta, "probes": probes})
@@ -499,13 +532,13 @@ def replay_witness(f: MapSpec, report: PropertyReport,
         x = complex(*w["x"])
         fx = f.eval(x)
         a_max, a_min = complex(*w["a_max"]), complex(*w["a_min"])
-        hi = abs(f.eval(a_max) - fx) / abs(a_max - x)
-        lo = abs(f.eval(a_min) - fx) / abs(a_min - x)
+        hi = _modulus(f.eval(a_max) - fx) / _modulus(a_max - x)
+        lo = _modulus(f.eval(a_min) - fx) / _modulus(a_min - x)
         return hi / lo
     if report.property in ("weak-quasisymmetry", "local-weak-quasisymmetry"):
         x, a, b = complex(*w["x"]), complex(*w["a"]), complex(*w["b"])
         fx = f.eval(x)
-        return abs(fx - f.eval(a)) / abs(fx - f.eval(b))
+        return _modulus(fx - f.eval(a)) / _modulus(fx - f.eval(b))
     if report.property == "semisolidity":
         if k_src is None or k_img is None:
             raise ConfigurationError("semisolid replay needs the distance backends")
@@ -514,11 +547,12 @@ def replay_witness(f: MapSpec, report: PropertyReport,
     if report.property == "relativity":
         x, y = complex(*w["x"]), complex(*w["y"])
         fx = f.eval(x)
-        return abs(fx - f.eval(y)) / f.image_region.boundary_distance(fx)
+        return _modulus(fx - f.eval(y)) / f.image_region.boundary_distance(fx)
     if report.property == "ring":
-        extent = _ring_extent(f, f.source_region, complex(*w["z"]), w["r"],
-                              report.meta["alpha"], report.meta["probes"])
-        if extent is None:
+        diam, dist = _ring_extents(f, f.source_region, np.array([complex(*w["z"])]),
+                                   np.array([w["r"]]), report.meta["alpha"],
+                                   report.meta["probes"])
+        if math.isnan(dist[0]):
             raise ConfigurationError("ring witness has too few probes inside the region")
-        return extent[0] / extent[1]
+        return float(diam[0]) / float(dist[0])
     raise ConfigurationError(f"unknown property {report.property!r}")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .errors import CompositionError, ConfigurationError, MembershipError
 from .spaces import (
     HalfPlaneRegion,
@@ -19,13 +21,23 @@ from .spaces import (
 
 
 class MapSpec:
-    """A homeomorphism f: source_region -> image_region with an exact inverse."""
+    """A homeomorphism f: source_region -> image_region with an exact inverse.
+
+    A map gives its forward formula twice: _forward on one complex point and
+    _forward_many on the arrays of real and imaginary parts, returning the
+    same floats bit for bit.  eval and eval_many check both ends: a point
+    outside the source region, or an image outside the image region (a
+    non-finite one included), is a MembershipError.
+    """
 
     kind: str = "abstract"
     source_region: Region
     image_region: Region
 
     def _forward(self, z: complex) -> complex:
+        raise NotImplementedError
+
+    def _forward_many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _backward(self, w: complex) -> complex:
@@ -35,7 +47,29 @@ class MapSpec:
         z = as_point(z)
         if not self.source_region.contains(z):
             raise MembershipError(f"{z} is outside the source region of {self.kind}")
-        return self._forward(z)
+        w = self._forward(z)
+        if not self.image_region.contains(w):
+            raise MembershipError(f"f({z}) = {w} is outside the image region of {self.kind}")
+        return w
+
+    def eval_many(self, Z: np.ndarray) -> np.ndarray:
+        """eval over a 1-D complex array, bit for bit; a MembershipError names
+        the first index that eval would reject."""
+        Z = np.asarray(Z, dtype=complex)
+        inside = self.source_region.contains_many(Z)
+        with np.errstate(all="ignore"):
+            u, v = self._forward_many(Z.real, Z.imag)
+        W = np.empty_like(Z)
+        W.real, W.imag = u, v
+        bad = ~(inside & self.image_region.contains_many(W))
+        if bad.any():
+            i = int(np.argmax(bad))
+            z, w = complex(Z[i]), complex(W[i])
+            raise MembershipError(
+                f"point at index {i}: {z} is outside the source region of {self.kind}"
+                if not inside[i] else
+                f"point at index {i}: f({z}) = {w} is outside the image region of {self.kind}")
+        return W
 
     def invert(self, w) -> complex:
         w = as_point(w)
@@ -65,6 +99,9 @@ class IdentityMap(MapSpec):
     def _forward(self, z: complex) -> complex:
         return z
 
+    def _forward_many(self, x, y):
+        return x, y
+
     def _backward(self, w: complex) -> complex:
         return w
 
@@ -90,6 +127,10 @@ class AffineMap(MapSpec):
         return complex(self.a * z.real + self.b * z.imag,
                        self.c * z.real + self.d * z.imag) + self.offset
 
+    def _forward_many(self, x, y):
+        return (self.a * x + self.b * y + self.offset.real,
+                self.c * x + self.d * y + self.offset.imag)
+
     def _backward(self, w: complex) -> complex:
         v = w - self.offset
         return complex((self.d * v.real - self.b * v.imag) / self._det,
@@ -113,6 +154,10 @@ class InversionMap(MapSpec):
     def _forward(self, z: complex) -> complex:
         r2 = z.real * z.real + z.imag * z.imag
         return complex(z.real / r2, z.imag / r2)
+
+    def _forward_many(self, x, y):
+        r2 = x * x + y * y
+        return x / r2, y / r2
 
     def _backward(self, w: complex) -> complex:
         return self._forward(w)
@@ -140,6 +185,9 @@ class HalfPlaneShearMap(MapSpec):
         if y <= 1.0:
             return complex(x, (x + 1.0) * y)
         return complex(x, x + y)
+
+    def _forward_many(self, x, y):
+        return x, np.where(x <= 0.0, y, np.where(y <= 1.0, (x + 1.0) * y, x + y))
 
     def _backward(self, w: complex) -> complex:
         u, v = w.real, w.imag
@@ -171,6 +219,11 @@ class CompositionMap(MapSpec):
             z = f._forward(z)
         return z
 
+    def _forward_many(self, x, y):
+        for f in self.maps:
+            x, y = f._forward_many(x, y)
+        return x, y
+
     def _backward(self, w: complex) -> complex:
         for f in reversed(self.maps):
             w = f._backward(w)
@@ -185,7 +238,8 @@ class CompositionMap(MapSpec):
 # ---------------------------------------------------------------------------
 
 def eval_map(f: MapSpec, x) -> complex:
-    """f(x) in closed form; MembershipError outside the source region."""
+    """f(x) in closed form; MembershipError outside the source region, or for
+    an image outside the image region."""
     return f.eval(x)
 
 
@@ -203,11 +257,6 @@ def compose(g: MapSpec, f: MapSpec) -> CompositionMap:
 
 
 def pushforward_points(f: MapSpec, pts: Sequence) -> list[complex]:
-    """Element-wise eval_map, order preserved; aborts with the failing index."""
-    out: list[complex] = []
-    for i, p in enumerate(pts):
-        try:
-            out.append(f.eval(p))
-        except MembershipError as exc:
-            raise MembershipError(f"point at index {i} rejected: {exc}") from exc
-    return out
+    """eval_map of each point, order preserved, through one eval_many call;
+    aborts naming the first failing index."""
+    return f.eval_many(np.array([as_point(p) for p in pts], dtype=complex)).tolist()

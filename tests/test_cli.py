@@ -110,6 +110,28 @@ def test_bad_input_is_one_line_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # Images beyond the float range, or rounded onto the boundary, leave the
+    # half-plane; a reflection leaves it too.
+    (("check-wqs", "--matrix", "1e308,0,0,1e308"), "outside the image region of affine"),
+    (("check-qc", "--matrix", "1,0,0,1e-323"), "outside the image region of affine"),
+    (("check-qc", "--matrix", "1e308,0,0,1e308"), "outside the image region of affine"),
+    (("check-ring", "--matrix", "1e308,0,0,1e308"), "outside the image region of affine"),
+    (("check-lwqs", "--matrix", "1e308,0,0,1e308"), "outside the image region of affine"),
+    (("check-qc", "--matrix", "1,0,0,-1"), "outside the image region of affine"),
+    # Vertical image differences round away next to the offset: min ratio 0.
+    (("check-qc", "--matrix", "1,0,0,1e-17", "--offset", "0,1"), "is undefined at x ="),
+])
+def test_degenerate_map_is_one_line_error(capsys, argv, message):
+    command, *rest = argv
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, "--map", "affine", *rest,
+                             "--count", "50", "--seed", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("domain, point", [("halfplane", "nan,1"), ("halfplane", "inf,1"),
                                            ("punctured", "inf,1")])
 def test_non_finite_query_point_is_one_line_error(capsys, domain, point):

@@ -3,6 +3,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhkit import (
     AffineMap,
@@ -15,6 +16,7 @@ from qhkit import (
     QhkitError,
     ResolutionError,
     SampleSpec,
+    compose,
     estimate_local_weak_qs,
     estimate_qc,
     estimate_relative,
@@ -28,6 +30,8 @@ from qhkit import (
 from qhkit.reports import canonical_json
 from qhkit.scenarios import frame_region_omega, make_map, make_region
 from qhkit.spaces import HalfPlaneRegion
+
+import estimator_reference as ref
 
 SQRT3 = math.sqrt(3.0)
 
@@ -269,10 +273,11 @@ def test_semisolid_report_records_backends(hp_mesh_01, halfplane):
 
 
 class _Collapse(IdentityMap):
-    """Sends every point to 0, so no triple has a nonzero denominator."""
+    """Sends every point to i, inside the image region, so no triple has a
+    nonzero denominator."""
 
     def _forward(self, z: complex) -> complex:
-        return 0j
+        return 1j
 
 
 def test_weak_qs_without_admissible_triple_is_a_typed_error(halfplane):
@@ -317,6 +322,10 @@ _GOLDEN_ESTIMATORS = {
 }
 
 
+def _digest(report) -> str:
+    return hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest()
+
+
 def _golden_outcome(case: str, hp_mesh) -> str:
     """sha256 of the canonical report JSON, or the error line it raises."""
     name, kind, seed = case.split("/")
@@ -333,7 +342,7 @@ def _golden_outcome(case: str, hp_mesh) -> str:
             report = _GOLDEN_ESTIMATORS[name](_GOLDEN_MAPS[kind](), s)
     except QhkitError as exc:
         return f"{type(exc).__name__}: {exc}"
-    return hashlib.sha256(canonical_json(report.to_dict()).encode()).hexdigest()
+    return _digest(report)
 
 
 # Recorded from the per-estimator best/used bookkeeping that _Envelope replaced.
@@ -460,3 +469,117 @@ GOLDEN_REPORTS = {
 @pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
 def test_reports_match_golden_digests(case, hp_mesh_01):
     assert _golden_outcome(case, hp_mesh_01) == GOLDEN_REPORTS[case]
+
+
+# ---------------------------------------------------------------------------
+# the array kernels of estimate_qc and estimate_ring
+# ---------------------------------------------------------------------------
+
+_BATTERY_AFFINE = ((1.0, 0.25), (0.0, 1.25))
+_BATTERY_MAPS = {
+    "shear": HalfPlaneShearMap,
+    "inversion": InversionMap,
+    "affine": lambda: make_map("affine", "halfplane", matrix=_BATTERY_AFFINE),
+    "shear-after-affine": lambda: compose(
+        HalfPlaneShearMap(), make_map("affine", "halfplane", matrix=_BATTERY_AFFINE)),
+}
+_ARRAY_ESTIMATORS = {
+    "qc": estimate_qc,
+    "ring": lambda f, s: estimate_ring(f, s, 2.0, 3.0),
+}
+
+
+# Recorded with the scalar estimate_qc and estimate_ring (one f.eval per
+# probe), before the array kernels replaced them: the paper-repro battery at
+# its count of 200, ring at alpha = 2 and beta = 3.
+BATTERY_REPORTS = {
+    "qc/shear/1": "4882d1eef3496d836485b16a74f1176b8dfd2b6b433c5918b48809bf053eb0ee",
+    "qc/shear/7": "a80ab3dfc8c3701606140f25159f3bd0f584e7635e95ca706915b52d2d8ee4c6",
+    "qc/inversion/1": "7f45e1b36574d4e74beefe08fcc24f653ba1eca85b32a3d51f563dcd69a09c79",
+    "qc/inversion/7": "eb68f3ef8dc023c59b2b9d535ea55e2b173009dd820979c369536ebd7127906b",
+    "qc/affine/1": "05d0fac2b7b61421093689588757820d70b5a62e39ea750721ccea57123bd2db",
+    "qc/affine/7": "0aa534a5673a34eb176fb56d090edb5778f1daa4f902a896d59ccf526e8a4135",
+    "qc/shear-after-affine/1":
+        "85be76369ddf926de3d956db1c279d7d775ccd0db4622b8c774245c2a7877367",
+    "qc/shear-after-affine/7":
+        "95d759e64f6cddbc928448adb13738834f2fcbc542e6e3eea37eb9ae6f00b1b1",
+    "ring/shear/1": "642cc1aaa9742d5cfca926eab36e63f68ee32ee93fd4ed3e58a7461f930ee267",
+    "ring/shear/7": "d675ada50fa36d833a35e1543c9686e17c0feece23be8c34507e469d95c661df",
+    "ring/inversion/1": "deb1a869d447d93ad2d40f0c88d688378781e96fdfaa7fec9b2d93ab93700fd3",
+    "ring/inversion/7": "c2b0d71751c9581630fc982d81d1bb6afc066fb704a8adb562dcb74c102d37b5",
+    "ring/affine/1": "b4b9ef060d3a89d4eec98e568892f5a790a9905a8ef244972341defabe0f2fda",
+    "ring/affine/7": "64ad110af7aa50033e243338ee2a5e10caeea8d237b0a167d397873d4467a341",
+    "ring/shear-after-affine/1":
+        "270afa3a02ab70ce9e8e839c7a34041acecce93b0a57ba5f1e1c8e7785a69a61",
+    "ring/shear-after-affine/7":
+        "ccc3e558f235d1a566e0013dfefc831b0a9f23c68d2052e0cdea7f7d4aa8c9a7",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATTERY_REPORTS))
+def test_battery_reports_match_the_scalar_digests(case):
+    name, kind, seed = case.split("/")
+    report = _ARRAY_ESTIMATORS[name](_BATTERY_MAPS[kind](), SampleSpec(seed=int(seed), count=200))
+    assert _digest(report) == BATTERY_REPORTS[case]
+
+
+_PARITY_MAPS = {**_GOLDEN_MAPS, "battery-affine": _BATTERY_MAPS["affine"],
+                "shear-after-affine": _BATTERY_MAPS["shear-after-affine"]}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARITY_MAPS.keys() - {"identity-omega"}))
+@pytest.mark.parametrize("name", sorted(_ARRAY_ESTIMATORS))
+def test_replay_returns_the_qc_and_ring_estimates_exactly(name, kind):
+    f = _PARITY_MAPS[kind]()
+    for seed in (1, 7):
+        report = _ARRAY_ESTIMATORS[name](f, SampleSpec(seed=seed, count=200))
+        assert replay_witness(f, report) == report.estimate
+
+
+def _outcome(estimate, f, s, *args) -> str:
+    """The canonical report JSON, or the error line it raises."""
+    try:
+        return canonical_json(estimate(f, s, *args).to_dict())
+    except QhkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_parity_maps = st.sampled_from(sorted(_PARITY_MAPS))
+_specs = st.builds(
+    lambda seed, count, radii: SampleSpec(seed=seed, count=count,
+                                          radius_schedule=tuple(sorted(radii, reverse=True))),
+    st.integers(0, 2**32 - 1), st.integers(1, 300),
+    st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=5, unique=True))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_parity_maps, _specs)
+def test_array_qc_equals_the_scalar_reference(kind, s):
+    f = _PARITY_MAPS[kind]()
+    assert _outcome(estimate_qc, f, s) == _outcome(ref.estimate_qc, f, s)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_parity_maps, _specs, st.floats(1.0, 4.0, exclude_min=True), st.floats(1.0, 4.0),
+       st.integers(1, 24))
+def test_array_ring_equals_the_scalar_reference(kind, s, alpha, stretch, probes):
+    f = _PARITY_MAPS[kind]()
+    beta = alpha * stretch
+    assert _outcome(estimate_ring, f, s, alpha, beta, probes) == \
+        _outcome(ref.estimate_ring, f, s, alpha, beta, probes)
+
+
+def test_undefined_qc_distortion_is_a_resolution_error():
+    # Every vertical probe's image difference rounds away next to the offset.
+    f = make_map("affine", "halfplane", matrix=((1.0, 0.0), (0.0, 1e-17)), offset=1j)
+    with pytest.raises(ResolutionError, match=r"directional distortion 1\.0 / 0\.0 is undefined"):
+        estimate_qc(f, spec(count=5))
+
+
+def test_overflowing_moduli_are_inf_and_a_nan_ratio_is_a_resolution_error():
+    f = make_map("affine", "halfplane", matrix=((8e307, 0.0), (0.0, 1.0)))
+    env = estimators._Envelope()
+    # The nearer leg's image distance overflows, the farther one's does not.
+    assert env.triple(f, 1.5 + 1j, -1.5 + 1j, 1.5 + 5j) == math.inf
+    with pytest.raises(ResolutionError, match="ratio is nan at"):
+        env.triple(f, 1.5 + 1j, -1.5 + 1j, -1.4 + 1j)

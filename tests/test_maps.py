@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +18,7 @@ from qhkit import (
     pushforward_points,
     qh_distance_exact,
 )
+from qhkit.scenarios import frame_region_omega
 from qhkit.spaces import HalfPlaneRegion, PuncturedPlaneRegion
 
 
@@ -180,3 +182,72 @@ def test_inversion_qh_isometry_via_oracle():
         k_img = qh_distance_exact("punctured", eval_map(f, x), eval_map(f, y))
         worst = max(worst, abs(k - k_img))
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the array form: eval_many against eval, bit for bit
+# ---------------------------------------------------------------------------
+
+_HP, _PP = HalfPlaneRegion(), PuncturedPlaneRegion()
+_ARRAY_MAPS = {
+    "identity": lambda: IdentityMap(_HP),
+    "identity-omega": lambda: IdentityMap(frame_region_omega()),
+    "affine": lambda: AffineMap(((1.0, 0.25), (0.0, 1.25)), 0j, _HP, _HP),
+    "affine-offset": lambda: AffineMap(((2.0, -0.5), (0.0, 1.0)), 0.3 + 0.5j, _HP, _HP),
+    "affine-reflect": lambda: AffineMap(((1.0, 0.0), (0.0, -1.0)), 0j, _HP, _HP),
+    "affine-punctured": lambda: AffineMap(((0.0, -1.0), (3.0, 0.5)), 0j, _PP, _PP),
+    "inversion": InversionMap,
+    "shear": HalfPlaneShearMap,
+    "shear-after-affine": lambda: compose(
+        HalfPlaneShearMap(), AffineMap(((1.0, 0.25), (0.0, 1.25)), 0j, _HP, _HP)),
+    "shear-after-shift": lambda: compose(
+        HalfPlaneShearMap(), AffineMap(((1.0, 0.0), (0.0, 1.0)), -1.0 + 0j, _HP, _HP)),
+    "inversion-twice": lambda: compose(InversionMap(), InversionMap()),
+    "inversion-after-affine": lambda: compose(
+        InversionMap(), AffineMap(((0.0, -1.0), (3.0, 0.5)), 0j, _PP, _PP)),
+}
+# Signed zeros, the shear's seams at x = 0 and y = 1 and their neighbours,
+# and magnitudes whose images overflow.  No coordinate is so small that the
+# inversion's |z|^2 underflows to 0, and none so large that a first inversion
+# sends it to 0 before a second one divides by it: eval raises
+# ZeroDivisionError there (see CHANGES.md).
+_coords = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
+                     1e-100, -1e-100, 1e150, math.inf, math.nan]),
+    st.floats(-8.0, 8.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100))
+_huge = st.sampled_from([1e200, -1.7e308])
+
+
+def _bits(values) -> list[tuple[int, int]]:
+    return [tuple(np.array([w.real, w.imag]).view(np.int64)) for w in values]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ARRAY_MAPS)), st.data())
+def test_eval_many_equals_eval_bit_for_bit(kind, data):
+    coords = _coords if kind == "inversion-twice" else st.one_of(_coords, _huge)
+    points = data.draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=12))
+    f = _ARRAY_MAPS[kind]()
+    accepted, images, first = [], [], None
+    for i, z in enumerate(points):
+        try:
+            images.append(f.eval(z))
+            accepted.append(z)
+        except MembershipError as exc:
+            first = first or (i, exc)
+    assert _bits(f.eval_many(np.array(accepted, dtype=complex))) == _bits(images)
+    if first is not None:
+        with pytest.raises(MembershipError) as many:
+            f.eval_many(np.array(points))
+        assert str(many.value) == f"point at index {first[0]}: {first[1]}"
+
+
+def test_eval_rejects_an_image_outside_the_image_region():
+    f = _ARRAY_MAPS["affine-reflect"]()
+    with pytest.raises(MembershipError, match="outside the image region of affine"):
+        eval_map(f, 0.5 + 0.5j)
+    with pytest.raises(MembershipError, match="index 0: .* outside the image region"):
+        f.eval_many(np.array([0.5 + 0.5j]))
+    # The inversion sends a huge point to 0, the puncture itself.
+    with pytest.raises(MembershipError, match="index 1: .* outside the image region"):
+        pushforward_points(InversionMap(), [1 + 0j, 1e200 + 0j])
