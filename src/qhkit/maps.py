@@ -7,6 +7,9 @@ boundary distance stays exact for the estimators.
 """
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -141,8 +144,14 @@ class AffineMap(MapSpec):
                 "offset": [self.offset.real, self.offset.imag]}
 
 
+_MIN_NORMAL = sys.float_info.min
+
+
 class InversionMap(MapSpec):
-    """f(z) = z / |z|^2 on the punctured plane; an involution."""
+    """f(z) = z / |z|^2 on the punctured plane; an involution.  Where |z|^2
+    underflows or overflows the image is taken in a rescaled form, so every
+    finite nonzero z gets z / |z|^2 to within 2 ulps; elsewhere the plain
+    formula stands."""
 
     kind = "inversion"
 
@@ -152,12 +161,31 @@ class InversionMap(MapSpec):
         self.image_region = region
 
     def _forward(self, z: complex) -> complex:
-        r2 = z.real * z.real + z.imag * z.imag
-        return complex(z.real / r2, z.imag / r2)
+        x, y = z.real, z.imag
+        r2 = x * x + y * y
+        if (r2 < _MIN_NORMAL or r2 == math.inf) and z != 0 and cmath.isfinite(z):
+            # |z|^2 leaves the normal floats: invert z / 2^e, whose larger
+            # coordinate lies in [1/2, 1), then divide by 2^e in two exact halves.
+            e = math.frexp(max(abs(x), abs(y)))[1]
+            x, y = math.ldexp(x, -e), math.ldexp(y, -e)
+            r2 = x * x + y * y
+            h1, h2 = math.ldexp(1.0, -e // 2), math.ldexp(1.0, -e - -e // 2)
+            return complex(x / r2 * h1 * h2, y / r2 * h1 * h2)
+        return complex(x / r2, y / r2)
 
     def _forward_many(self, x, y):
         r2 = x * x + y * y
-        return x / r2, y / r2
+        u, v = x / r2, y / r2
+        out = (((r2 < _MIN_NORMAL) | (r2 == np.inf)) & ((x != 0) | (y != 0))
+               & np.isfinite(x) & np.isfinite(y))
+        if out.any():  # as in _forward
+            x, y = x[out], y[out]
+            e = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
+            x, y = np.ldexp(x, -e), np.ldexp(y, -e)
+            r2 = x * x + y * y
+            h1, h2 = np.ldexp(1.0, -e // 2), np.ldexp(1.0, -e - -e // 2)
+            u[out], v[out] = x / r2 * h1 * h2, y / r2 * h1 * h2
+        return u, v
 
     def _backward(self, w: complex) -> complex:
         return self._forward(w)

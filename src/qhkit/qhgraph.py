@@ -17,8 +17,7 @@ import math
 import random
 import sys
 import threading
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional, Sequence, Union
 
@@ -40,6 +39,7 @@ from .spaces import (
     Region,
     _coord_key,
     _cut_pieces,
+    _moduli,
     as_point,
     component_ball,
     disk_point,
@@ -102,7 +102,7 @@ class QhMesh:
         # the piece registry and the coordinate index of the nodes.
         self._root = (0.0, 0.0, 0.0)
         self._keys = np.zeros(0, dtype=np.int64)
-        self._piece_registry: list[tuple[list[float], list[int]]] = []
+        self._piece_registry: list[tuple[np.ndarray, np.ndarray]] = []
         self._node_of: dict[tuple[float, float], int] = {}
 
     def _reserve_room(self) -> None:
@@ -130,21 +130,32 @@ class QhMesh:
         return self.graph.nnz // 2
 
     def delta_at(self, z: complex) -> float:
-        return _region_delta(self.region, self.metric, z)
+        """delta'_G(z) on length-metric meshes, delta_G(z) otherwise."""
+        z = self.region.require_member(as_point(z))
+        return float(_region_deltas(self.region, self.metric, np.array([z]))[0])
 
     def neighbors(self, u: int) -> np.ndarray:
         g = self.graph
         return g.indices[g.indptr[u]:g.indptr[u + 1]]
 
-    def _host_cell(self, z: complex) -> Optional[int]:
-        """The plane-mesh node whose quadtree cell holds z, or None."""
+    def _host_cells(self, Z: np.ndarray) -> np.ndarray:
+        """The plane-mesh node whose quadtree cell holds each point of the
+        1-D array Z, or -1: one _find over (points x depths), the first
+        depth with a leaf winning."""
         x0, y0, s0 = self._root
         d = np.arange((self._keys[-1] >> (2 * _KEY_BITS)) + 1)
         # Clipping keeps far points out of float and int64 overflow; _find
         # rejects them.
-        off = np.clip(np.array([[z.real - x0], [z.imag - y0]]), -s0, 2.0 * s0)
+        off = np.clip(np.stack([Z.real - x0, Z.imag - y0])[..., None], -s0, 2.0 * s0)
         i, j = np.clip(np.floor(off / (s0 / (1 << d))), -1, 1 << _KEY_BITS).astype(np.int64)
-        return next((int(h) for h in _find(self._keys, d, i, j) if h >= 0), None)
+        hosts = _find(self._keys, d, i, j)
+        first = np.argmax(hosts >= 0, axis=1)
+        return np.where(hosts.max(axis=1, initial=-1) >= 0, hosts[np.arange(len(Z)), first], -1)
+
+    def _host_cell(self, z: complex) -> Optional[int]:
+        """The plane-mesh node whose quadtree cell holds z, or None."""
+        host = int(self._host_cells(np.array([as_point(z)]))[0])
+        return host if host >= 0 else None
 
     def exact_node(self, z: complex) -> Optional[int]:
         if self._piece_registry:
@@ -169,11 +180,12 @@ def _segment_weights(A, dA, B, dB):
     return np.abs(A - B) * (1.0 / dA + 1.0 / dB) / 2.0
 
 
-def _region_delta(region: Region, metric: str, z: complex) -> float:
-    """delta'_G(z) for length-metric meshes, delta_G(z) otherwise."""
+def _region_deltas(region: Region, metric: str, Z: np.ndarray) -> np.ndarray:
+    """delta'_G for length-metric meshes, delta_G otherwise, over a 1-D
+    array of points of G."""
     if metric == "length":
-        return region.length_boundary_distance(z)
-    return region.boundary_distance(z)
+        return region.length_boundary_distances_many(Z)
+    return region.boundary_gaps_many(Z)
 
 
 # Plane cells are keyed by one int64, (d, j, i) from the high bits down, so
@@ -395,8 +407,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
     node = np.cumsum(member) - 1
-    delta = (region.boundary_gaps_many(coords) if metric == "euclidean" else
-             np.array([region.length_boundary_distance(p) for p in coords.tolist()]))
+    delta = _region_deltas(region, metric, coords)
     # A node's spacing is the longest interval next to any of its cuts.
     k = np.concatenate(idx)
     gap = np.concatenate([np.maximum(np.diff(S, prepend=S[0]), np.diff(S, append=S[-1]))
@@ -409,9 +420,8 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     mesh, keep, _, _ = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
     final = np.full(len(P), -1)
     final[member] = np.where(keep, np.cumsum(keep) - 1, -1)
+    mesh._piece_registry = [(S, final[k]) for S, k in zip(cuts, idx)]
     final = final.tolist()
-    mesh._piece_registry = [(S.tolist(), [final[i] for i in k.tolist()])
-                            for S, k in zip(cuts, idx)]
     mesh._node_of = {key: final[i] for key, i in ids.items() if final[i] >= 0}
     mesh.stats["capped_cells"] = sum(capped)
     mesh.stats["stage_s"] = {"cuts": t1 - t0, "assemble": perf_counter() - t1}
@@ -448,61 +458,128 @@ def _piece_cuts(region: CurveRegion, i: int, grading: float,
 
 @dataclass
 class _Attachment:
-    """How a query point hooks into the mesh: an exact node or anchor edges."""
-    point: complex                           # the node's coordinate for an exact node
-    node: Optional[int]                      # exact mesh node id, if any
-    anchors: list[tuple[int, float]] = field(default_factory=list)  # (node, weight)
-    spacing: float = 0.0
-    delta: float = 0.0
+    """How the distinct endpoints of one query call hook into the mesh, in
+    flat arrays indexed by endpoint e (see _attach).
+
+    node[e] is e's exact mesh node, or -1.  point[e] is that node's
+    coordinate, or else the query point itself; spacing[e] and delta[e] are
+    the mesh size and the delta (delta' on length-metric meshes) there.  The
+    anchors of e are nodes[starts[e]:starts[e + 1]], with the weights of
+    their edges from e: an exact node is its own anchor at weight 0, any
+    other point has an anchor edge to each mesh node it joins.
+    """
+    point: np.ndarray
+    node: np.ndarray
+    spacing: np.ndarray
+    delta: np.ndarray
+    starts: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def anchors(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """The anchor nodes and weights of endpoint e."""
+        lo, hi = self.starts[e], self.starts[e + 1]
+        return self.nodes[lo:hi], self.weights[lo:hi]
 
 
-def _attach(mesh: QhMesh, z: complex) -> _Attachment:
-    z = mesh.region.require_member(as_point(z), "query point")
-    if mesh._piece_registry:
-        nid = mesh.exact_node(z)
-        return _node_attachment(mesh, nid) if nid is not None else _attach_complex(mesh, z)
-    return _attach_plane(mesh, z)
+# Why _attach rejects an endpoint, by code; 1 is require_member's MembershipError.
+_NOT_MEMBER, _NOT_COVERED, _NOT_JOINED, _ISOLATED = 1, 2, 3, 4
+_ATTACH_ERRORS = {_NOT_COVERED: "is not covered by the mesh",
+                  _NOT_JOINED: "cannot be joined to the mesh",
+                  _ISOLATED: "is isolated by the boundary"}
 
 
-def _node_attachment(mesh: QhMesh, nid: int) -> _Attachment:
-    return _Attachment(complex(mesh.coords[nid]), nid, [], float(mesh.spacing[nid]),
-                       float(mesh.delta[nid]))
+def _attach(m: QhMesh, Z: np.ndarray) -> _Attachment:
+    """Attach the distinct query points Z (a 1-D complex array) in one array
+    pass.
+
+    Membership is one contains_many call.  A plane point takes its host cell
+    from _host_cells, and is an exact node when its coordinate key is the
+    host's; otherwise its candidates are the host and its mesh neighbours in
+    CSR order, kept where segments_inside_many joins them.  A curve-complex
+    point is an exact node by its coordinate key or when a cut of its piece
+    lies within 1e-12 of it; otherwise its candidates are the member cuts
+    just below and above it.  delta (or delta') at the other points is one
+    _region_deltas call, and their anchor weights one _segment_weights call.
+    The first point that fails raises, with the error that attaching the
+    points one at a time in order would raise.
+    """
+    region = m.region
+    fail = np.where(region.contains_many(Z), 0, _NOT_MEMBER)
+    find = _complex_candidates if m._piece_registry else _plane_candidates
+    node, spacing, owner, cand = find(m, Z, fail)
+    if fail.any():
+        k = int(np.argmax(fail != 0))
+        z = complex(Z[k])
+        if fail[k] == _NOT_MEMBER:
+            raise region.not_member(z, "query point")
+        raise ConnectivityError(f"query point {z} {_ATTACH_ERRORS[int(fail[k])]}")
+    exact = node >= 0
+    delta = np.empty(len(Z))
+    delta[exact] = m.delta[node[exact]]
+    delta[~exact] = _region_deltas(region, m.metric, Z[~exact])
+    spacing[exact] = m.spacing[node[exact]]
+    weights = _segment_weights(Z[owner], delta[owner], m.coords[cand], m.delta[cand])
+    # An exact node is its own anchor at weight 0; anchors stay in candidate order.
+    owner = np.concatenate([owner, np.flatnonzero(exact)])
+    order = np.argsort(owner, kind="stable")
+    point = np.where(exact, m.coords[np.maximum(node, 0)], Z)
+    return _Attachment(point, node, spacing, delta,
+                       np.searchsorted(owner[order], np.arange(len(Z) + 1)),
+                       np.concatenate([cand, node[exact]])[order],
+                       np.concatenate([weights, np.zeros(np.count_nonzero(exact))])[order])
 
 
-def _attach_plane(mesh: QhMesh, z: complex) -> _Attachment:
-    host = mesh._host_cell(z)
-    if host is None:
-        raise ConnectivityError(f"query point {z} is not covered by the mesh")
-    if _coord_key(mesh.coords[host]) == _coord_key(z):
-        return _node_attachment(mesh, host)
-    dz = mesh.delta_at(z)
-    cand = np.concatenate([[host], mesh.neighbors(host)])
-    cand = cand[mesh.region.segments_inside_many(np.full(len(cand), z), mesh.coords[cand])]
-    if not len(cand):
-        raise ConnectivityError(f"query point {z} cannot be joined to the mesh")
-    w = _segment_weights(z, dz, mesh.coords[cand], mesh.delta[cand])
-    return _Attachment(z, None, list(zip(cand.tolist(), w.tolist())),
-                       float(mesh.spacing[host]), dz)
+def _plane_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_attach on a plane mesh: each point's exact node (or -1) and spacing,
+    and the (owner, candidate) pairs of the others that segments_inside_many
+    keeps; fail gets _NOT_COVERED and _NOT_JOINED."""
+    host = np.full(len(Z), -1)
+    member = fail == 0
+    host[member] = m._host_cells(Z[member])
+    fail[member & (host < 0)] = _NOT_COVERED
+    covered = np.flatnonzero(fail == 0)
+    exact = np.zeros(len(Z), dtype=bool)
+    exact[covered] = [_coord_key(c) == _coord_key(z) for c, z in
+                      zip(m.coords[host[covered]].tolist(), Z[covered].tolist())]
+    off = (fail == 0) & ~exact
+    # Candidates: each host, then its neighbours in CSR order.
+    g, h = m.graph, host[off]
+    size = g.indptr[h + 1] - g.indptr[h] + 1
+    owner = np.repeat(np.flatnonzero(off), size)
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
+    cand = g.indices[np.maximum(np.repeat(g.indptr[h] - 1, size) + k, 0)].astype(np.intp)
+    cand[k == 0] = h
+    keep = m.region.segments_inside_many(Z[owner], m.coords[cand])
+    fail[off & (np.bincount(owner[keep], minlength=len(Z)) == 0)] = _NOT_JOINED
+    spacing = np.where(off, m.spacing[np.maximum(host, 0)], 0.0)
+    return np.where(exact, host, -1), spacing, owner[keep], cand[keep]
 
 
-def _attach_complex(mesh: QhMesh, z: complex) -> _Attachment:
-    region: CurveRegion = mesh.region  # type: ignore[assignment]
-    loc = region.locate(z)
-    if loc is None:
-        raise MembershipError(f"query point {z} is not on the complex")
-    pi, s = loc
-    cuts, ids = mesh._piece_registry[pi]
-    pos = bisect_left(cuts, s)
-    for k in (pos - 1, pos, pos + 1):
-        if 0 <= k < len(cuts) and abs(cuts[k] - s) <= 1e-12 and ids[k] >= 0:
-            return _node_attachment(mesh, ids[k])
-    ks = [k for k in (pos - 1, pos) if 0 <= k < len(cuts) and ids[k] >= 0]
-    if not ks:
-        raise ConnectivityError(f"query point {z} is isolated by the boundary")
-    dz = mesh.delta_at(z)
-    anchors = [(ids[k], float(_segment_weights(z, dz, mesh.coords[ids[k]], mesh.delta[ids[k]])))
-               for k in ks]
-    return _Attachment(z, None, anchors, max(abs(cuts[k] - s) for k in ks), dz)
+def _complex_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.ndarray, ...]:
+    """_attach on a curve-complex mesh: each point's exact node (or -1) and
+    spacing (the farther of its anchor cuts), and the (owner, candidate)
+    pairs of the others; fail gets _ISOLATED."""
+    node = np.full(len(Z), -1)
+    member = np.flatnonzero(fail == 0)
+    node[member] = [m._node_of.get(_coord_key(z), -1) for z in Z[member].tolist()]
+    piece, s = m.region.locate_many(Z)
+    spacing = np.zeros(len(Z))
+    near = np.full((len(Z), 2), -1)  # the member cuts just below and above
+    for pi, (cuts, ids) in enumerate(m._piece_registry):
+        on = np.flatnonzero((fail == 0) & (node < 0) & (piece == pi))
+        t = s[on, None]
+        k = np.searchsorted(cuts, t) + np.arange(-1, 2)  # the cuts pos - 1, pos, pos + 1
+        kk = np.clip(k, 0, len(cuts) - 1)
+        cut = np.where((k == kk) & (ids[kk] >= 0), ids[kk], -1)
+        hit = (cut >= 0) & (np.abs(cuts[kk] - t) <= 1e-12)  # the first hit is an exact node
+        node[on] = np.where(hit.any(axis=1), cut[np.arange(len(on)), hit.argmax(axis=1)], -1)
+        near[on] = np.where(node[on, None] < 0, cut[:, :2], -1)
+        spacing[on] = np.where(near[on] >= 0, np.abs(cuts[kk[:, :2]] - t), -np.inf).max(axis=1)
+    off = (fail == 0) & (node < 0)
+    fail[off & (near < 0).all(axis=1)] = _ISOLATED
+    owner, c = np.nonzero(off[:, None] & (near >= 0))
+    return node, spacing, owner, near[owner, c]
 
 
 def _canonical(x: complex, y: complex) -> bool:
@@ -536,6 +613,12 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     another pair's paths; a target is resolved as the minimum of
     dist[a] + w(a, target) over its anchors.
 
+    The endpoints are put in canonical pair order (a, then b) and made
+    distinct by coordinate key, the first point of each key standing for
+    all; _attach then hooks them all into the mesh in one array pass, and
+    the first endpoint that fails raises.  The straight segments of the near
+    pairs are tested in one segments_inside_many call before the searches.
+
     Each source stops at a limit.  A source with a finite landmark bound
     from the rows already searched (ALT search, see _Limits) takes it.  On
     a plane mesh, any other source, the first one included, guesses its
@@ -561,60 +644,64 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     searches by their limit, reruns included), dijkstra_guessed (searches
     whose limit is a segment guess), dijkstra_retried (searches run again
     after a guess missed) and reached (finite distances summed over the
-    searches), and the seconds attach_s (the endpoints), bound_s (limits,
-    guesses and slacks), dijkstra_s (the searches and their row writes) and
-    unwind_s.
+    searches), and the seconds attach_s (the one attach pass over the
+    distinct endpoints), bound_s (limits, guesses and slacks), dijkstra_s
+    (the searches and their row writes) and unwind_s (the near-pair
+    segments and the paths).
     """
     t0 = perf_counter()
-    atts: dict[tuple[float, float], _Attachment] = {}
-
-    def attach(p: complex) -> _Attachment:
-        k = _coord_key(p)
-        if k not in atts:
-            atts[k] = _attach(m, p)
-        return atts[k]
-
-    todo = []
+    index: dict[tuple[float, float], int] = {}  # coordinate key -> endpoint
+    points, todo = [], []
     for a, b in pairs:
         a, b = as_point(a), as_point(b)
         swap = not _canonical(a, b)
         if swap:
             a, b = b, a
-        todo.append((a, b, attach(a), attach(b), swap))
+        ends = []
+        for p in (a, b):
+            ends.append(index.setdefault(_coord_key(p), len(index)))
+            if ends[-1] == len(points):
+                points.append(p)
+        todo.append((a, b, *ends, swap))
+    att = _attach(m, np.array(points, dtype=complex))
+    t1 = perf_counter()
+    direct = _direct_weights(m, att, todo)
+    t2 = perf_counter()
 
     n = m.node_count
+    node = att.node.tolist()
 
-    def vertex(att: _Attachment) -> int:  # a source's graph vertex
-        return n if att.node is None else att.node
+    def vertex(e: int) -> int:  # a source's graph vertex
+        return n if node[e] < 0 else node[e]
 
-    rows: dict = {}  # source, a mesh node or an off-mesh point -> its pairs
+    rows: dict = {}  # source, a mesh node or -1 - e for an off-mesh endpoint e -> its pairs
     results: list[Optional[PathResult]] = [None] * len(todo)
-    for i, (a, b, att_a, att_b, swap) in enumerate(todo):
-        if att_a is att_b:
-            spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
-            results[i] = PathResult(0.0, (b if swap else a,), 0.0, spacing)
+    for i, (a, b, ea, eb, swap) in enumerate(todo):
+        if ea == eb:
+            results[i] = PathResult(0.0, (b if swap else a,), 0.0, _spacing(att, todo[i]))
         else:
-            rows.setdefault(_coord_key(a) if att_a.node is None else att_a.node, []).append(i)
+            rows.setdefault(node[ea] if node[ea] >= 0 else -1 - ea, []).append(i)
     # Mesh-node sources by id, then off-mesh ones by first appearance.
     jobs = sorted(rows.values(), key=lambda js: vertex(todo[js[0]][2]))
     sources = [todo[js[0]][2] for js in jobs]
     with m._lock:  # the source row lives in the mesh's reserved room
-        t1 = perf_counter()
-        limits = _Limits(m.graph, sources,
+        t3 = perf_counter()
+        limits = _Limits(m.graph, att, sources,
                          [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
         counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
                                 "dijkstra_retried", "reached"), 0)
-        times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t1, dijkstra_s=0.0, unwind_s=0.0)
+        times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t3, dijkstra_s=0.0,
+                     unwind_s=t2 - t1)
 
         def search(r: int, limit: float) -> np.ndarray:
             t1 = perf_counter()
             src = vertex(sources[r])
-            dist, pred = dijkstra(_with_source_row(m, sources[r]), directed=True, indices=[src],
-                                  return_predecessors=True, limit=limit)
+            dist, pred = dijkstra(_with_source_row(m, att, sources[r]), directed=True,
+                                  indices=[src], return_predecessors=True, limit=limit)
             dist, pred = dist[0], pred[0]
             t2 = perf_counter()
             for i in jobs[r]:
-                results[i] = _unwind(m, todo[i], src, dist, pred)
+                results[i] = _unwind(m, att, todo[i], direct[i], src, dist, pred)
             times["dijkstra_s"] += t2 - t1
             times["unwind_s"] += perf_counter() - t2
             counts["dijkstra_limited" if limit < np.inf else "dijkstra_full"] += 1
@@ -641,9 +728,9 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
                 limits.add_row(r, dist)
             times["bound_s"] += perf_counter() - t0
     if stats is not None:
-        stats.update(sources=len(sources),
-                     appended_rows=sum(att.node is None for att in sources),
-                     anchors=sum(len(att.anchors) for att in atts.values()), **counts, **times)
+        off = att.node < 0
+        stats.update(sources=len(sources), appended_rows=sum(node[e] < 0 for e in sources),
+                     anchors=int(np.diff(att.starts)[off].sum()), **counts, **times)
     for (a, b, *_), result in zip(todo, results):
         if result is None:
             raise ConnectivityError(f"endpoints {a} and {b} lie in different mesh components")
@@ -651,15 +738,17 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
 
 
 class _Ends:
-    """The anchors and weights of a list of endpoints, concatenated; an exact
-    node is its own anchor with weight 0."""
+    """The anchors and weights of a list of endpoints of an attachment, its
+    flat arrays sliced and concatenated; an exact node is its own anchor with
+    weight 0."""
 
-    def __init__(self, atts: list[_Attachment]):
-        ends = [[(a.node, 0.0)] if a.node is not None else a.anchors for a in atts]
-        self.sizes = [len(e) for e in ends]
-        self.starts = np.cumsum([0] + self.sizes[:-1])
-        self.nodes = np.array([v for e in ends for v, _ in e], dtype=np.intp)
-        self.weights = np.array([w for e in ends for _, w in e])
+    def __init__(self, att: _Attachment, ends: list[int]):
+        ends = np.asarray(ends, dtype=np.intp)
+        lo = att.starts[ends]
+        self.sizes = att.starts[ends + 1] - lo
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        flat = np.repeat(lo - self.starts, self.sizes) + np.arange(self.sizes.sum())
+        self.nodes, self.weights = att.nodes[flat], att.weights[flat]
 
     def reach(self, dist: np.ndarray) -> np.ndarray:
         """min over each endpoint's anchors a of dist[a] + w_a."""
@@ -682,16 +771,16 @@ class _Limits:
     source and gets no slack.
     """
 
-    def __init__(self, graph: sp.csr_matrix, sources: list[_Attachment],
-                 targets: list[list[_Attachment]]):
+    def __init__(self, graph: sp.csr_matrix, att: _Attachment, sources: list[int],
+                 targets: list[list[int]]):
         # Each pair's source ends, then its target ends.
-        self._ends = _Ends([e for s, ts in zip(sources, targets) for t in ts for e in (s, t)])
+        self._ends = _Ends(att, [e for s, ts in zip(sources, targets) for t in ts for e in (s, t)])
         self._first = np.cumsum([0] + [len(ts) for ts in targets])
         self._bound = np.full(self._first[-1], np.inf)
         self._slack2 = np.zeros(len(sources))  # 2 slack_r
-        off = [r for r, s in enumerate(sources[:-1]) if s.node is None]
+        off = [r for r, s in enumerate(sources[:-1]) if att.node[s] < 0]
         if off:
-            self._slack2[off] = 2.0 * _slacks(graph, [sources[r] for r in off])
+            self._slack2[off] = 2.0 * _slacks(graph, att, [sources[r] for r in off])
 
     def add_row(self, r: int, dist: np.ndarray) -> None:
         reach = self._ends.reach(dist)
@@ -719,71 +808,98 @@ def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
     return _GUESS_FACTOR * float(w.sum(axis=1).max())
 
 
-def _slacks(graph: sp.csr_matrix, sources: list[_Attachment]) -> np.ndarray:
-    """For each off-mesh source, an s with d(k0, x) <= D[x] + s at every mesh
-    node x, where D is the source's distance row and k0 its cheapest anchor.
+def _slacks(graph: sp.csr_matrix, att: _Attachment, sources: list[int]) -> np.ndarray:
+    """For each off-mesh source endpoint, an s with d(k0, x) <= D[x] + s at
+    every mesh node x, where D is the source's distance row and k0 its
+    cheapest anchor (the first of equal weights).
 
     With anchors k and weights w_k, D[x] = min_k (w_k + d(k, x)), and
     d(k0, x) <= graph[k0, k] + d(k, x) gives s = max_k (graph[k0, k] - w_k),
     taking graph[k0, k0] = 0.  s is inf when some anchor is not a mesh
     neighbour of k0.
     """
-    ends = _Ends(sources)
-    k0 = np.repeat([min(s.anchors, key=lambda c: c[1])[0] for s in sources], ends.sizes)
+    ends = _Ends(att, sources)
+    owner = np.repeat(np.arange(len(sources)), ends.sizes)
+    cheapest = np.lexsort((ends.weights, owner))[ends.starts]  # stable: first of equals
+    k0 = np.repeat(ends.nodes[cheapest], ends.sizes)
     edge = np.asarray(graph[k0, ends.nodes]).ravel()  # 0 off the row of k0
     edge[(edge == 0.0) & (ends.nodes != k0)] = np.inf
     return np.maximum.reduceat(edge - ends.weights, ends.starts)
 
 
-def _unwind(m: QhMesh, job: tuple, src: int, dist: np.ndarray,
-            pred: np.ndarray) -> Optional[PathResult]:
+def _spacing(att: _Attachment, job: tuple) -> tuple[float, float]:
+    """The endpoint spacings of a pair, in the caller's order."""
+    _, _, ea, eb, swap = job
+    return tuple(att.spacing[[eb, ea] if swap else [ea, eb]].tolist())
+
+
+def _direct_weights(m: QhMesh, att: _Attachment, todo: list[tuple]) -> np.ndarray:
+    """For each pair, the weight of the straight segment between its
+    endpoints, or inf.  A pair gets one when its endpoints are distinct,
+    within 3 spacings, not two mesh nodes joined by an edge, and the segment
+    stays in G: one segments_inside_many call over the pairs left."""
+    ea, eb = (np.array([job[k] for job in todo], dtype=np.intp) for k in (2, 3))
+    pa, pb = att.point[ea], att.point[eb]
+    near = (ea != eb) & (_moduli(pa, pb) <= 3.0 * np.maximum(att.spacing[ea], att.spacing[eb]))
+    for i in np.flatnonzero(near & (att.node[ea] >= 0) & (att.node[eb] >= 0)).tolist():
+        near[i] = att.node[eb[i]] not in m.neighbors(att.node[ea[i]])  # joined by an edge
+    direct = np.full(len(todo), np.inf)
+    if near.any():
+        near[near] = m.region.segments_inside_many(pa[near], pb[near])
+        direct[near] = _segment_weights(pa[near], att.delta[ea[near]],
+                                        pb[near], att.delta[eb[near]])
+    return direct
+
+
+def _unwind(m: QhMesh, att: _Attachment, job: tuple, direct: float, src: int,
+            dist: np.ndarray, pred: np.ndarray) -> Optional[PathResult]:
     """The answer of one pair from its source's distance and predecessor rows,
-    or None when the target is not reached."""
-    a, b, att_a, att_b, swap = job
-    spacing = (att_b.spacing, att_a.spacing) if swap else (att_a.spacing, att_b.spacing)
+    and the weight of its direct segment (inf when it has none), or None
+    when the target is not reached."""
+    _, _, ea, eb, swap = job
     # Candidates (distance, last graph vertex, final point off the graph).
-    if att_b.node is not None:
-        best = (dist[att_b.node], att_b.node, None)
+    node = int(att.node[eb])
+    if node >= 0:
+        best = (dist[node], node, None)
     else:
-        best = min(((dist[v] + w, v, att_b.point) for v, w in att_b.anchors),
-                   key=lambda c: c[0])
-    pa, pb = att_a.point, att_b.point
-    joined = att_a.node is not None and att_b.node is not None and \
-        att_b.node in m.neighbors(att_a.node)
-    if not joined and abs(pa - pb) <= 3.0 * max(att_a.spacing, att_b.spacing) \
-            and m.region.segment_inside(pa, pb):
-        direct = _segment_weights(pa, att_a.delta, pb, att_b.delta)
-        if direct < best[0]:
-            best = (direct, src, pb)
+        nodes, weights = att.anchors(eb)
+        reach = dist[nodes] + weights
+        k = int(np.argmin(reach))  # the first of the least
+        best = (reach[k], int(nodes[k]), complex(att.point[eb]))
+    if direct < best[0]:
+        best = (direct, src, complex(att.point[eb]))
     d, v, tail = best
     if not math.isfinite(d):
         return None
-    chain = [v]
-    while chain[-1] != src:
-        p = int(pred[chain[-1]])
-        if p < 0:
+    chain, step = [v], pred.item
+    while v != src:
+        v = step(v)
+        if v < 0:
             raise ConnectivityError("predecessor chain broken")
-        chain.append(p)
-    path = tuple(m.coords[u] if u < len(m.coords) else pa for u in reversed(chain))
-    if tail is not None:
-        path += (tail,)
-    elen = 0.0
-    for p, q in zip(path, path[1:]):
-        elen += abs(p - q)
+        chain.append(v)
+    chain.reverse()
+    head = []
+    if chain[0] == m.node_count:  # the query vertex stands for an off-mesh source
+        head, chain = [att.point[ea]], chain[1:]
+    P = np.concatenate([head, m.coords[chain], [] if tail is None else [tail]])
+    # The step lengths as abs() gives them, summed one after another.
+    elen = float(np.add.accumulate(_moduli(P[:-1], P[1:]))[-1]) if len(P) > 1 else 0.0
+    path = P.tolist()
     if swap:
-        path = tuple(reversed(path))
-    return PathResult(float(d), path, elen, spacing)
+        path.reverse()
+    return PathResult(float(d), tuple(path), elen, _spacing(att, job))
 
 
-def _with_source_row(m: QhMesh, source: _Attachment) -> sp.csr_matrix:
+def _with_source_row(m: QhMesh, att: _Attachment, e: int) -> sp.csr_matrix:
     """The mesh graph plus the query vertex n = m.node_count, whose row holds
-    the source's anchor out-edges (none for a mesh node), written into the
-    room after the graph's entries in m's CSR buffers: nothing is copied.
-    Good until the next call; callers hold m._lock."""
+    the anchor out-edges of the source endpoint e (none for a mesh node),
+    written into the room after the graph's entries in m's CSR buffers:
+    nothing is copied.  Good until the next call; callers hold m._lock."""
     nnz = m.graph.nnz
-    end = nnz + len(source.anchors)
-    m._data[nnz:end] = [w for _, w in source.anchors]
-    m._indices[nnz:end] = [v for v, _ in source.anchors]
+    nodes, weights = att.anchors(e) if att.node[e] < 0 else ((), ())
+    end = nnz + len(nodes)
+    m._data[nnz:end] = weights
+    m._indices[nnz:end] = nodes
     m._indptr[-1] = end
     return m._query_graph
 
@@ -793,14 +909,18 @@ def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
 
     Matches PathResult.distance exactly: mesh edges, anchor edges and the
     near-pair segment all carry the weight _segment_weights gives, so each
-    is recomputed from the path's points, and the sum runs in the canonical
-    order the search accumulated it.
+    is recomputed from the path's points, with their deltas from one
+    _region_deltas call, and the sum runs in the canonical order the search
+    accumulated it.  A path point outside G raises MembershipError.
     """
     path = result.node_path
     if len(path) > 1 and not _canonical(path[0], path[-1]):
         path = path[::-1]
     P = np.array(path, dtype=np.complex128)
-    d = np.array([mesh.delta_at(p) for p in path])
+    inside = mesh.region.contains_many(P)
+    if not inside.all():
+        raise mesh.region.not_member(path[int(np.argmin(inside))])
+    d = _region_deltas(mesh.region, mesh.metric, P)
     return sum(_segment_weights(P[:-1], d[:-1], P[1:], d[1:]).tolist(), 0.0)
 
 
@@ -1054,7 +1174,8 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
                   c: Optional[float] = None, eps: float = 0.05) -> LemmaSuiteReport:
     """Check the length-metric sandwiches on seeded pairs.
 
-    (1) |x-y| <= d(x,y) <= c|x-y| in the ambient space;
+    (1) |x-y| <= d(x,y) <= c|x-y| in the ambient space, d from one
+        length_distances_many call;
     (2) (1/c) k_G <= k'_G <= c k_G, with k_G and k'_G from the two meshes
         (or both from analytic oracles when the meshes are omitted).
     """
@@ -1067,9 +1188,10 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     pairs = sample_pairs(region.sample_point, rng, count)
 
     slack = 1.0 + 1e-9
-    for idx, (x, y) in enumerate(pairs):
+    X, Y = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    ds = region.space.length_distances_many(X, Y).tolist()
+    for idx, ((x, y), d) in enumerate(zip(pairs, ds)):
         sep = abs(x - y)
-        d = region.space.length_distance(x, y)
         ok = (sep <= d * slack) and (d <= c * sep * slack)
         report.check("3.6(1)", idx, idx, x, y, d, sep, sep, c * sep, ok, d=d, sep=sep)
 

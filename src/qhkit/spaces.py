@@ -147,6 +147,19 @@ def locate(segments: Sequence[Segment], z, tol: float = COORD_TOL) -> Optional[t
     return best[0], best[1]
 
 
+def locate_many(A: np.ndarray, B: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """locate over the segments [A[k], B[k]] for every point of Z, bit for
+    bit: arrays of Z's shape with the index of the first segment at the least
+    distance within COORD_TOL (-1 when z is off every segment) and the
+    arclength on it (_projections, as project_segment gives it)."""
+    shape = (-1,) + (1,) * Z.ndim
+    S, D = _projections(Z, A.reshape(shape), B.reshape(shape))
+    D = np.where(D <= COORD_TOL, D, np.inf)  # off-segment and nan distances never win
+    i = np.expand_dims(np.argmin(D, axis=0), 0)  # the first of the least
+    found = np.isfinite(np.take_along_axis(D, i, 0)[0])
+    return np.where(found, i[0], -1), np.take_along_axis(S, i, 0)[0]
+
+
 def point_along(segments: Sequence[Segment], lengths: Sequence[float], u: float) -> complex:
     """Point at arclength u along the segments laid end to end."""
     for seg, L in zip(segments, lengths):
@@ -195,8 +208,14 @@ class SpaceModel:
         y = self.require_member(y, "y")
         return abs(x - y)
 
-    def length_distance(self, x: complex, y: complex) -> float:
+    def length_distances_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """The length metric d(x, y) over broadcast complex arrays X and Y."""
         raise NotImplementedError
+
+    def length_distance(self, x: complex, y: complex) -> float:
+        """d(x, y): a one-element call of length_distances_many."""
+        return float(self.length_distances_many(np.array([as_point(x)]),
+                                                np.array([as_point(y)]))[0])
 
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
@@ -214,8 +233,8 @@ class PlaneSpace(SpaceModel):
     def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
         return True
 
-    def length_distance(self, x: complex, y: complex) -> float:
-        return self.ambient_distance(x, y)
+    def length_distances_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return _moduli(X, Y)  # |x - y| as abs() gives it, inf past the float range
 
     def sample_point(self, rng: random.Random) -> complex:
         x0, x1, y0, y1 = self.sample_window
@@ -231,7 +250,9 @@ class CurveComplexSpace(SpaceModel):
     Points are located as (segment index, arclength parameter), so arc
     distances come out exact rather than mesh-approximated.  Segments meet
     only at shared endpoints; a table of shortest distances between the
-    endpoints, computed once, carries the length metric.
+    endpoints, computed once, carries the length metric, which
+    length_distances_many evaluates over arrays (length_distance is its
+    one-element call).
     """
 
     kind = "complex"
@@ -243,18 +264,21 @@ class CurveComplexSpace(SpaceModel):
         self.segments = segments
         self.quasiconvexity = quasiconvexity
         ids: dict[tuple[float, float], int] = {}
-        self._ends = [tuple(ids.setdefault(_coord_key(z), len(ids)) for z in (seg.a, seg.b))
-                      for seg in segments]
+        self._ends = np.array([[ids.setdefault(_coord_key(z), len(ids)) for z in (seg.a, seg.b)]
+                               for seg in segments])
+        self._a = np.array([seg.a for seg in segments])
+        self._b = np.array([seg.b for seg in segments])
+        self._lengths = _moduli(self._b, self._a)  # seg.length, bit for bit
         # Floyd-Warshall over the endpoints, each segment an edge of its length.
         D = np.full((len(ids), len(ids)), np.inf)
         np.fill_diagonal(D, 0.0)
-        for (u, v), seg in zip(self._ends, segments):
-            D[u, v] = D[v, u] = min(D[u, v], seg.length)
+        for (u, v), L in zip(self._ends.tolist(), self._lengths.tolist()):
+            D[u, v] = D[v, u] = min(D[u, v], L)
         for k in range(len(ids)):
             np.minimum(D, D[:, k, None] + D[None, k, :], out=D)
         if not np.isfinite(D).all():
             raise ConfigurationError("curve complex segments do not form a connected set")
-        self._table = D.tolist()
+        self._table = D
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
         return locate(self.segments, z, tol)
@@ -262,29 +286,30 @@ class CurveComplexSpace(SpaceModel):
     def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
         return self.locate(z, tol) is not None
 
-    def length_distance(self, x: complex, y: complex) -> float:
-        """Exact shortest-path length between two on-complex points.
+    def length_distances_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Exact shortest-path lengths between on-complex points, over
+        broadcast arrays.
 
         With x at arclength s on segment i and y at t on segment j, d(x, y) is
-        the least of |s - t| (when i == j) and arc(x, u) + D[u][v] + arc(v, y)
-        over the ends u of segment i and v of segment j, D being the endpoint
-        distance table.
+        the least of arc(x, u) + D[u][v] + arc(v, y) over the ends u of
+        segment i and v of segment j, in that order, D being the endpoint
+        distance table; then of that and |s - t| when i == j; and 0 where
+        |x - y| <= COORD_TOL.  The first point of X, then of Y, that is off
+        the complex raises MembershipError.
         """
-        x, y = as_point(x), as_point(y)
-        (i, s), (j, t) = self._locate_member(x, "x"), self._locate_member(y, "y")
-        if abs(x - y) <= COORD_TOL:
-            return 0.0
-        (a0, a1), (b0, b1) = self._ends[i], self._ends[j]
-        arcs_x = ((a0, s), (a1, self.segments[i].length - s))
-        arcs_y = ((b0, t), (b1, self.segments[j].length - t))
-        best = min(ax + self._table[u][v] + ay for u, ax in arcs_x for v, ay in arcs_y)
-        return min(best, abs(s - t)) if i == j else best
+        (i, s), (j, t) = (self._locate_members(Z, what) for Z, what in ((X, "x"), (Y, "y")))
+        best = np.min([ax + self._table[self._ends[i, u], self._ends[j, v]] + ay
+                       for u, ax in enumerate((s, self._lengths[i] - s))
+                       for v, ay in enumerate((t, self._lengths[j] - t))], axis=0)
+        best = np.where(i == j, np.minimum(best, np.abs(s - t)), best)
+        return np.where(_moduli(X, Y) <= COORD_TOL, 0.0, best)
 
-    def _locate_member(self, z: complex, what: str) -> tuple[int, float]:
-        loc = self.locate(z)
-        if loc is None:
+    def _locate_members(self, Z: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+        i, s = locate_many(self._a, self._b, Z)
+        if (i < 0).any():
+            z = complex(Z.flat[np.argmax(i < 0)])
             raise MembershipError(f"{what} {z} is not in the {self.kind} space")
-        return loc
+        return i, s
 
     def sample_point(self, rng: random.Random) -> complex:
         lengths = [seg.length for seg in self.segments]
@@ -302,14 +327,17 @@ class Region:
     contains_many (membership), boundary_gaps_many (the unsigned distance to
     the boundary set, defined on either side) and segments_inside_many
     (whether each straight segment [a, b] stays in G).  The mesh builders
-    refine, cut, filter and weigh through these, and the component balls
-    accept and join through them.  The scalar predicates derive from them:
+    refine, cut, filter and weigh through these, the component balls accept
+    and join through them, and the queries attach all their endpoints
+    through them in one pass.  The scalar predicates derive from them:
     contains, boundary_gap and segment_inside are one-element calls, and
-    boundary_distance, delta_G, is the boundary_gap of a member.  A region
-    whose scalar contains or boundary_gap runs in a measured loop (the
-    estimators on the analytic regions, the queries on curve regions)
-    writes it out by hand, returning what its array form returns bit for
-    bit.
+    boundary_distance, delta_G, is the boundary_gap of a member.
+    length_boundary_distances_many gives delta'_G of members, which is delta_G
+    in the plane, and length_boundary_distance is its one-element call on
+    curve regions.  A region whose scalar contains or boundary_gap runs in a
+    measured loop (the estimators on the analytic regions, the sampling on
+    curve regions) writes it out by hand, returning what its array form
+    returns bit for bit.
     """
 
     name: str = "region"
@@ -340,8 +368,12 @@ class Region:
     def require_member(self, z: complex, what: str = "point") -> complex:
         z = as_point(z)
         if not self.contains(z):
-            raise MembershipError(f"{what} {z} is not in region '{self.name}'")
+            raise self.not_member(z, what)
         return z
+
+    def not_member(self, z: complex, what: str = "point") -> MembershipError:
+        """The error require_member raises for a point z outside G."""
+        return MembershipError(f"{what} {z} is not in region '{self.name}'")
 
     def boundary_distance(self, z: complex) -> float:
         """delta_G(z): distance from z to the boundary of G in the ambient metric."""
@@ -350,6 +382,11 @@ class Region:
     def length_boundary_distance(self, z: complex) -> float:
         """delta'_G(z): boundary distance in the length metric of the space."""
         return self.boundary_distance(z)
+
+    def length_boundary_distances_many(self, Z: np.ndarray) -> np.ndarray:
+        """delta'_G over a 1-D array of points of G; the plane is convex, so
+        delta'_G = delta_G there."""
+        return self.boundary_gaps_many(Z)
 
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
@@ -559,9 +596,12 @@ class CurveRegion(Region):
     """Open subdomain of a curve complex given by kept pieces and boundary points.
 
     The boundary is an explicit finite point set relative to the ambient
-    complex, so delta_G is an exact minimum of point distances.  A segment
-    stays inside when both ends are members, both lie on one piece, and no
-    boundary point on that piece lies strictly between them (_blocked).
+    complex, so delta_G is an exact minimum of point distances, and delta'_G
+    an exact minimum of length distances (length_boundary_distances_many).
+    A segment stays inside when both ends are members, both lie on one
+    piece, and no boundary point on that piece lies strictly between them
+    (_blocked).  locate_many places whole arrays of points on the pieces for
+    the queries; the scalar locate serves the sampling loops.
     """
 
     def __init__(self, space: CurveComplexSpace, pieces: Sequence[Segment],
@@ -577,13 +617,18 @@ class CurveRegion(Region):
         self.bounded = True
         self._a = np.array([seg.a for seg in self.pieces])[:, None]
         self._b = np.array([seg.b for seg in self.pieces])[:, None]
+        self._bp = np.array(self.boundary_points)
         # Per piece, the sorted arclengths of the boundary points on it, nan
         # padded: the cuts that start _piece_cuts and the blocks of _blocked.
-        S, D = _projections(np.array(self.boundary_points), self._a, self._b)
+        S, D = _projections(self._bp, self._a, self._b)
         self._arcs = np.sort(np.where(D <= COORD_TOL, S, np.nan), axis=1)
 
     def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
         return locate(self.pieces, z, tol)
+
+    def locate_many(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """locate over an array of points: (piece index or -1, arclength)."""
+        return locate_many(self._a, self._b, Z)
 
     def contains(self, z: complex) -> bool:
         z = as_point(z)
@@ -610,8 +655,13 @@ class CurveRegion(Region):
         return (on & ~_blocked(self._arcs, lo, hi)).any(axis=0) & member[:n] & member[n:]
 
     def length_boundary_distance(self, z: complex) -> float:
-        z = self.require_member(z)
-        return min(self.space.length_distance(z, bp) for bp in self.boundary_points)
+        return float(self.length_boundary_distances_many(np.array([self.require_member(z)]))[0])
+
+    def length_boundary_distances_many(self, Z: np.ndarray) -> np.ndarray:
+        """delta'_G over a 1-D array of points of G: the least length distance
+        to a boundary point, from one length_distances_many call over
+        (points x boundary points)."""
+        return self.space.length_distances_many(Z[:, None], self._bp).min(axis=1)
 
     def sample_point(self, rng: random.Random) -> complex:
         lengths = [seg.length for seg in self.pieces]
@@ -803,12 +853,8 @@ def quasiconvexity_estimate(space: SpaceModel, samples: int, seed: int) -> float
     """Max of d(x, y)/|x - y| over seeded sample pairs; a lower bound for c."""
     if samples < 2:
         raise ConfigurationError("quasiconvexity estimate needs samples >= 2")
-    best = 1.0
-    for x, y in sample_pairs(space.sample_point, random.Random(seed), samples):
-        ratio = space.length_distance(x, y) / abs(x - y)
-        if ratio > best:
-            best = ratio
-    return best
+    X, Y = np.array(sample_pairs(space.sample_point, random.Random(seed), samples)).T
+    return float(np.fmax.reduce(space.length_distances_many(X, Y) / _moduli(X, Y), initial=1.0))
 
 
 def component_ball(region: Region, z, r: float, resolution: float) -> ComponentBall:

@@ -2,7 +2,9 @@
 that the cut sweep replaced, as a reference.
 
 The digests were recorded with the builder that cut each piece by recursive
-halving and tested each cut with the scalar `contains`.  They cover every
+halving and tested each cut with the scalar `contains`; the reference
+builder takes each node's delta from the scalar code of query_reference.py.
+They cover every
 array of the mesh, the piece registry, the coordinate index and the
 `capped_cells` count; the length-metric meshes are pinned in
 test_complex_table.py.
@@ -14,10 +16,11 @@ import numpy as np
 import pytest
 
 from qhkit import ConfigurationError, CurveComplexSpace, Segment, build_mesh
-from qhkit.qhgraph import _assemble_mesh, _region_delta, _unique_pairs
+from qhkit.qhgraph import _assemble_mesh, _unique_pairs
 from qhkit.scenarios import make_region
 from qhkit.spaces import COORD_TOL, CurveRegion, _coord_key
 
+from query_reference import region_delta
 from test_complex_table import random_complex
 
 EUCLIDEAN_MESH_SHA256 = {
@@ -98,7 +101,7 @@ def scalar_complex_mesh(region: CurveRegion, grading: float, metric: str, max_de
                 nid = len(coords)
                 node_of[key] = nid
                 coords.append(p)
-                delta.append(_region_delta(region, metric, p))
+                delta.append(region_delta(region, metric, p))
                 spacing.append(0.0)
             ids.append(nid)
             gap = max(cuts[k] - cuts[k - 1] if k > 0 else 0.0,

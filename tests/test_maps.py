@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,14 +208,14 @@ _ARRAY_MAPS = {
         InversionMap(), AffineMap(((0.0, -1.0), (3.0, 0.5)), 0j, _PP, _PP)),
 }
 # Signed zeros, the shear's seams at x = 0 and y = 1 and their neighbours,
-# and magnitudes whose images overflow.  No coordinate is so small that the
-# inversion's |z|^2 underflows to 0, and none so large that a first inversion
-# sends it to 0 before a second one divides by it: eval raises
-# ZeroDivisionError there (see CHANGES.md).
+# magnitudes whose images overflow, and magnitudes where the inversion's
+# |z|^2 underflows to 0 or to a subnormal, or overflows, so that it takes its
+# rescaled form.
 _coords = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0),
-                     1e-100, -1e-100, 1e150, math.inf, math.nan]),
-    st.floats(-8.0, 8.0).filter(lambda v: v == 0.0 or abs(v) > 1e-100))
+                     1e-100, -1e-100, 1e150, math.inf, math.nan, 1e-170, -1e-160, 1e-155,
+                     1e-320, -5e-324, 1.4e154]),
+    st.floats(-8.0, 8.0))
 _huge = st.sampled_from([1e200, -1.7e308])
 
 
@@ -225,7 +226,7 @@ def _bits(values) -> list[tuple[int, int]]:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_ARRAY_MAPS)), st.data())
 def test_eval_many_equals_eval_bit_for_bit(kind, data):
-    coords = _coords if kind == "inversion-twice" else st.one_of(_coords, _huge)
+    coords = st.one_of(_coords, _huge)
     points = data.draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=12))
     f = _ARRAY_MAPS[kind]()
     accepted, images, first = [], [], None
@@ -248,6 +249,55 @@ def test_eval_rejects_an_image_outside_the_image_region():
         eval_map(f, 0.5 + 0.5j)
     with pytest.raises(MembershipError, match="index 0: .* outside the image region"):
         f.eval_many(np.array([0.5 + 0.5j]))
-    # The inversion sends a huge point to 0, the puncture itself.
+    # The inversion sends a subnormal point past the float range.
     with pytest.raises(MembershipError, match="index 1: .* outside the image region"):
-        pushforward_points(InversionMap(), [1 + 0j, 1e200 + 0j])
+        pushforward_points(InversionMap(), [1 + 0j, 1e-320 + 0j])
+
+
+def _exact_inverse(z: complex) -> complex:
+    """z / |z|^2 correctly rounded, from exact rationals."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    r2 = x * x + y * y
+    return complex(float(x / r2), float(y / r2))
+
+
+def _ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(b)
+
+
+@pytest.mark.parametrize("z", [1e-170, 1e-160, 1e200j, -3e-200 + 4e-200j, 1.4e154 + 1j,
+                               1.7e308 + 1e308j, 3e-305 - 4e-305j, 1e-300 + 5e-324j])
+def test_inversion_rescales_where_the_square_leaves_the_normal_floats(z):
+    f = InversionMap()
+    z = complex(z)
+    w = f.eval(z)
+    exact = _exact_inverse(z)
+    assert _ulps(w.real, exact.real) <= 2 and _ulps(w.imag, exact.imag) <= 2
+    assert _bits(f.eval_many(np.array([z]))) == _bits([w])
+
+
+def test_inversion_underflow_and_overflow_fixes():
+    f = InversionMap()
+    for z in (1e-170 + 0j, 1e-160 + 0j, 1e200j):  # a bare ZeroDivisionError, 1.0000111e160, ok
+        w, ref = f.eval(z), 1 / z.conjugate()
+        assert _ulps(w.real, ref.real) <= 2 and _ulps(w.imag, ref.imag) <= 2
+        assert _bits(f.eval_many(np.array([z]))) == _bits([w])
+    assert compose(InversionMap(), InversionMap()).eval(1e200j) == 1e200j
+    # A normal-range square keeps the plain formula.
+    z = 0.3 - 0.7j
+    r2 = z.real * z.real + z.imag * z.imag
+    assert f.eval(z) == complex(z.real / r2, z.imag / r2)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(-1.7e308, 1.7e308).filter(lambda v: v != 0.0),
+       st.floats(-1.7e308, 1.7e308), st.integers(-1074, 1023))
+def test_inversion_is_within_two_ulps_at_every_scale(x, y, k):
+    z = complex(math.ldexp(math.frexp(x)[0], k), y)
+    w = InversionMap()._forward(z)
+    exact = _exact_inverse(z)
+    for got, want in ((w.real, exact.real), (w.imag, exact.imag)):
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert _ulps(got, want) <= 2

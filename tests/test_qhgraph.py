@@ -510,8 +510,8 @@ def test_path_qh_length_equals_distance(request, mesh_name):
         else mesh.region.sample_point
     points = [p for pair in sample_pairs(sample_point, random.Random(59), 15) for p in pair]
     points = [p for p in points if mesh.exact_node(p) is None]
-    near = [(p, (p + mesh.coords[qhgraph._attach(mesh, p).anchors[0][0]]) / 2.0)
-            for p in points]
+    att = qhgraph._attach(mesh, np.array(points))
+    near = [(p, (p + mesh.coords[att.anchors(e)[0][0]]) / 2.0) for e, p in enumerate(points)]
     results = qh_distance_many(mesh, list(zip(points[0::2], points[1::2])) + near)
     for r in results:
         assert path_qh_length(mesh, r) == r.distance
@@ -655,30 +655,32 @@ def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name,
     mesh = request.getfixturevalue(mesh_name)
     region = request.getfixturevalue(region_name)
     rng = random.Random(19)
-    atts = [qhgraph._attach(mesh, region.sample_point(rng)) for _ in range(8)]
-    atts = [a for a in atts if a.node is None]
-    slacks = qhgraph._slacks(mesh.graph, atts)
+    att = qhgraph._attach(mesh, np.array([region.sample_point(rng) for _ in range(8)]))
+    off = np.flatnonzero(att.node < 0).tolist()
+    slacks = qhgraph._slacks(mesh.graph, att, off)
     n = mesh.node_count
-    rows = [dijkstra(qhgraph._with_source_row(mesh, att), directed=True, indices=n)[:n]
-            for att in atts]
+    rows = [dijkstra(qhgraph._with_source_row(mesh, att, e), directed=True, indices=n)[:n]
+            for e in off]
     checked = 0
-    for att, slack, row in zip(atts, slacks, rows):
-        k0 = min(att.anchors, key=lambda c: c[1])[0]
-        assert slack >= -min(w for _, w in att.anchors)
+    for e, slack, row in zip(off, slacks, rows):
+        nodes, weights = att.anchors(e)
+        k0 = nodes[np.argmin(weights)]
+        assert slack >= -weights.min()
         if math.isfinite(slack):
             d0 = dijkstra(mesh.graph, directed=True, indices=k0)
             assert np.all(d0 <= row + slack + 1e-12 * (1.0 + row))
             checked += 1
-    assert checked >= len(atts) // 2 > 0
+    assert checked >= len(off) // 2 > 0
 
 
-def _concatenated_row(graph, att):
-    """The graph plus the query vertex's row as a fresh concatenation."""
-    n, end = graph.shape[0], graph.nnz + len(att.anchors)
+def _concatenated_row(graph, att, e):
+    """The graph plus the query vertex's row for endpoint e as a fresh
+    concatenation."""
+    nodes, weights = att.anchors(e)
+    n, end = graph.shape[0], graph.nnz + len(nodes)
     return (np.concatenate([graph.indptr, [end]]).astype(graph.indptr.dtype),
-            np.concatenate([graph.indices, np.array([v for v, _ in att.anchors],
-                                                    dtype=graph.indices.dtype)]),
-            np.concatenate([graph.data, [w for _, w in att.anchors]]),
+            np.concatenate([graph.indices, nodes.astype(graph.indices.dtype)]),
+            np.concatenate([graph.data, weights]),
             (n + 1, n + 1))
 
 
@@ -694,10 +696,11 @@ def test_source_rows_are_written_after_the_mesh_entries(request, hp_mesh_005, ha
     digest = _graph_digest(mesh.graph)
     buffers = (mesh._data, mesh._indices, mesh.graph.data)
     rng = random.Random(23)
-    att = next(a for a in (qhgraph._attach(mesh, halfplane.sample_point(rng)) for _ in range(50))
-               if a.node is None)
-    expected = _concatenated_row(mesh.graph, att)
-    aug = qhgraph._with_source_row(mesh, att)
+    att = qhgraph._attach(mesh, np.array([halfplane.sample_point(rng) for _ in range(50)]))
+    e = int(np.argmax(att.node < 0))
+    assert att.node[e] < 0
+    expected = _concatenated_row(mesh.graph, att, e)
+    aug = qhgraph._with_source_row(mesh, att, e)
     # Past indptr[-1] is unused room.
     for got, want in zip((aug.indptr, aug.indices[:aug.nnz], aug.data[:aug.nnz]), expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -718,15 +721,12 @@ def test_source_rows_are_written_after_the_mesh_entries(request, hp_mesh_005, ha
         m, region = request.getfixturevalue(mesh_name), request.getfixturevalue(region_name)
         room = len(m._data) - m.graph.nnz
         rng = random.Random(37)
-        attached = 0
-        for _ in range(300):
-            try:
-                att = qhgraph._attach(m, region.sample_point(rng))
-            except ConnectivityError:  # the disk's uncovered rim
-                continue
-            assert len(att.anchors) <= room
-            attached += 1
-        assert attached >= 250
+        Z = np.array([region.sample_point(rng) for _ in range(300)])
+        if not m._piece_registry:
+            Z = Z[m._host_cells(Z) >= 0]  # the disk's uncovered rim
+        att = qhgraph._attach(m, Z)
+        assert np.diff(att.starts)[att.node < 0].max() <= room
+        assert len(Z) >= 250
 
 
 def test_queries_leave_the_mesh_graph_unchanged(hp_mesh_01, halfplane):
