@@ -15,15 +15,16 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, QhkitError, ResolutionError
 from .maps import HalfPlaneShearMap, InversionMap, MapSpec
-from .spaces import (COORD_TOL, CurveRegion, Region, _modulus, as_point, component_ball,
-                     disk_point, sample_pairs)
+from .spaces import (COORD_TOL, CurveRegion, Region, _moduli, _modulus, as_point,
+                     component_ball, disk_point, sample_pairs)
 
 _N_DIRECTIONS = 64  # deterministic angular resolution for L_f / l_f probing
 
@@ -97,31 +98,43 @@ class _Envelope:
         self.used = 0
         self.skipped = 0
 
-    def offer(self, ratio: float, witness: dict) -> None:
-        if math.isnan(ratio):
-            sample = {k: v for k, v in witness.items() if k != "ratio"}
+    def offer(self, ratios: np.ndarray, witness: Callable[[int], dict]) -> None:
+        """Offer the ratios in order, witness(k) building the witness of
+        ratios[k]; only the first nan ratio or the first largest one needs it."""
+        nan = np.isnan(ratios)
+        k = int(np.argmax(nan) if nan.any() else np.argmax(ratios)) if len(ratios) else None
+        if nan.any():
+            sample = {key: v for key, v in witness(k).items() if key != "ratio"}
             raise ResolutionError(f"the ratio is nan at {sample}")
-        if self.best is None or ratio > self.best[0]:
-            self.best = (ratio, witness)
-        self.used += 1
+        if k is not None and (self.best is None or ratios[k] > self.best[0]):
+            self.best = (float(ratios[k]), witness(k))
+        self.used += len(ratios)
 
-    def triple(self, f: MapSpec, x: complex, a: complex, b: complex,
-               collected: Optional[list] = None, **extra) -> Optional[float]:
-        """Offer |f(x)-f(a)| / |f(x)-f(b)| with the triple ordered so |x-a| <= |x-b|,
-        its witness extended by extra, and append (x, a, b) to collected.
-        A degenerate triple offers nothing and returns None."""
-        u, v = (b, a) if _modulus(x - a) > _modulus(x - b) else (a, b)
-        if _modulus(x - v) == 0.0:
-            return None
-        fx = f.eval(x)
-        denom = _modulus(fx - f.eval(v))
-        if denom == 0.0:
-            return None
-        ratio = _modulus(fx - f.eval(u)) / denom
-        self.offer(ratio, {"x": _pt(x), "a": _pt(u), "b": _pt(v), "ratio": ratio, **extra})
-        if collected is not None:
-            collected.append((x, a, b))
-        return ratio
+    def triples(self, f: MapSpec, X: np.ndarray, A: np.ndarray, B: np.ndarray,
+                extra: Optional[dict] = None) -> np.ndarray:
+        """Offer |f(x)-f(a)| / |f(x)-f(b)| of each triple of the arrays X, A, B
+        in order, legs swapped so |x-a| <= |x-b|, witness k extended by
+        extra[k]; the ratios, nan where a triple offers nothing.  As a triple
+        at a time, f is evaluated at x and b where |x-b| != 0, and at a where
+        |f(x)-f(b)| != 0; the first failure or nan ratio in order raises."""
+        with np.errstate(all="ignore"):
+            swap = _moduli(X, A) > _moduli(X, B)
+            U, V = np.where(swap, B, A), np.where(swap, A, B)
+            live = _moduli(X, V) != 0.0
+            (FX, bad_x), (FV, bad_v) = _images_at(f, X, live), _images_at(f, V, live)
+            denom = _moduli(FX, FV)
+            due = live & ~(bad_x | bad_v) & (denom != 0.0)
+            FU, bad_u = _images_at(f, U, due)
+            ratios = np.where(due, _moduli(FX, FU) / denom, np.nan)
+        fails = np.select((bad_x, bad_v, bad_u), (1, 2, 3))  # failing at x, at b, at a
+        first = next(iter(np.flatnonzero(fails)), len(X))
+        at = np.flatnonzero(due[:first])
+        self.offer(ratios[at], lambda k: {
+            "x": _pt(complex(X[at[k]])), "a": _pt(complex(U[at[k]])), "b": _pt(complex(V[at[k]])),
+            "ratio": float(ratios[at[k]]), **(extra or {}).get(int(at[k]), {})})
+        if first < len(X):
+            raise f._rejection(complex((X, V, U)[fails[first] - 1][first]))
+        return ratios
 
     def report(self, property: str, seed: int, empty_msg: str, table,
                meta: dict) -> PropertyReport:
@@ -135,19 +148,47 @@ class _Envelope:
 # Quasiconformality
 # ---------------------------------------------------------------------------
 
+def _unit(th: float) -> complex:
+    """The unit direction at angle th, as math.cos and math.sin give it."""
+    return complex(math.cos(th), math.sin(th))
+
+
 def _unit_circle(n: int) -> np.ndarray:
-    """The n equispaced unit directions, as math.cos and math.sin give them."""
-    return np.array([complex(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n))
-                     for k in range(n)])
+    """The n equispaced unit directions."""
+    return np.array([_unit(math.tau * k / n) for k in range(n)])
 
 
-def _circle_points(z: np.ndarray, rho: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """z + rho * e broadcast over z, rho and the directions E, bit for bit as
-    Python computes it: rho * e promotes rho to complex(rho, 0.0)."""
-    re = z.real + (rho * E.real - 0.0 * E.imag)
-    P = np.empty(re.shape, dtype=complex)
-    P.real, P.imag = re, z.imag + (rho * E.imag + 0.0 * E.real)
+def _product(A, B) -> np.ndarray:
+    """A * B over broadcast complex arrays, bit for bit as Python multiplies
+    complex numbers: a real factor r is promoted to complex(r, 0.0)."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    P = (A.real * B.real - A.imag * B.imag).astype(complex)
+    P.imag = A.real * B.imag + A.imag * B.real
     return P
+
+
+def _images_at(f: MapSpec, Z: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f._images over the points of Z where mask holds: the images (nan
+    elsewhere) and where f rejects a point (False elsewhere)."""
+    W, bad = np.full(len(Z), np.nan, dtype=complex), np.zeros(len(Z), dtype=bool)
+    W[mask], bad[mask] = f._images(Z[mask])
+    return W, bad
+
+
+@contextmanager
+def _drawn(draws: Iterable) -> Iterator[list]:
+    """The items of draws up to the first that raises.  That exception is
+    raised when the block ends without an error of its own, so an error that
+    a sample-at-a-time loop met first, at an earlier sample, comes first."""
+    items, failure = [], None
+    try:
+        for item in draws:
+            items.append(item)
+    except Exception as exc:
+        failure = exc
+    yield items
+    if failure is not None:
+        raise failure
 
 
 def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
@@ -169,7 +210,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     radii = np.array(spec.radius_schedule)
     # One row k per admissible (point pt[k], radius rad[k]), in sampling order.
     pt, rad = np.nonzero(~(radii >= region.boundary_gaps_many(X)[:, None]))
-    A = _circle_points(X[pt, None], radii[rad, None], _unit_circle(_N_DIRECTIONS))
+    A = X[pt, None] + _product(radii[rad, None], _unit_circle(_N_DIRECTIONS))
     with np.errstate(all="ignore"):
         D = A - X[pt, None]
         chord = np.hypot(D.real, D.imag)
@@ -198,8 +239,8 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
         table.append((x.real, x.imag, r, ratio))
         smallest[pt[k]] = (ratio, {"x": _pt(x), "r": r, "a_max": _pt(complex(A[k, hi[k]])),
                                    "a_min": _pt(complex(A[k, lo[k]])), "ratio": ratio})
-    for ratio, witness in smallest.values():
-        env.offer(ratio, witness)
+    rows = list(smallest.values())
+    env.offer(np.array([ratio for ratio, _ in rows]), lambda k: rows[k][1])
 
     return env.report("quasiconformality", spec.seed,
                       "no admissible (point, radius) sample; shrink the radii", table,
@@ -211,40 +252,29 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
 # Weak quasisymmetry (global and local)
 # ---------------------------------------------------------------------------
 
-def _probe_triples(x: complex, radius: float, rng: random.Random) -> list[tuple[complex, complex, complex]]:
-    """Deterministic probe triples around x within the given radius.
-
-    The degenerate probe (a == b) pins the universally valid ratio 1 exactly;
-    the perpendicular probes challenge anisotropic maps with equidistant legs.
-    """
-    th = rng.uniform(0.0, 2.0 * math.pi)
-    v = radius * complex(math.cos(th), math.sin(th))
-    e1 = radius * complex(1.0, 0.0)
-    e2 = radius * complex(0.0, 1.0)
-    return [
-        (x, x + v, x + v),            # a == b: ratio exactly 1 for any map
-        (x, x + e1, x + e2),          # axis-aligned perpendicular legs
-        (x, x + v, x + v * 1j),       # rotated perpendicular legs
-        (x, x + v, x - v),            # antipodal legs
-    ]
-
-
-def _offer_probes(env: _Envelope, f: MapSpec, region: Region, x: complex, radius: float,
-                  rng: random.Random, collected: Optional[list] = None) -> None:
-    """Offer each probe triple around x whose legs both lie in the region."""
-    for (px, pa, pb) in _probe_triples(x, radius, rng):
-        if region.contains(pa) and region.contains(pb):
-            env.triple(f, px, pa, pb, collected)
+def _with_probes(region: Region, X: np.ndarray, A: np.ndarray, B: np.ndarray,
+                 R: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X, A, B arrays of each sample's (x, a, b) and then its probe triples
+    around x at radius r > 0, direction e, whose legs lie in the region, bit
+    for bit as Python forms them, and a mask of the samples' own triples.
+    The probe a == b pins the ratio 1; the others have equidistant legs."""
+    with np.errstate(all="ignore"):
+        V = _product(R, E)
+        # a == b, axis-aligned legs, rotated legs, antipodal legs.
+        PA = np.stack((X + V, X + _product(R, 1.0 + 0j), X + V, X + V), axis=1)
+        PB = np.stack((X + V, X + _product(R, 1j), X + _product(V, 1j), X - V), axis=1)
+    legs = region.contains_many(np.concatenate((PA.ravel(), PB.ravel())))
+    keep = np.ones((len(X), 5), dtype=bool)
+    keep[:, 1:] = (legs[:PA.size] & legs[PA.size:]).reshape(PA.shape) & (R > 0.0)[:, None]
+    return (np.broadcast_to(X[:, None], keep.shape)[keep], np.column_stack((A, PA))[keep],
+            np.column_stack((B, PB))[keep], np.broadcast_to(np.arange(5) == 0, keep.shape)[keep])
 
 
 def _offer_family(env: _Envelope, f: MapSpec, params: Sequence[float], witness) -> tuple:
     """Offer the closed-form witness triple of each parameter; (param, ratio) rows."""
-    rows = []
-    for p in params:
-        ratio = env.triple(f, *witness(p))
-        if ratio is not None:
-            rows.append((p, ratio))
-    return tuple(rows)
+    with _drawn(witness(p) for p in params) as triples:
+        ratios = env.triples(f, *np.array(triples, dtype=complex).reshape(-1, 3).T).tolist()
+    return tuple((p, r) for p, r in zip(params, ratios) if not math.isnan(r))
 
 
 def inversion_weak_qs_witness(t: float) -> tuple[complex, complex, complex]:
@@ -273,26 +303,31 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
                      extra_triples: Sequence[tuple] = ()) -> PropertyReport:
     """Envelope of |f(x)-f(a)| / |f(x)-f(b)| over triples with |x-a| <= |x-b|.
 
-    Includes the deterministic inversion witness family x=1, a=1/t, b=t when f
-    is the inversion, whose ratio equals t (so the coefficient is unbounded).
+    Each sample offers its triple and the probe triples around x at radius
+    0.3 delta_G(x), all drawn first and evaluated in one array pass.  Then
+    come the inversion witness family x=1, a=1/t, b=t when f is the
+    inversion, whose ratio equals t (so the coefficient is unbounded), and
+    extra_triples.
     """
     region = f.source_region
     rng = random.Random(spec.seed)
     env = _Envelope()
 
-    for _ in range(spec.count):
-        x = region.sample_point(rng)
-        a = region.sample_point(rng)
-        b = region.sample_point(rng)
-        while _modulus(b - x) <= COORD_TOL:  # b == x: resample, same stream
-            b = region.sample_point(rng)
-        env.triple(f, x, a, b)
-        _offer_probes(env, f, region, x, 0.3 * region.boundary_distance(x), rng)
+    def draws():
+        for _ in range(spec.count):
+            x, a, b = (region.sample_point(rng) for _ in range(3))
+            while _modulus(b - x) <= COORD_TOL:  # b == x: resample, same stream
+                b = region.sample_point(rng)
+            yield x, a, b, _unit(rng.uniform(0.0, math.tau))
+
+    with _drawn(draws()) as samples:
+        X, A, B, E = np.array(samples, dtype=complex).reshape(-1, 4).T
+        env.triples(f, *_with_probes(region, X, A, B, 0.3 * region.boundary_gaps_many(X), E)[:3])
 
     witness_rows = _offer_family(env, f, witness_ts, inversion_weak_qs_witness) \
         if isinstance(f, InversionMap) else ()
-    for (x, a, b) in extra_triples:
-        env.triple(f, as_point(x), as_point(a), as_point(b))
+    with _drawn((as_point(x), as_point(a), as_point(b)) for x, a, b in extra_triples) as extra:
+        env.triples(f, *np.array(extra, dtype=complex).reshape(-1, 3).T)
 
     return env.report("weak-quasisymmetry", spec.seed, "no admissible triple was sampled",
                       witness_rows, {"witness_ts": list(witness_ts)})
@@ -304,47 +339,53 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
     """Weak-QS envelope restricted to triples inside B^G(z, q delta_G(z)).
 
     For the built-in analytic regions the metric ball of radius q delta_G(z)
-    already lies in G and is connected, so triples are drawn from it directly;
-    curve regions fall back to component-ball nodes.  Includes the shear
-    witness family with ratio (2 sqrt(5)/5)(n+1) when f is the shear.
+    already lies in G and is connected, so triples are drawn from it directly
+    and offered with the probe triples around x that stay in the ball; curve
+    regions fall back to component-ball nodes.  The draw loop takes the
+    membership and delta_G(z) its draws depend on; the triples are evaluated
+    in one array pass.  Includes the shear witness family with ratio
+    (2 sqrt(5)/5)(n+1) when f is the shear.
     """
     region = f.source_region
     q = spec.locality_q
     rng = random.Random(spec.seed)
     env = _Envelope()
-    collected: Optional[list[tuple[complex, complex, complex]]] = [] if collect_triples else None
 
-    for _ in range(spec.count):
-        z = region.sample_point(rng)
-        rho = q * region.boundary_distance(z)
-        if isinstance(region, CurveRegion):
-            try:
-                ball = component_ball(region, z, rho, rho / 8.0)
-            except QhkitError:
-                continue
-            nodes = list(ball.nodes)
-            if len(nodes) < 3:
-                continue
-            x = nodes[rng.randrange(len(nodes))]
-            a = nodes[rng.randrange(len(nodes))]
-            b = nodes[rng.randrange(len(nodes))]
-        else:
-            x = disk_point(rng, z, rho)
-            a = disk_point(rng, z, rho)
-            b = disk_point(rng, z, rho)
-            if not (region.contains(x) and region.contains(a) and region.contains(b)):
-                continue
-        env.triple(f, x, a, b, collected, z=_pt(z))
-        if not isinstance(region, CurveRegion):
-            margin = 0.9 * (rho - _modulus(x - z))
-            if margin > 0.0:
-                _offer_probes(env, f, region, x, margin, rng, collected)
+    def draws():
+        for _ in range(spec.count):
+            z = region.sample_point(rng)
+            rho = q * region.boundary_distance(z)
+            if isinstance(region, CurveRegion):
+                try:
+                    ball = component_ball(region, z, rho, rho / 8.0)
+                except QhkitError:
+                    continue
+                nodes = list(ball.nodes)
+                if len(nodes) < 3:
+                    continue
+                x, a, b = (nodes[rng.randrange(len(nodes))] for _ in range(3))
+                margin = math.nan  # no probes
+            else:
+                x, a, b = (disk_point(rng, z, rho) for _ in range(3))
+                if not region.contains_many(np.array([x, a, b])).all():
+                    continue
+                margin = 0.9 * (rho - _modulus(x - z))
+            # Probes around x, inside the ball, draw a direction.
+            yield z, x, a, b, margin, (_unit(rng.uniform(0.0, math.tau)) if margin > 0.0
+                                       else math.nan)
+
+    with _drawn(draws()) as samples:
+        Z, X, A, B, R, E = np.array(samples, dtype=complex).reshape(-1, 6).T
+        TX, TA, TB, own = _with_probes(region, X, A, B, R.real, E)
+        centers = dict(zip(np.flatnonzero(own).tolist(), ({"z": _pt(z)} for z in Z.tolist())))
+        offered = ~np.isnan(env.triples(f, TX, TA, TB, centers))
 
     witness_rows = _offer_family(env, f, witness_ns, lambda n: shear_local_witness(n, q)) \
         if isinstance(f, HalfPlaneShearMap) else ()
     meta = {"locality_q": q, "witness_ns": list(witness_ns)}
     if collect_triples:
-        meta["triples"] = [[_pt(x), _pt(a), _pt(b)] for x, a, b in collected]
+        meta["triples"] = [[_pt(x), _pt(a), _pt(b)] for x, a, b in
+                           zip(*(T[offered].tolist() for T in (TX, TA, TB)))]
     return env.report("local-weak-quasisymmetry", spec.seed,
                       "no admissible local triple was sampled", witness_rows, meta)
 
@@ -365,22 +406,19 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
     """
     pairs = sample_pairs(k_src.sample_point, random.Random(spec.seed), spec.count)
 
-    image_pairs = [(f.eval(x), f.eval(y)) for x, y in pairs]
-    ts = k_src.distance_pairs(pairs)
-    us = k_img.distance_pairs(image_pairs)
+    W = f._eval_each(np.array(pairs, dtype=complex).ravel()).tolist()  # x0, y0, x1, ...
+    ts = np.array(k_src.distance_pairs(pairs))
+    us = np.array(k_img.distance_pairs(list(zip(W[0::2], W[1::2]))))
 
     env = _Envelope()
-    scatter: list[tuple] = []
-    for (x, y), t, u in zip(pairs, ts, us):
-        if t <= 0.0:
-            continue
-        scatter.append((t, u))
-        ratio = u / t
-        env.offer(ratio, {"x": _pt(x), "y": _pt(y), "k": t, "k_img": u, "ratio": ratio})
+    at = np.flatnonzero(~(ts <= 0.0))
+    t_arr, u_arr = ts[at], us[at]
+    env.offer(u_arr / t_arr, lambda k: {
+        "x": _pt(pairs[at[k]][0]), "y": _pt(pairs[at[k]][1]), "k": float(t_arr[k]),
+        "k_img": float(u_arr[k]), "ratio": float(u_arr[k] / t_arr[k])})
     report = env.report("semisolidity", spec.seed, "no nondegenerate pair sampled",
-                        scatter, {})
+                        list(zip(t_arr.tolist(), u_arr.tolist())), {})
 
-    t_arr, u_arr = np.array(scatter).T
     best_mu, best_alpha = math.inf, 1.0
     for alpha in alphas:
         env = np.maximum(t_arr ** alpha, t_arr)
@@ -416,35 +454,35 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
     if bins < 1:
         raise ConfigurationError("bins must be >= 1")
     region = f.source_region
-    image = f.image_region
     rng = random.Random(spec.seed)
-    peaks = [0.0] * bins
     env = _Envelope()
-
-    for _ in range(spec.count):
-        x = region.sample_point(rng)
-        dx = region.boundary_distance(x)
-        rho = rng.uniform(0.0, 1.0) * t0 * dx
-        th = rng.uniform(0.0, 2.0 * math.pi)
-        y = x + rho * complex(math.cos(th), math.sin(th))
-        sep = _modulus(x - y)
-        if not region.contains(y) or sep == 0.0 or sep >= t0 * dx:
-            env.skipped += 1
-            continue
+    with _drawn((region.sample_point(rng), rng.uniform(0.0, 1.0),
+                 _unit(rng.uniform(0.0, math.tau))) for _ in range(spec.count)) as samples, \
+            np.errstate(all="ignore"):
+        X, S, E = np.array(samples, dtype=complex).reshape(-1, 3).T
+        dx = region.boundary_gaps_many(X)
+        Y = X + _product(S.real * t0 * dx, E)
+        sep = _moduli(X, Y)
         t = sep / dx
-        fx = f.eval(x)
-        ratio = _modulus(fx - f.eval(y)) / image.boundary_distance(fx)
-        b = min(bins - 1, int(t / t0 * bins))
-        if ratio > peaks[b]:
-            peaks[b] = ratio
-        env.offer(ratio, {"x": _pt(x), "y": _pt(y), "t": t, "ratio": ratio})
+        member = region.contains_many(X)
+        near = region.contains_many(Y) & (sep != 0.0) & ~(sep >= t0 * dx)
+        (FX, bad_x), (FY, bad_y) = _images_at(f, X, member & near), _images_at(f, Y, member & near)
+        ratios = _moduli(FX, FY) / f.image_region.boundary_gaps_many(FX)
+        fails = np.select((~member, bad_x, bad_y), (1, 2, 3))  # off G (delta_G(x)), at x, at y
+        first = next(iter(np.flatnonzero(fails)), len(X))
+        at = np.flatnonzero((member & near)[:first])
+        env.offer(ratios[at], lambda k: {"x": _pt(complex(X[at[k]])), "y": _pt(complex(Y[at[k]])),
+                                         "t": float(t[at[k]]), "ratio": float(ratios[at[k]])})
+        if first < len(X):
+            raise (region.not_member if fails[first] == 1 else f._rejection)(
+                complex((X, X, Y)[fails[first] - 1][first]))
+    env.skipped = int(np.count_nonzero(~near))
+    peaks = np.zeros(bins)
+    np.maximum.at(peaks, np.minimum(bins - 1, (t[at] / t0 * bins).astype(int)), ratios[at])
 
     # Cumulative max keeps the table monotone non-decreasing like a control.
-    run = 0.0
-    table = []
-    for b in range(bins):
-        run = max(run, peaks[b])
-        table.append(((b + 1) * t0 / bins, run))
+    table = [((b + 1) * t0 / bins, run)
+             for b, run in enumerate(np.maximum.accumulate(peaks).tolist())]
     return env.report("relativity", spec.seed, "no admissible near pair was sampled",
                       table, {"t0": t0, "bins": bins})
 
@@ -463,8 +501,8 @@ def _ring_extents(f: MapSpec, region: Region, Z: np.ndarray, R: np.ndarray, alph
     only the probes inside the region count, and the sphere's never equal z.
     """
     rho = R[:, None, None] * np.array([1.0, 0.75, 0.5, 0.25])[:, None]
-    P = _circle_points(Z[:, None, None], rho, _unit_circle(probes)).reshape(len(Z), 4 * probes)
-    Q = _circle_points(Z[:, None], alpha * R[:, None], _unit_circle(2 * probes))
+    P = (Z[:, None, None] + _product(rho, _unit_circle(probes))).reshape(len(Z), 4 * probes)
+    Q = Z[:, None] + _product(alpha * R[:, None], _unit_circle(2 * probes))
     in_p = region.contains_many(P.ravel()).reshape(P.shape)
     in_q = region.contains_many(Q.ravel()).reshape(Q.shape) & (Q != Z[:, None])
     enough = np.flatnonzero((in_p.sum(axis=1) >= 2) & (in_q.sum(axis=1) >= 3))
@@ -490,31 +528,30 @@ def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
     alpha B stay round and inside G for the analytic regions.  The closed ball
     is probed on exact-radius rings (plus the center) and the boundary of
     alpha B on its exact sphere, keeping the convex identity case exact.
-    Every (z, r) is drawn first; _ring_extents then evaluates the probes of
-    all balls in one array pass, and the balls fold into the envelope in
-    sampling order.
+    Every (z, r) is drawn first, r from one boundary_gaps_many call;
+    _ring_extents then evaluates the probes of all balls in one array pass,
+    and the balls fold into the envelope in sampling order.
     """
     if not (1.0 < alpha <= beta):
         raise ConfigurationError("ring property needs 1 < alpha <= beta")
     region = f.source_region
     rng = random.Random(spec.seed)
     env = _Envelope()
-    balls = []
-    for _ in range(spec.count):
-        z = region.sample_point(rng)
-        r = rng.uniform(0.3, 0.99) * region.boundary_distance(z) / beta
-        if r <= 0.0 or not math.isfinite(r):
-            env.skipped += 1
-        else:
-            balls.append((z, r))
-    Z, R = np.array([z for z, _ in balls], dtype=complex), np.array([r for _, r in balls])
+    with _drawn((region.sample_point(rng), rng.uniform(0.3, 0.99))
+                for _ in range(spec.count)) as samples:
+        Z, S = np.array(samples, dtype=complex).reshape(-1, 2).T
+        member = region.contains_many(Z)
+        if not member.all():  # delta_G(z) of a point off G
+            raise region.not_member(complex(Z[np.argmax(~member)]))
+    R = S.real * region.boundary_gaps_many(Z) / beta
+    ok = np.isfinite(R) & (R > 0.0)
+    Z, R = Z[ok], R[ok]
     diam, dist = _ring_extents(f, region, Z, R, alpha, probes)
-    for (z, r), d, s in zip(balls, diam.tolist(), dist.tolist()):
-        if not s > 0.0:  # too few probes (nan), or a distance of 0
-            env.skipped += 1
-            continue
-        ratio = d / s
-        env.offer(ratio, {"z": _pt(z), "r": r, "diam": d, "dist": s, "ratio": ratio})
+    at = np.flatnonzero(dist > 0.0)  # not too few probes (nan), nor a distance of 0
+    env.skipped = spec.count - len(at)
+    env.offer(diam[at] / dist[at], lambda k: {
+        "z": _pt(complex(Z[at[k]])), "r": float(R[at[k]]), "diam": float(diam[at[k]]),
+        "dist": float(dist[at[k]]), "ratio": float(diam[at[k]] / dist[at[k]])})
 
     return env.report("ring", spec.seed, "no admissible ball was sampled", (),
                       {"alpha": alpha, "beta": beta, "probes": probes})

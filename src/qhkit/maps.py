@@ -7,9 +7,6 @@ boundary distance stays exact for the estimators.
 """
 from __future__ import annotations
 
-import cmath
-import math
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -26,19 +23,17 @@ from .spaces import (
 class MapSpec:
     """A homeomorphism f: source_region -> image_region with an exact inverse.
 
-    A map gives its forward formula twice: _forward on one complex point and
-    _forward_many on the arrays of real and imaginary parts, returning the
-    same floats bit for bit.  eval and eval_many check both ends: a point
-    outside the source region, or an image outside the image region (a
-    non-finite one included), is a MembershipError.
+    A map gives its forward formula once, _forward_many on the arrays of real
+    and imaginary parts.  _images applies it to a complex array and marks the
+    points that eval rejects: a point outside the source region, or an image
+    outside the image region (a non-finite one included).  eval_many raises a
+    MembershipError naming the first of them by index; eval is the
+    one-element call of _eval_each, whose error carries no index.
     """
 
     kind: str = "abstract"
     source_region: Region
     image_region: Region
-
-    def _forward(self, z: complex) -> complex:
-        raise NotImplementedError
 
     def _forward_many(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
@@ -46,32 +41,40 @@ class MapSpec:
     def _backward(self, w: complex) -> complex:
         raise NotImplementedError
 
-    def eval(self, z) -> complex:
-        z = as_point(z)
-        if not self.source_region.contains(z):
-            raise MembershipError(f"{z} is outside the source region of {self.kind}")
-        w = self._forward(z)
-        if not self.image_region.contains(w):
-            raise MembershipError(f"f({z}) = {w} is outside the image region of {self.kind}")
-        return w
-
-    def eval_many(self, Z: np.ndarray) -> np.ndarray:
-        """eval over a 1-D complex array, bit for bit; a MembershipError names
-        the first index that eval would reject."""
-        Z = np.asarray(Z, dtype=complex)
-        inside = self.source_region.contains_many(Z)
+    def _images(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W, bad): f at each point of the 1-D complex array Z, and True where
+        eval rejects the point."""
         with np.errstate(all="ignore"):
             u, v = self._forward_many(Z.real, Z.imag)
-        W = np.empty_like(Z)
-        W.real, W.imag = u, v
-        bad = ~(inside & self.image_region.contains_many(W))
+        W = u.astype(complex)
+        W.imag = v
+        return W, ~(self.source_region.contains_many(Z) & self.image_region.contains_many(W))
+
+    def _rejection(self, z: complex) -> MembershipError:
+        """The MembershipError eval raises at z, a point that _images rejects."""
+        if not self.source_region.contains(z):
+            return MembershipError(f"{z} is outside the source region of {self.kind}")
+        w = complex(self._images(np.array([z]))[0][0])
+        return MembershipError(f"f({z}) = {w} is outside the image region of {self.kind}")
+
+    def _eval_each(self, Z: np.ndarray) -> np.ndarray:
+        """eval at each point of a 1-D complex array: eval's error at the first it rejects."""
+        W, bad = self._images(Z)
+        if bad.any():
+            raise self._rejection(complex(Z[np.argmax(bad)]))
+        return W
+
+    def eval(self, z) -> complex:
+        return complex(self._eval_each(np.array([as_point(z)]))[0])
+
+    def eval_many(self, Z: np.ndarray) -> np.ndarray:
+        """eval over a 1-D complex array; a MembershipError names the first
+        index that eval would reject."""
+        Z = np.asarray(Z, dtype=complex)
+        W, bad = self._images(Z)
         if bad.any():
             i = int(np.argmax(bad))
-            z, w = complex(Z[i]), complex(W[i])
-            raise MembershipError(
-                f"point at index {i}: {z} is outside the source region of {self.kind}"
-                if not inside[i] else
-                f"point at index {i}: f({z}) = {w} is outside the image region of {self.kind}")
+            raise MembershipError(f"point at index {i}: {self._rejection(complex(Z[i]))}")
         return W
 
     def invert(self, w) -> complex:
@@ -99,9 +102,6 @@ class IdentityMap(MapSpec):
         self.source_region = region
         self.image_region = region
 
-    def _forward(self, z: complex) -> complex:
-        return z
-
     def _forward_many(self, x, y):
         return x, y
 
@@ -126,10 +126,6 @@ class AffineMap(MapSpec):
         self.source_region = source_region
         self.image_region = image_region
 
-    def _forward(self, z: complex) -> complex:
-        return complex(self.a * z.real + self.b * z.imag,
-                       self.c * z.real + self.d * z.imag) + self.offset
-
     def _forward_many(self, x, y):
         return (self.a * x + self.b * y + self.offset.real,
                 self.c * x + self.d * y + self.offset.imag)
@@ -142,9 +138,6 @@ class AffineMap(MapSpec):
     def params(self) -> dict:
         return {"matrix": [[self.a, self.b], [self.c, self.d]],
                 "offset": [self.offset.real, self.offset.imag]}
-
-
-_MIN_NORMAL = sys.float_info.min
 
 
 class InversionMap(MapSpec):
@@ -160,25 +153,14 @@ class InversionMap(MapSpec):
         self.source_region = region
         self.image_region = region
 
-    def _forward(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        r2 = x * x + y * y
-        if (r2 < _MIN_NORMAL or r2 == math.inf) and z != 0 and cmath.isfinite(z):
-            # |z|^2 leaves the normal floats: invert z / 2^e, whose larger
-            # coordinate lies in [1/2, 1), then divide by 2^e in two exact halves.
-            e = math.frexp(max(abs(x), abs(y)))[1]
-            x, y = math.ldexp(x, -e), math.ldexp(y, -e)
-            r2 = x * x + y * y
-            h1, h2 = math.ldexp(1.0, -e // 2), math.ldexp(1.0, -e - -e // 2)
-            return complex(x / r2 * h1 * h2, y / r2 * h1 * h2)
-        return complex(x / r2, y / r2)
-
     def _forward_many(self, x, y):
         r2 = x * x + y * y
         u, v = x / r2, y / r2
-        out = (((r2 < _MIN_NORMAL) | (r2 == np.inf)) & ((x != 0) | (y != 0))
+        out = (((r2 < np.finfo(float).tiny) | (r2 == np.inf)) & ((x != 0) | (y != 0))
                & np.isfinite(x) & np.isfinite(y))
-        if out.any():  # as in _forward
+        if out.any():
+            # |z|^2 leaves the normal floats: invert z / 2^e, whose larger
+            # coordinate lies in [1/2, 1), then divide by 2^e in two exact halves.
             x, y = x[out], y[out]
             e = np.frexp(np.maximum(np.abs(x), np.abs(y)))[1]
             x, y = np.ldexp(x, -e), np.ldexp(y, -e)
@@ -188,7 +170,7 @@ class InversionMap(MapSpec):
         return u, v
 
     def _backward(self, w: complex) -> complex:
-        return self._forward(w)
+        return complex(self._images(np.array([w]))[0][0])
 
 
 class HalfPlaneShearMap(MapSpec):
@@ -205,14 +187,6 @@ class HalfPlaneShearMap(MapSpec):
         region = region if region is not None else HalfPlaneRegion()
         self.source_region = region
         self.image_region = region
-
-    def _forward(self, z: complex) -> complex:
-        x, y = z.real, z.imag
-        if x <= 0.0:
-            return z
-        if y <= 1.0:
-            return complex(x, (x + 1.0) * y)
-        return complex(x, x + y)
 
     def _forward_many(self, x, y):
         return x, np.where(x <= 0.0, y, np.where(y <= 1.0, (x + 1.0) * y, x + y))
@@ -242,15 +216,26 @@ class CompositionMap(MapSpec):
         self.source_region = maps[0].source_region
         self.image_region = maps[-1].image_region
 
-    def _forward(self, z: complex) -> complex:
+    def _images(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each map in turn, checking each image against that map's image region."""
+        bad = np.zeros(len(Z), dtype=bool)
         for f in self.maps:
-            z = f._forward(z)
-        return z
+            Z, out = f._images(Z)
+            bad |= out
+        return Z, bad
 
-    def _forward_many(self, x, y):
-        for f in self.maps:
-            x, y = f._forward_many(x, y)
-        return x, y
+    def _rejection(self, z: complex) -> MembershipError:
+        """As for one map, unless an inner map's image leaves its image region."""
+        if not self.source_region.contains(z):
+            return MembershipError(f"{z} is outside the source region of {self.kind}")
+        w = z
+        for k, f in enumerate(self.maps[:-1]):
+            W, bad = f._images(np.array([w]))
+            if bad[0]:
+                return MembershipError(f"{z} is outside the domain of {self.kind}: at map "
+                                       f"{k + 1} of {len(self.maps)}, {f._rejection(w)}")
+            w = complex(W[0])
+        return super()._rejection(z)
 
     def _backward(self, w: complex) -> complex:
         for f in reversed(self.maps):

@@ -334,10 +334,10 @@ class Region:
     boundary_distance, delta_G, is the boundary_gap of a member.
     length_boundary_distances_many gives delta'_G of members, which is delta_G
     in the plane, and length_boundary_distance is its one-element call on
-    curve regions.  A region whose scalar contains or boundary_gap runs in a
-    measured loop (the estimators on the analytic regions, the sampling on
-    curve regions) writes it out by hand, returning what its array form
-    returns bit for bit.
+    curve regions.  Only CurveRegion writes out a scalar contains and
+    boundary_gap, equal to its array forms bit for bit: its rejection
+    sampling calls contains per draw, and the draw count depends on each
+    answer (a derived contains costs about 40 us there against 5 us).
     """
 
     name: str = "region"
@@ -414,13 +414,6 @@ class HalfPlaneRegion(Region):
         self.space = PLANE
         self.sample_window = sample_window
 
-    def contains(self, z: complex) -> bool:
-        z = as_point(z)
-        return z.imag > 0.0 and cmath.isfinite(z)
-
-    def boundary_gap(self, z: complex) -> float:
-        return abs(as_point(z).imag)
-
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return (Z.imag > 0.0) & np.isfinite(Z)
 
@@ -444,13 +437,6 @@ class PuncturedPlaneRegion(Region):
     def __init__(self, sample_radii: tuple[float, float] = (0.2, 5.0)):
         self.space = PLANE
         self.sample_radii = sample_radii
-
-    def contains(self, z: complex) -> bool:
-        z = as_point(z)
-        return z != 0 and cmath.isfinite(z)
-
-    def boundary_gap(self, z: complex) -> float:
-        return _modulus(as_point(z))
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return (Z != 0) & np.isfinite(Z)
@@ -481,15 +467,6 @@ class DiskRegion(Region):
         self.center = as_point(center)
         self.radius = float(radius)
         self.name = name
-
-    def contains(self, z: complex) -> bool:
-        try:
-            return abs(as_point(z) - self.center) < self.radius
-        except OverflowError:  # |z - center| beyond the float range
-            return False
-
-    def boundary_gap(self, z: complex) -> float:
-        return abs(self.radius - _modulus(as_point(z) - self.center))
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         return _moduli(Z, self.center) < self.radius

@@ -1,7 +1,45 @@
 """The scalar region predicates that the numpy forms in qhkit.spaces replaced,
-kept as references: PolygonRegion's ray casting, edge distance and segment
-test (with segments_cross), and CurveRegion's segment test."""
-from qhkit.spaces import COORD_TOL, project_segment
+kept as references: the half-plane, punctured-plane and disk membership and
+boundary gap; PolygonRegion's ray casting, edge distance and segment test
+(with segments_cross); and CurveRegion's segment test."""
+import cmath
+
+from qhkit.spaces import (COORD_TOL, DiskRegion, HalfPlaneRegion, PuncturedPlaneRegion,
+                          _modulus, project_segment)
+
+
+def contains(region, z: complex) -> bool:
+    """The hand-written scalar membership of the analytic plane regions, and
+    the region's own contains for the others."""
+    if isinstance(region, HalfPlaneRegion):
+        return z.imag > 0.0 and cmath.isfinite(z)
+    if isinstance(region, PuncturedPlaneRegion):
+        return z != 0 and cmath.isfinite(z)
+    if isinstance(region, DiskRegion):
+        try:
+            return abs(z - region.center) < region.radius
+        except OverflowError:  # |z - center| beyond the float range
+            return False
+    return region.contains(z)
+
+
+def boundary_gap(region, z: complex) -> float:
+    """The hand-written scalar boundary gap of the analytic plane regions."""
+    if isinstance(region, HalfPlaneRegion):
+        return abs(z.imag)
+    if isinstance(region, PuncturedPlaneRegion):
+        return _modulus(z)
+    if isinstance(region, DiskRegion):
+        return abs(region.radius - _modulus(z - region.center))
+    return region.boundary_gap(z)
+
+
+def boundary_distance(region, z: complex) -> float:
+    """delta_G(z) through the scalar predicates, with require_member's error
+    for a point outside G."""
+    if not contains(region, z):
+        raise region.not_member(z)
+    return boundary_gap(region, z)
 
 
 def _inside_ring(z: complex, ring: tuple[complex, ...]) -> bool:

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,8 @@ from qhkit import (
 )
 from qhkit.scenarios import frame_region_omega
 from qhkit.spaces import HalfPlaneRegion, PuncturedPlaneRegion
+
+import map_reference
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +57,7 @@ def test_identity_map():
 def test_shear_seam_continuity():
     f = HalfPlaneShearMap()
     for y in (0.25, 0.5, 1.0, 1.5, 3.0):
-        left = f._forward(complex(0.0, y))
+        left = f.eval(complex(0.0, y))
         right = complex(0.0, (0.0 + 1.0) * y) if y <= 1.0 else complex(0.0, 0.0 + y)
         assert left == right
     for x in (0.0, 0.5, 1.0, 2.0):
@@ -139,6 +142,20 @@ def test_shear_after_translation_round_trip():
         z = complex(rng.uniform(-2, 2), rng.uniform(0.01, 2))
         w = eval_map(comp, z)
         assert abs(invert_map(comp, w) - z) <= 1e-12 * max(1.0, abs(z))
+
+
+def test_composite_rejects_an_inner_image_outside_its_image_region():
+    # The shift sends 1 to the puncture, where the inversion is undefined.
+    pp = PuncturedPlaneRegion()
+    f = compose(InversionMap(), AffineMap(((1, 0), (0, 1)), -1 + 0j, pp, pp))
+    inner = "at map 1 of 2, f((1+0j)) = 0j is outside the image region of affine"
+    with pytest.raises(MembershipError, match=re.escape(f"(1+0j) is outside the domain of "
+                                                        f"composition: {inner}")):
+        eval_map(f, 1 + 0j)
+    with pytest.raises(MembershipError, match=re.escape(f"point at index 1: (1+0j) is outside "
+                                                        f"the domain of composition: {inner}")):
+        pushforward_points(f, [2 + 0j, 1 + 0j])
+    assert eval_map(f, 2 + 0j) == 1 + 0j
 
 
 def test_composition_region_mismatch():
@@ -226,17 +243,22 @@ def _bits(values) -> list[tuple[int, int]]:
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_ARRAY_MAPS)), st.data())
 def test_eval_many_equals_eval_bit_for_bit(kind, data):
+    # Against the scalar formulas and region predicates they replaced.
     coords = st.one_of(_coords, _huge)
     points = data.draw(st.lists(st.builds(complex, coords, coords), min_size=1, max_size=12))
     f = _ARRAY_MAPS[kind]()
     accepted, images, first = [], [], None
     for i, z in enumerate(points):
         try:
-            images.append(f.eval(z))
+            images.append(map_reference.eval_point(f, z))
             accepted.append(z)
         except MembershipError as exc:
             first = first or (i, exc)
+            with pytest.raises(MembershipError) as one:
+                f.eval(z)
+            assert str(one.value) == str(exc)
     assert _bits(f.eval_many(np.array(accepted, dtype=complex))) == _bits(images)
+    assert _bits([f.eval(z) for z in accepted]) == _bits(images)
     if first is not None:
         with pytest.raises(MembershipError) as many:
             f.eval_many(np.array(points))
@@ -294,7 +316,9 @@ def test_inversion_underflow_and_overflow_fixes():
        st.floats(-1.7e308, 1.7e308), st.integers(-1074, 1023))
 def test_inversion_is_within_two_ulps_at_every_scale(x, y, k):
     z = complex(math.ldexp(math.frexp(x)[0], k), y)
-    w = InversionMap()._forward(z)
+    with np.errstate(all="ignore"):  # images past the float range are inf
+        u, v = InversionMap()._forward_many(np.array([z.real]), np.array([z.imag]))
+    w = complex(u[0], v[0])
     exact = _exact_inverse(z)
     for got, want in ((w.real, exact.real), (w.imag, exact.imag)):
         if math.isinf(want):

@@ -33,6 +33,7 @@ from qhkit.qhgraph import MAX_PLANE_DEPTH
 from qhkit.scenarios import BUILTIN_DOMAINS, make_region
 from qhkit.spaces import PLANE, project_segment, sample_pairs
 
+import region_reference as rr
 from conftest import HP_BBOX, PP_BBOX
 
 LN2 = math.log(2.0)
@@ -255,7 +256,8 @@ class _WalledHalfPlane(HalfPlaneRegion):
 
 def _stack_refine(region, grading, bbox, max_depth):
     """The per-cell stack loop that qhgraph._refine replaced, kept as its
-    reference: the sorted keys, coords and delta of the leaves."""
+    reference over the scalar predicates of region_reference: the sorted
+    keys, coords and delta of the leaves."""
     x0, x1, y0, y1 = bbox
     s0 = max(x1 - x0, y1 - y0)
     leaves = []
@@ -268,12 +270,12 @@ def _stack_refine(region, grading, bbox, max_depth):
             continue
         cx, cy = ox + s / 2.0, oy + s / 2.0
         c = complex(cx, cy)
-        if (x0 <= cx <= x1) and (y0 <= cy <= y1) and region.contains(c):
-            dz = region.boundary_distance(c)
+        if (x0 <= cx <= x1) and (y0 <= cy <= y1) and rr.contains(region, c):
+            dz = rr.boundary_distance(region, c)
             if s <= grading * dz:
                 leaves.append((d, i, j, c, dz))
                 continue
-        elif not region.contains(c) and region.boundary_gap(c) > s * math.sqrt(2.0) / 2.0:
+        elif not rr.contains(region, c) and rr.boundary_gap(region, c) > s * math.sqrt(2.0) / 2.0:
             continue
         if d >= max_depth:
             continue

@@ -23,6 +23,8 @@ from qhkit import (
 from qhkit.scenarios import make_region
 from qhkit.spaces import PLANE, project_segment
 
+import region_reference as rr
+
 SQRT2 = math.sqrt(2.0)
 
 
@@ -242,9 +244,10 @@ def test_delta_one_lipschitz_omega(omega):
 # array forms of the predicates
 # ---------------------------------------------------------------------------
 
-# The analytic regions, whose scalar contains and boundary_gap are written
-# out by hand; the polygon and curve regions are checked against the scalar
-# code they replaced in test_region_predicates.py.
+# The analytic regions, against the scalar contains and boundary_gap that
+# they wrote out by hand before deriving them from the array forms; the
+# polygon and curve regions are checked against the scalar code they replaced
+# in test_region_predicates.py.
 ARRAY_REGIONS = (make_region("halfplane"), make_region("punctured"), make_region("disk"),
                  DiskRegion(0.5 - 2j, 3.0))
 
@@ -265,11 +268,13 @@ def test_array_predicates_equal_the_scalar_ones_bit_for_bit(points):
     Z = np.array(points, dtype=np.complex128)
     for region in ARRAY_REGIONS:
         inside = region.contains_many(Z)
+        assert inside.tolist() == [rr.contains(region, z) for z in points]
         assert inside.tolist() == [region.contains(z) for z in points]
         gaps = region.boundary_gaps_many(Z)
+        assert _bits(gaps) == _bits([rr.boundary_gap(region, z) for z in points])
         assert _bits(gaps) == _bits([region.boundary_gap(z) for z in points])
         # The mesh builder takes a member's delta from boundary_gaps_many.
-        members = [z for z in points if region.contains(z)]
+        members = [z for z in points if rr.contains(region, z)]
         assert _bits(gaps[inside]) == _bits([region.boundary_distance(z) for z in members])
 
 
