@@ -205,7 +205,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
     """
     region = f.source_region
     rng = random.Random(spec.seed)
-    X = np.array([region.sample_point(rng) for _ in range(spec.count)], dtype=complex)
+    X = np.array(region.sample_points(rng, spec.count), dtype=complex)
     FX = f.eval_many(X)
     radii = np.array(spec.radius_schedule)
     # One row k per admissible (point pt[k], radius rad[k]), in sampling order.
@@ -315,7 +315,7 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
 
     def draws():
         for _ in range(spec.count):
-            x, a, b = (region.sample_point(rng) for _ in range(3))
+            x, a, b = region.sample_points(rng, 3)
             while _modulus(b - x) <= COORD_TOL:  # b == x: resample, same stream
                 b = region.sample_point(rng)
             yield x, a, b, _unit(rng.uniform(0.0, math.tau))
@@ -404,7 +404,7 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
     scatter (grid search on alpha; max-ratio is the faithful envelope).
     k_src and k_img are distance backends (mesh or analytic oracle).
     """
-    pairs = sample_pairs(k_src.sample_point, random.Random(spec.seed), spec.count)
+    pairs = sample_pairs(k_src.sample_points, random.Random(spec.seed), spec.count)
 
     W = f._eval_each(np.array(pairs, dtype=complex).ravel()).tolist()  # x0, y0, x1, ...
     ts = np.array(k_src.distance_pairs(pairs))

@@ -1029,6 +1029,9 @@ class AnalyticBackend:
     def sample_point(self, rng: random.Random) -> complex:
         return self.region.sample_point(rng)
 
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
+        return self.region.sample_points(rng, n)
+
 
 class MeshBackend:
     """k_G through a QhMesh; samples exact mesh nodes so replay is bitwise.
@@ -1062,6 +1065,9 @@ class MeshBackend:
 
     def sample_point(self, rng: random.Random) -> complex:
         return complex(self.mesh.coords[self._pool[rng.randrange(len(self._pool))]])
+
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
+        return [self.sample_point(rng) for _ in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -1111,11 +1117,14 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
     rng = random.Random(seed)
     report = LemmaSuiteReport(region.name, "lemma-3.4", count, [], [])
 
-    pairs = sample_pairs(region.sample_point, rng, count)
+    pairs = sample_pairs(region.sample_points, rng, count)
     ks = backend.distance_pairs(pairs)
+    X = np.array([x for x, _ in pairs], dtype=complex)
+    member = region.contains_many(X)
+    if not member.all():  # delta_G(x) of a point off G
+        raise region.not_member(complex(X[np.argmax(~member)]))
 
-    for idx, ((x, y), k) in enumerate(zip(pairs, ks)):
-        dx = region.boundary_distance(x)
+    for idx, ((x, y), k, dx) in enumerate(zip(pairs, ks, region.boundary_gaps_many(X).tolist())):
         sep = abs(x - y)
         # (1): growth bound
         hi = (math.exp(k) - 1.0) * dx * (1.0 + eps) if k < 700 else math.inf
@@ -1152,10 +1161,14 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
         else:
             # Convex ambient: the component ball is the metric ball itself.
             x, y = disk_point(rng, z, rho), disk_point(rng, z, rho)
-            if abs(x - y) <= COORD_TOL or not (region.contains(x) and region.contains(y)):
+            if abs(x - y) <= COORD_TOL:
                 continue
         ball_pairs.append((x, y))
         ball_meta.append((z, t, dz))
+    if not isinstance(region, CurveRegion):  # keep the pairs with both points in G
+        inside = region.contains_many(np.array(ball_pairs, dtype=complex).ravel())
+        keep = np.flatnonzero(inside.reshape(-1, 2).all(axis=1)).tolist()
+        ball_pairs, ball_meta = [ball_pairs[i] for i in keep], [ball_meta[i] for i in keep]
     if ball_pairs:
         kvals = backend.distance_pairs(ball_pairs)
         for idx, ((x, y), (z, t, dz), k) in enumerate(zip(ball_pairs, ball_meta, kvals)):
@@ -1185,7 +1198,7 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     rng = random.Random(seed)
     report = LemmaSuiteReport(region.name, "lemma-3.6", 2 * count, [], [])
 
-    pairs = sample_pairs(region.sample_point, rng, count)
+    pairs = sample_pairs(region.sample_points, rng, count)
 
     slack = 1.0 + 1e-9
     X, Y = np.array(pairs, dtype=complex).reshape(-1, 2).T

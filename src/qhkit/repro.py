@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResolutionError
 from .estimators import (
     SampleSpec,
     estimate_semisolid,
@@ -80,10 +80,12 @@ def repro_example_1_1(seed: int = 11, count: int = 100, mesh_pairs: int = 60,
                       grading: float = 0.1,
                       witness_ts: tuple[float, ...] = (2.0, 10.0, 100.0)) -> ReproResult:
     """Inversion of the punctured plane: QH isometry, unbounded weak-QS ratios."""
+    if count < 1 or mesh_pairs < 1:
+        raise ConfigurationError("example-1-1 needs count >= 1 and mesh_pairs >= 1")
     res = ReproResult("example-1-1", seed)
     f = InversionMap()
     region = f.source_region
-    pairs = sample_pairs(region.sample_point, random.Random(seed), count)
+    pairs = sample_pairs(region.sample_points, random.Random(seed), count)
     image_pairs = f.eval_many(np.array(pairs, dtype=complex).ravel()).reshape(-1, 2).tolist()
     worst = 0.0
     for idx, ((x, y), (fx, fy)) in enumerate(zip(pairs, image_pairs)):
@@ -141,7 +143,10 @@ def repro_example_1_8(seed: int = 11, pairs: int = 200, grading: float = 0.1,
 
     expected_coeff = 2.0 * math.sqrt(5.0) / 5.0
     for n in witness_ns:
-        fO, fa, fb = f._eval_each(np.array(shear_local_witness(n, locality_q))).tolist()
+        O, a, b = shear_local_witness(n, locality_q)
+        if O in (a, b):
+            raise ResolutionError(f"the shear witness at n = {n:g} rounds onto its base {O}")
+        fO, fa, fb = f._eval_each(np.array((O, a, b))).tolist()
         ratio = abs(fO - fa) / abs(fO - fb)
         expected = expected_coeff * (n + 1.0)
         res.values[f"witness_ratio_n={n:g}"] = ratio

@@ -9,7 +9,6 @@ estimators layered on top.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -22,6 +21,8 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConfigurationError, MembershipError, ResolutionError
 
 COORD_TOL = 1e-9
+#: Consecutive rejected tries after which a rejection sampler gives up.
+_MAX_REJECTIONS = 10000
 
 Point = complex
 
@@ -52,23 +53,6 @@ def disk_point(rng: random.Random, center: complex, radius: float) -> complex:
 _TINY = 2.0 ** -600
 
 
-def project_segment(z: complex, a: complex, b: complex) -> tuple[float, float]:
-    """(arclength from a of the point of [a, b] closest to z, distance from z to it)."""
-    d = b - a
-    L2 = d.real * d.real + d.imag * d.imag
-    dot = (z - a).real * d.real + (z - a).imag * d.imag
-    # Rescale where the square overflows, or the dot product reads inf - inf.
-    if (L2 == math.inf or (dot != dot and cmath.isfinite(z))) and \
-            cmath.isfinite(a) and cmath.isfinite(b):
-        s, dist = project_segment(z * _TINY, a * _TINY, b * _TINY)
-        return s / _TINY, dist / _TINY
-    t = 0.0
-    if L2 != 0.0:
-        t = dot / L2
-        t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
-    return t * math.sqrt(L2), _modulus(z - (a + d * t))
-
-
 def _modulus(z: complex) -> float:
     """abs(z), not math.hypot, which rounds some results differently; inf
     where abs() overflows."""
@@ -87,9 +71,10 @@ def _moduli(Z: np.ndarray, center: complex = 0j) -> np.ndarray:
 
 
 def _projections(Z: np.ndarray, A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """project_segment(z, a, b) over broadcast complex arrays, bit for bit:
-    the arclengths and the distances, rescaled by _TINY where the square
-    overflows or the dot product reads inf - inf."""
+    """Over broadcast complex arrays, the arclength from a of the point of
+    [a, b] closest to z (t |b - a| with t clipped to [0, 1]) and the distance
+    from z to it (as abs() gives it), rescaled by _TINY where the square of
+    |b - a| overflows or the dot product reads inf - inf."""
     with np.errstate(all="ignore"):
         D, W = B - A, Z - A
         L2 = D.real * D.real + D.imag * D.imag
@@ -128,30 +113,12 @@ class Segment:
             return self.a if np.ndim(s) == 0 else np.full(np.shape(s), self.a)
         return self.a + (self.b - self.a) * (s / L)
 
-    def project(self, z: complex) -> tuple[float, float]:
-        """(arclength of the closest point, distance from z to it)."""
-        return project_segment(z, self.a, self.b)
-
-
-def locate(segments: Sequence[Segment], z, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
-    """(segment index, arclength parameter) of z on the nearest segment within
-    tol, or None when z is off every segment."""
-    z = as_point(z)
-    best = None
-    for i, seg in enumerate(segments):
-        s, d = seg.project(z)
-        if d <= tol and (best is None or d < best[2]):
-            best = (i, s, d)
-    if best is None:
-        return None
-    return best[0], best[1]
-
 
 def locate_many(A: np.ndarray, B: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """locate over the segments [A[k], B[k]] for every point of Z, bit for
-    bit: arrays of Z's shape with the index of the first segment at the least
-    distance within COORD_TOL (-1 when z is off every segment) and the
-    arclength on it (_projections, as project_segment gives it)."""
+    """Place every point of Z on the segments [A[k], B[k]]: arrays of Z's
+    shape with the index of the first segment at the least distance within
+    COORD_TOL (-1 when z is off every segment) and the arclength on it, both
+    from one _projections call."""
     shape = (-1,) + (1,) * Z.ndim
     S, D = _projections(Z, A.reshape(shape), B.reshape(shape))
     D = np.where(D <= COORD_TOL, D, np.inf)  # off-segment and nan distances never win
@@ -169,17 +136,19 @@ def point_along(segments: Sequence[Segment], lengths: Sequence[float], u: float)
     return segments[-1].b
 
 
-def sample_pairs(sample_point: Callable[[random.Random], complex], rng: random.Random,
-                 count: int) -> list[tuple[complex, complex]]:
-    """count seeded pairs (x, y) of distinct points; a y that repeats x is
-    redrawn from the same stream, so the draw order is fixed by the seed."""
-    pairs = []
-    for _ in range(count):
-        x = sample_point(rng)
-        y = sample_point(rng)
-        while abs(x - y) <= COORD_TOL:
-            y = sample_point(rng)
-        pairs.append((x, y))
+def sample_pairs(sample_points: Callable[[random.Random, int], list[complex]],
+                 rng: random.Random, count: int) -> list[tuple[complex, complex]]:
+    """count seeded pairs: each x with the next point farther than COORD_TOL
+    from it.  A batch asks for the points that the pairs left take with no
+    skip, so no point is drawn past the last pair, as one at a time."""
+    pairs, x = [], None
+    while len(pairs) < count:
+        for p in sample_points(rng, 2 * (count - len(pairs)) - (x is not None)):
+            if x is None:
+                x = p
+            elif not abs(x - p) <= COORD_TOL:
+                pairs.append((x, p))
+                x = None
     return pairs
 
 
@@ -194,7 +163,7 @@ class SpaceModel:
     #: c such that the space is c-quasiconvex (None when not declared).
     quasiconvexity: Optional[float] = None
 
-    def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
+    def contains(self, z: complex) -> bool:
         raise NotImplementedError
 
     def require_member(self, z: complex, what: str = "point") -> complex:
@@ -220,6 +189,10 @@ class SpaceModel:
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
 
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
+        """n draws of sample_point from the stream."""
+        return [self.sample_point(rng) for _ in range(n)]
+
 
 class PlaneSpace(SpaceModel):
     """The Euclidean plane (convex, so the length metric equals |x - y|)."""
@@ -230,7 +203,7 @@ class PlaneSpace(SpaceModel):
     def __init__(self, sample_window: tuple[float, float, float, float] = (-3.0, 3.0, -3.0, 3.0)):
         self.sample_window = sample_window
 
-    def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
+    def contains(self, z: complex) -> bool:
         return True
 
     def length_distances_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -247,12 +220,12 @@ PLANE = PlaneSpace()
 class CurveComplexSpace(SpaceModel):
     """Connected union of straight segments with the restricted plane metric.
 
-    Points are located as (segment index, arclength parameter), so arc
-    distances come out exact rather than mesh-approximated.  Segments meet
-    only at shared endpoints; a table of shortest distances between the
-    endpoints, computed once, carries the length metric, which
-    length_distances_many evaluates over arrays (length_distance is its
-    one-element call).
+    locate_many places points as (segment index, arclength parameter), so
+    arc distances come out exact rather than mesh-approximated; contains is
+    its one-element call.  Segments meet only at shared endpoints; a table of
+    shortest distances between the endpoints, computed once, carries the
+    length metric, which length_distances_many evaluates over arrays
+    (length_distance is its one-element call).
     """
 
     kind = "complex"
@@ -280,11 +253,8 @@ class CurveComplexSpace(SpaceModel):
             raise ConfigurationError("curve complex segments do not form a connected set")
         self._table = D
 
-    def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
-        return locate(self.segments, z, tol)
-
-    def contains(self, z: complex, tol: float = COORD_TOL) -> bool:
-        return self.locate(z, tol) is not None
+    def contains(self, z: complex) -> bool:
+        return bool(locate_many(self._a, self._b, np.array([as_point(z)]))[0][0] >= 0)
 
     def length_distances_many(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Exact shortest-path lengths between on-complex points, over
@@ -334,10 +304,9 @@ class Region:
     boundary_distance, delta_G, is the boundary_gap of a member.
     length_boundary_distances_many gives delta'_G of members, which is delta_G
     in the plane, and length_boundary_distance is its one-element call on
-    curve regions.  Only CurveRegion writes out a scalar contains and
-    boundary_gap, equal to its array forms bit for bit: its rejection
-    sampling calls contains per draw, and the draw count depends on each
-    answer (a derived contains costs about 40 us there against 5 us).
+    curve regions.  sample_points(rng, n) gives what n calls of sample_point
+    give; the rejection samplers draw in batches (_rejection_sample) and
+    test each batch with one contains_many call.
     """
 
     name: str = "region"
@@ -390,6 +359,26 @@ class Region:
 
     def sample_point(self, rng: random.Random) -> complex:
         raise NotImplementedError
+
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
+        """n draws of sample_point from the stream."""
+        return [self.sample_point(rng) for _ in range(n)]
+
+    def _rejection_sample(self, rng: random.Random, n: int,
+                          draw: Callable[[random.Random], complex], message: str) -> list[complex]:
+        """The first n members of G among the tries draw(rng): each batch draws
+        the tries still needed, so the stream ends where one-at-a-time draws
+        leave it, even at the _MAX_REJECTIONS-th rejection in a row."""
+        out, run = [], 0  # run: rejections since the last accepted try
+        while len(out) < n:
+            k = min(n - len(out), _MAX_REJECTIONS - run)
+            Z = np.array([draw(rng) for _ in range(k)], dtype=complex)
+            ok = self.contains_many(Z)
+            out += Z[ok].tolist()
+            run = k - 1 - int(np.flatnonzero(ok)[-1]) if ok.any() else run + k
+            if run == _MAX_REJECTIONS:
+                raise ResolutionError(message)
+        return out
 
     def key(self) -> tuple:
         return (type(self).__name__, self.name)
@@ -547,13 +536,14 @@ class PolygonRegion(Region):
         return ok
 
     def sample_point(self, rng: random.Random) -> complex:
-        xs = [p.real for p in self.outer]
-        ys = [p.imag for p in self.outer]
-        for _ in range(10000):
-            z = complex(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
-            if self.contains(z):
-                return z
-        raise ResolutionError("rejection sampling failed; polygon area too thin")
+        return self.sample_points(rng, 1)[0]
+
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
+        x0, x1 = min(p.real for p in self.outer), max(p.real for p in self.outer)
+        y0, y1 = min(p.imag for p in self.outer), max(p.imag for p in self.outer)
+        return self._rejection_sample(
+            rng, n, lambda r: complex(r.uniform(x0, x1), r.uniform(y0, y1)),
+            "rejection sampling failed; polygon area too thin")
 
     def key(self) -> tuple:
         return ("PolygonRegion", tuple(_coord_key(p) for p in self.outer),
@@ -577,8 +567,8 @@ class CurveRegion(Region):
     an exact minimum of length distances (length_boundary_distances_many).
     A segment stays inside when both ends are members, both lie on one
     piece, and no boundary point on that piece lies strictly between them
-    (_blocked).  locate_many places whole arrays of points on the pieces for
-    the queries; the scalar locate serves the sampling loops.
+    (_blocked).  A member lies on a piece, farther than COORD_TOL from every
+    boundary point; locate_many places whole arrays of points on the pieces.
     """
 
     def __init__(self, space: CurveComplexSpace, pieces: Sequence[Segment],
@@ -600,20 +590,9 @@ class CurveRegion(Region):
         S, D = _projections(self._bp, self._a, self._b)
         self._arcs = np.sort(np.where(D <= COORD_TOL, S, np.nan), axis=1)
 
-    def locate(self, z: complex, tol: float = COORD_TOL) -> Optional[tuple[int, float]]:
-        return locate(self.pieces, z, tol)
-
     def locate_many(self, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """locate over an array of points: (piece index or -1, arclength)."""
+        """The pieces of an array of points: (piece index or -1, arclength)."""
         return locate_many(self._a, self._b, Z)
-
-    def contains(self, z: complex) -> bool:
-        z = as_point(z)
-        return self.locate(z) is not None and self.boundary_gap(z) > COORD_TOL
-
-    def boundary_gap(self, z: complex) -> float:
-        z = as_point(z)
-        return min(_modulus(z - bp) for bp in self.boundary_points)
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         on = (_projections(Z, self._a, self._b)[1] <= COORD_TOL).any(axis=0)
@@ -641,13 +620,14 @@ class CurveRegion(Region):
         return self.space.length_distances_many(Z[:, None], self._bp).min(axis=1)
 
     def sample_point(self, rng: random.Random) -> complex:
+        return self.sample_points(rng, 1)[0]
+
+    def sample_points(self, rng: random.Random, n: int) -> list[complex]:
         lengths = [seg.length for seg in self.pieces]
         total = sum(lengths)
-        for _ in range(10000):
-            z = point_along(self.pieces, lengths, rng.uniform(0.0, total))
-            if self.contains(z):
-                return z
-        raise ResolutionError("could not sample a region point clear of the boundary")
+        return self._rejection_sample(
+            rng, n, lambda r: point_along(self.pieces, lengths, r.uniform(0.0, total)),
+            "could not sample a region point clear of the boundary")
 
     def key(self) -> tuple:
         return ("CurveRegion", self.name,
@@ -767,21 +747,20 @@ def _cut_pieces(region: CurveRegion, cuts: Sequence[tuple[int, np.ndarray]]) -> 
 
 
 def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
-    loc = region.locate(z)
-    if loc is None:
-        raise MembershipError(f"center {z} is not on the complex")
+    (i0,), (s_z,) = (a.tolist() for a in region.locate_many(np.array([z])))
     # Each piece keeps its whole-length grid L*k/m, cut only over the indices
     # within r + 2h of z, one index of margin on each side.  Component nodes
     # lie within r of z and their neighbours within r + h, so every node,
-    # pair and frontier point of the ball is cut as from the whole grid.
+    # pair and frontier point of the ball is cut as from the whole grid.  Above
+    # the float spacing of L, m <= 2^53 + 1: L*k/m is formed with every k exact.
     reach = r + 2.0 * h
     windows = []
-    for pi, seg in enumerate(region.pieces):
-        s0, d = seg.project(z)
-        if d >= reach and pi != loc[0]:
+    S0, D0 = (a.tolist() for a in _projections(z, region._a[:, 0], region._b[:, 0]))
+    for pi, (seg, s0, d) in enumerate(zip(region.pieces, S0, D0)):
+        if d >= reach and pi != i0:
             continue
         L = seg.length
-        if L / h == math.inf:
+        if not h > math.ulp(L):
             raise ResolutionError(f"resolution {h} is too fine to cut a piece of length {L}")
         m = max(1, int(math.ceil(L / h)))
         w = math.sqrt(max(reach * reach - d * d, 0.0))
@@ -793,12 +772,12 @@ def _component_ball_complex(region: CurveRegion, z: complex, r: float, h: float)
     cuts = []
     for pi, L, m, lo, hi in windows:
         S = L * np.arange(lo, hi + 1) / m
-        if pi == loc[0] and not (S == loc[1]).any():
-            S = np.insert(S, np.searchsorted(S, loc[1]), loc[1])
+        if pi == i0 and not (S == s_z).any():
+            S = np.insert(S, np.searchsorted(S, s_z), s_z)
         cuts.append((pi, S))
     P, ids, _, member, u, v = _cut_pieces(region, cuts)
     in_ball = member & (_moduli(P, z) < r)
-    start = ids[_coord_key(region.pieces[loc[0]].point_at(loc[1]))]
+    start = ids[_coord_key(region.pieces[i0].point_at(s_z))]
     in_ball[start] = True
     nodes, frontier = _flood(z, r, h, P, u, v, in_ball[u] & in_ball[v], start)
     keys = list(ids)
@@ -830,7 +809,7 @@ def quasiconvexity_estimate(space: SpaceModel, samples: int, seed: int) -> float
     """Max of d(x, y)/|x - y| over seeded sample pairs; a lower bound for c."""
     if samples < 2:
         raise ConfigurationError("quasiconvexity estimate needs samples >= 2")
-    X, Y = np.array(sample_pairs(space.sample_point, random.Random(seed), samples)).T
+    X, Y = np.array(sample_pairs(space.sample_points, random.Random(seed), samples)).T
     return float(np.fmax.reduce(space.length_distances_many(X, Y) / _moduli(X, Y), initial=1.0))
 
 
@@ -846,8 +825,9 @@ def component_ball(region: Region, z, r: float, resolution: float) -> ComponentB
     L*k/m, m = ceil(L/h), cut only within r + 2h of z: O(r/h) points per
     nearby piece, and the same ball as cutting every piece whole.  There
     consecutive points pair unless a boundary point lies strictly between
-    them.  A mesh of more than MAX_BALL_POINTS points, or a plane grid whose
-    h is not above the float spacing of its coordinates, raises
+    them.  A mesh of more than MAX_BALL_POINTS points, a plane grid whose h
+    is not above the float spacing of its coordinates, or a piece within
+    reach whose length's float spacing h is not above, raises
     ResolutionError before anything is built.
     """
     z = region.require_member(as_point(z), "center")

@@ -17,7 +17,7 @@ from qhkit.estimators import (_N_DIRECTIONS, PropertyReport, SampleSpec, _pt,
                               inversion_weak_qs_witness, shear_local_witness)
 from qhkit.maps import HalfPlaneShearMap, InversionMap, MapSpec
 from qhkit.spaces import (COORD_TOL, CurveRegion, Region, _modulus, as_point, component_ball,
-                          disk_point, sample_pairs)
+                          disk_point)
 
 import map_reference as mr
 import region_reference as rr
@@ -57,7 +57,7 @@ def estimate_qc(f: MapSpec, spec: SampleSpec) -> PropertyReport:
             for k in range(_N_DIRECTIONS)]
 
     for _ in range(spec.count):
-        x = region.sample_point(rng)
+        x = rr.sample_point(region, rng)
         dx = rr.boundary_distance(region, x)
         fx = mr.eval_point(f, x)
         smallest: Optional[tuple[float, float, dict]] = None
@@ -126,7 +126,7 @@ def estimate_ring(f: MapSpec, spec: SampleSpec, alpha: float, beta: float,
     env = _Envelope()
 
     for _ in range(spec.count):
-        z = region.sample_point(rng)
+        z = rr.sample_point(region, rng)
         dz = rr.boundary_distance(region, z)
         r = rng.uniform(0.3, 0.99) * dz / beta
         if r <= 0.0 or not math.isfinite(r):
@@ -192,11 +192,11 @@ def estimate_weak_qs(f: MapSpec, spec: SampleSpec,
     env = _Envelope()
 
     for _ in range(spec.count):
-        x = region.sample_point(rng)
-        a = region.sample_point(rng)
-        b = region.sample_point(rng)
+        x = rr.sample_point(region, rng)
+        a = rr.sample_point(region, rng)
+        b = rr.sample_point(region, rng)
         while _modulus(b - x) <= COORD_TOL:
-            b = region.sample_point(rng)
+            b = rr.sample_point(region, rng)
         _triple(env, f, x, a, b)
         _offer_probes(env, f, region, x, 0.3 * rr.boundary_distance(region, x), rng)
 
@@ -219,7 +219,7 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
     collected: Optional[list] = [] if collect_triples else None
 
     for _ in range(spec.count):
-        z = region.sample_point(rng)
+        z = rr.sample_point(region, rng)
         rho = q * rr.boundary_distance(region, z)
         if isinstance(region, CurveRegion):
             try:
@@ -256,7 +256,7 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
 def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
                        alphas: Sequence[float] = tuple(a / 20.0 for a in range(1, 21))
                        ) -> PropertyReport:
-    pairs = sample_pairs(k_src.sample_point, random.Random(spec.seed), spec.count)
+    pairs = rr.sample_pairs(k_src.sample_point, random.Random(spec.seed), spec.count)
 
     image_pairs = [(mr.eval_point(f, x), mr.eval_point(f, y)) for x, y in pairs]
     ts = k_src.distance_pairs(pairs)
@@ -306,7 +306,7 @@ def estimate_relative(f: MapSpec, spec: SampleSpec, t0: float,
     env = _Envelope()
 
     for _ in range(spec.count):
-        x = region.sample_point(rng)
+        x = rr.sample_point(region, rng)
         dx = rr.boundary_distance(region, x)
         rho = rng.uniform(0.0, 1.0) * t0 * dx
         th = rng.uniform(0.0, 2.0 * math.pi)

@@ -10,7 +10,9 @@ import numpy as np
 
 from qhkit.errors import ConnectivityError, MembershipError
 from qhkit.qhgraph import _segment_weights
-from qhkit.spaces import COORD_TOL, CurveRegion, _coord_key, as_point, locate
+from qhkit.spaces import COORD_TOL, CurveRegion, _coord_key, as_point
+
+from region_reference import locate
 
 
 def length_distance(space, x: complex, y: complex) -> float:
@@ -91,7 +93,7 @@ def attach_plane(mesh, z: complex) -> Attachment:
 
 def attach_complex(mesh, z: complex) -> Attachment:
     region = mesh.region
-    loc = region.locate(z)
+    loc = locate(region.pieces, z)
     if loc is None:
         raise MembershipError(f"query point {z} is not on the complex")
     pi, s = loc

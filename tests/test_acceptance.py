@@ -6,11 +6,16 @@ meshes fresh so the quoted runtime is a real wall measurement.
 """
 import math
 import random
+import re
 import time
 
+import pytest
+
 from qhkit import (
+    ConfigurationError,
     IdentityMap,
     MeshBackend,
+    ResolutionError,
     SampleSpec,
     build_mesh,
     chain_constants,
@@ -103,6 +108,19 @@ def test_criterion_6_lemma_suites():
             res34.passed and res36.passed,
             "; ".join(f"{a.label}: {a.detail}"
                       for a in res34.assertions + res36.assertions))
+
+
+def test_degenerate_repro_runs_are_typed_errors():
+    with pytest.raises(ConfigurationError, match="example-1-1 needs count >= 1"):
+        run_suite("example-1-1", count=0)
+    with pytest.raises(ConfigurationError, match="mesh_pairs >= 1"):
+        run_suite("example-1-1", count=5, mesh_pairs=0)
+    # b = (n - q eps/2, 1/2) rounds onto the base point (n, 1/2).
+    for n in (1e15, 1e17, -1e17):
+        message = re.escape(f"the shear witness at n = {n:g} rounds onto its base")
+        with pytest.raises(ResolutionError, match=message):
+            run_suite("example-1-8", pairs=5, witness_ns=(n,))
+    assert run_suite("example-1-8", pairs=5, witness_ns=(1e14,)).values["witness_ratio_n=1e+14"] > 0
 
 
 def test_criterion_7_constants():

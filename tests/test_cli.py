@@ -169,6 +169,22 @@ def test_ball_at_a_huge_center_is_one_line_error(capsys, domain, center):
     assert "float spacing" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # m = ceil(L/h) passes the int64 range: no grid is cut.
+    (("ball", "--domain", "frame-omega", "--center", "0.5,0", "--radius", "1e-20",
+      "--resolution", "1e-21"), "is too fine to cut a piece of length 4.0"),
+    (("ball", "--domain", "frame-omega", "--center", "0,0", "--radius", "1e-300",
+      "--resolution", "1e-301"), "is too fine to cut a piece of length 4.0"),
+    # A witness point rounds onto the base point; no pairs to compare.
+    (("repro", "example-1-8", "--n", "1e17"), "rounds onto its base"),
+    (("repro", "example-1-1", "--count", "0"), "example-1-1 needs count >= 1"),
+])
+def test_fine_complex_ball_and_degenerate_repro_are_one_line_errors(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 CHECK_QC = ("check-qc", "--map", "shear")
 QH = ("qh", "--domain", "halfplane", "--from", "0,1", "--to", "0,2")
 

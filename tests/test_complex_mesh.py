@@ -20,6 +20,7 @@ from qhkit.qhgraph import _assemble_mesh, _unique_pairs
 from qhkit.scenarios import make_region
 from qhkit.spaces import COORD_TOL, CurveRegion, _coord_key
 
+import region_reference as rr
 from query_reference import region_delta
 from test_complex_table import random_complex
 
@@ -59,7 +60,7 @@ def recursive_piece_cuts(region: CurveRegion, seg, grading: float,
                          max_depth: int) -> tuple[list[float], int]:
     cuts = {0.0, seg.length}
     for bp in region.boundary_points:
-        s, d = seg.project(bp)
+        s, d = rr.project_segment(bp, seg.a, seg.b)
         if d <= COORD_TOL:
             cuts.add(s)
     base = sorted(cuts)

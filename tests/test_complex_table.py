@@ -19,6 +19,8 @@ from qhkit import ConfigurationError, CurveComplexSpace, Segment, build_mesh
 from qhkit.scenarios import default_mesh_params, frame_space, make_region
 from qhkit.spaces import _coord_key, sample_pairs
 
+from region_reference import locate
+
 FRAME_PAIRS_SHA256 = "3c9521f18246494d46012975acdd8858c496afbae3be5d1591e47ebcb0fe1655"
 LENGTH_MESH_SHA256 = {
     "frame-omega": "2e8608c14cdf506870a9ca695df7d72639b3189c507897c03e4c4f68158633bc",
@@ -35,7 +37,7 @@ def _sha256(*arrays) -> str:
 
 def frame_pairs_digest() -> str:
     frame = frame_space()
-    pairs = sample_pairs(frame.sample_point, random.Random(2024), 500)
+    pairs = sample_pairs(frame.sample_points, random.Random(2024), 500)
     return _sha256(([frame.length_distance(x, y) for x, y in pairs], "<f8"))
 
 
@@ -64,7 +66,7 @@ def reference_distance(space: CurveComplexSpace, x: complex, y: complex) -> floa
         return 0.0
     cuts = [[0.0, seg.length] for seg in space.segments]
     for z in (x, y):
-        i, s = space.locate(z)
+        i, s = locate(space.segments, z)
         cuts[i].append(s)
     nodes: dict = {}
     adj: dict = {}
@@ -111,7 +113,7 @@ def random_complex(rng: random.Random) -> CurveComplexSpace:
 def query_points(space: CurveComplexSpace, rng: random.Random) -> list[tuple[complex, complex]]:
     segs = space.segments
     corners = [p for seg in segs for p in (seg.a, seg.b)]
-    pairs = sample_pairs(space.sample_point, rng, 40)
+    pairs = sample_pairs(space.sample_points, rng, 40)
     for _ in range(10):  # both points on one segment
         seg = rng.choice(segs)
         pairs.append((seg.point_at(rng.uniform(0, seg.length)),

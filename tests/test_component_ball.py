@@ -20,6 +20,7 @@ from qhkit import ConfigurationError, QhkitError, ResolutionError, component_bal
 from qhkit.scenarios import make_region
 from qhkit.spaces import ComponentBall, CurveRegion, _coord_key
 
+import region_reference as rr
 from test_complex_table import random_complex
 from test_qhgraph import _COMB, _HOLED, _L_SHAPE
 
@@ -192,7 +193,7 @@ def stack_plane_ball(region, z: complex, r: float, h: float) -> ComponentBall:
 
 def whole_complex_ball(region: CurveRegion, z: complex, r: float, h: float) -> ComponentBall:
     z = region.require_member(z, "center")
-    loc = region.locate(z)
+    loc = rr.locate(region.pieces, z)
     node_ids: dict = {}
     coords: list = []
     in_ball: list = []
@@ -348,3 +349,25 @@ def test_radius_and_resolution_must_be_positive_and_finite(halfplane, omega, r, 
     for region, z in ((halfplane, 1j), (omega, 0j)):
         with pytest.raises(ConfigurationError, match="positive and finite"):
             component_ball(region, z, r, h)
+
+
+@pytest.mark.parametrize("z, r, h", [(0.5 + 0j, 1e-20, 1e-21), (0j, 1e-300, 1e-301),
+                                     (0.5 + 0j, 1e-14, math.ulp(4.0))])
+def test_complex_grid_below_the_float_spacing_of_a_piece_is_a_resolution_error(
+        monkeypatch, omega, z, r, h):
+    # m = ceil(L/h) would pass 2^53 (at the first two, the int64 range), so
+    # L*k/m could not be formed in float64; no point is cut.
+    def cut(*args):
+        raise AssertionError("a piece was cut")
+
+    monkeypatch.setattr(spaces, "_cut_pieces", cut)
+    with pytest.raises(ResolutionError, match="too fine to cut a piece of length 4.0"):
+        component_ball(omega, z, r, h)
+
+
+def test_complex_grid_above_the_float_spacing_of_a_piece_is_cut(omega):
+    # The bottom piece of length 4 at twice its float spacing: the grid is
+    # formed, and only the collapse of its points onto one key stops the ball.
+    h = 2.0 * math.ulp(4.0)
+    with pytest.raises(ResolutionError, match="places no mesh node besides the center"):
+        component_ball(omega, 0.5 + 0j, 10.0 * h, h)

@@ -31,7 +31,7 @@ from qhkit import (
 )
 from qhkit.qhgraph import MAX_PLANE_DEPTH
 from qhkit.scenarios import BUILTIN_DOMAINS, make_region
-from qhkit.spaces import PLANE, project_segment, sample_pairs
+from qhkit.spaces import PLANE, _projections, sample_pairs
 
 import region_reference as rr
 from conftest import HP_BBOX, PP_BBOX
@@ -178,7 +178,7 @@ def polygon_mesh_digest(region, grading, max_depth) -> str:
         h.update(np.ascontiguousarray(a).tobytes())
     h.update(repr([mesh.stats[k] for k in ("nodes", "edges", "components", "dropped_nodes",
                                            "segment_rejections")]).encode())
-    for x, y in sample_pairs(_covered(mesh, region.sample_point), random.Random(3), 20):
+    for x, y in sample_pairs(_covered(mesh, region.sample_points), random.Random(3), 20):
         try:
             r = qh_distance(mesh, x, y)
         except ConnectivityError as exc:
@@ -459,8 +459,8 @@ def test_punctured_oracle_and_regions_take_moduli_beyond_the_float_range():
     assert make_region("punctured").boundary_distance(z) == math.inf
     assert make_region("punctured").boundary_gap(z) == math.inf
     assert make_region("disk").boundary_gap(z) == math.inf
-    assert project_segment(z, 0j, 1 + 0j) == (1.0, math.inf)
-    assert project_segment(0j, z, z) == (0.0, math.inf)
+    assert [a.tolist() for a in _projections(np.array([z]), 0j, 1 + 0j)] == [[1.0], [math.inf]]
+    assert [a.tolist() for a in _projections(np.array([0j]), z, z)] == [[0.0], [math.inf]]
 
 
 def test_mesh_overestimates_oracle(hp_mesh_01, pp_mesh_005, halfplane, punctured):
@@ -508,9 +508,9 @@ def test_path_qh_length_equals_distance(request, mesh_name):
     # pairs (a point and the midpoint to one of its anchors) whose answer
     # can be the straight segment.
     mesh = request.getfixturevalue(mesh_name)
-    sample_point = _covered(mesh, mesh.region.sample_point) if mesh_name == "disk_mesh" \
-        else mesh.region.sample_point
-    points = [p for pair in sample_pairs(sample_point, random.Random(59), 15) for p in pair]
+    sample_points = _covered(mesh, mesh.region.sample_points) if mesh_name == "disk_mesh" \
+        else mesh.region.sample_points
+    points = [p for pair in sample_pairs(sample_points, random.Random(59), 15) for p in pair]
     points = [p for p in points if mesh.exact_node(p) is None]
     att = qhgraph._attach(mesh, np.array(points))
     near = [(p, (p + mesh.coords[att.anchors(e)[0][0]]) / 2.0) for e, p in enumerate(points)]
@@ -520,14 +520,16 @@ def test_path_qh_length_equals_distance(request, mesh_name):
     assert any(len(r.node_path) == 2 for r in results[-len(near):])
 
 
-def _covered(mesh, sample_point):
-    """sample_point redrawn until the point has a host cell; the default disk
-    mesh leaves part of the rim uncovered."""
-    def draw(rng):
-        p = sample_point(rng)
-        while mesh._host_cell(p) is None:
-            p = sample_point(rng)
-        return p
+def _covered(mesh, sample_points):
+    """A batch sampler over sample_points that keeps the points with a host
+    cell, in draw order, drawing only as many as it still needs: the points
+    that one draw at a time, each redrawn until covered, would give.  The
+    default disk mesh leaves part of the rim uncovered."""
+    def draw(rng, n):
+        out = []
+        while len(out) < n:
+            out += [p for p in sample_points(rng, n - len(out)) if mesh._host_cell(p) is not None]
+        return out
     return draw
 
 
@@ -550,10 +552,10 @@ def test_batch_answers_equal_single_pair_answers(request, mesh_name, region_name
     # the search limits that the batch's earlier rows give its source.
     mesh = request.getfixturevalue(mesh_name)
     region = request.getfixturevalue(region_name)
-    sample_point = _covered(mesh, region.sample_point) if mesh_name == "disk_mesh" \
-        else region.sample_point
+    sample_points = _covered(mesh, region.sample_points) if mesh_name == "disk_mesh" \
+        else region.sample_points
     stats = {}
-    _assert_batch_equals_singles(mesh, sample_pairs(sample_point, random.Random(41), 200),
+    _assert_batch_equals_singles(mesh, sample_pairs(sample_points, random.Random(41), 200),
                                  stats)
     assert stats["dijkstra_limited"] > 0
 
@@ -582,7 +584,7 @@ def test_shared_and_mixed_sources_equal_single_pair_answers(request, mesh_name, 
 
 
 def test_large_batch_searches_limited(pp_mesh_005, punctured):
-    pairs = sample_pairs(punctured.sample_point, random.Random(47), 200)
+    pairs = sample_pairs(punctured.sample_points, random.Random(47), 200)
     stats = {}
     qh_distance_many(pp_mesh_005, pairs, stats)
     assert stats["sources"] == stats["appended_rows"] == 200
@@ -611,8 +613,7 @@ def _l_shape_mesh():
 @pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "disk_mesh", "l_shape"])
 def test_guessed_limits_give_the_full_search_answers(request, monkeypatch, mesh_name):
     mesh = _l_shape_mesh() if mesh_name == "l_shape" else request.getfixturevalue(mesh_name)
-    sample_point = _covered(mesh, mesh.region.sample_point)
-    pairs = sample_pairs(sample_point, random.Random(53), 60)
+    pairs = sample_pairs(_covered(mesh, mesh.region.sample_points), random.Random(53), 60)
     stats = [{} for _ in pairs[:30]]
     guessed = [qh_distance(mesh, x, y, st) for (x, y), st in zip(pairs, stats)]
     batch_stats = {}
@@ -711,7 +712,7 @@ def test_source_rows_are_written_after_the_mesh_entries(request, hp_mesh_005, ha
     assert np.shares_memory(aug.indices, mesh.graph.indices)
     assert np.shares_memory(aug.data, mesh.graph.data)
     # Queries write into the room reserved at build; nothing reallocates it.
-    pairs = sample_pairs(halfplane.sample_point, rng, 250)
+    pairs = sample_pairs(halfplane.sample_points, rng, 250)
     qh_distance_many(mesh, pairs[:200])
     for x, y in pairs[200:]:
         qh_distance(mesh, x, y)
@@ -736,7 +737,7 @@ def test_queries_leave_the_mesh_graph_unchanged(hp_mesh_01, halfplane):
     digest = _graph_digest(mesh.graph)
     rng = random.Random(29)
     for size in (1, 40, 1, 3, 120, 1):
-        pairs = sample_pairs(halfplane.sample_point, rng, size)
+        pairs = sample_pairs(halfplane.sample_points, rng, size)
         if size == 1:
             qh_distance(mesh, *pairs[0])
         else:
@@ -749,7 +750,7 @@ def test_threads_querying_one_mesh_get_the_sequential_answers(hp_mesh_01, halfpl
     # mesh lock keeps another thread's rows out of a search in progress.
     mesh = hp_mesh_01
     rng = random.Random(31)
-    work = [sample_pairs(halfplane.sample_point, rng, 60) for _ in range(2)]
+    work = [sample_pairs(halfplane.sample_points, rng, 60) for _ in range(2)]
 
     def answers(pairs):
         return [(r.distance, r.node_path) for r in (qh_distance(mesh, *p) for p in pairs)]

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from qhkit import MembershipError, QhkitError, build_mesh, qhgraph
 from qhkit.scenarios import BUILTIN_DOMAINS, default_mesh_params, make_region
-from qhkit.spaces import COORD_TOL, locate, locate_many
+from qhkit.spaces import COORD_TOL, locate_many
 
 import query_reference as ref
+from region_reference import locate
 from test_complex_mesh import random_curve_region
 
 

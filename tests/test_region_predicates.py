@@ -9,8 +9,9 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from qhkit import QhkitError
 from qhkit.scenarios import frame_space, make_region
-from qhkit.spaces import CurveRegion, _projections, project_segment
+from qhkit.spaces import CurveRegion, _projections
 
 import region_reference as ref
 from test_qhgraph import _COMB, _HOLED, _L_SHAPE
@@ -71,9 +72,12 @@ def test_curve_predicates_equal_the_scalar_references(points):
     pairs = _all_pairs(points)
     A, B = (np.array(col, dtype=np.complex128) for col in zip(*pairs))
     for region in CURVES:
-        assert region.contains_many(Z).tolist() == [region.contains(z) for z in points]
-        assert _bits(region.boundary_gaps_many(Z)) == \
-            _bits([region.boundary_gap(z) for z in points])
+        inside = [ref.curve_contains(region, z) for z in points]
+        assert region.contains_many(Z).tolist() == inside
+        assert [region.contains(z) for z in points] == inside
+        gaps = [ref.curve_boundary_gap(region, z) for z in points]
+        assert _bits(region.boundary_gaps_many(Z)) == _bits(gaps)
+        assert _bits([region.boundary_gap(z) for z in points]) == _bits(gaps)
         inside = [ref.curve_segment_inside(region, a, b) for a, b in pairs]
         assert region.segments_inside_many(A, B).tolist() == inside
         first = pairs[:len(points)]
@@ -88,9 +92,36 @@ def test_array_projections_equal_project_segment(triples):
     triples += [(z, a, a) for z, a, _ in triples]
     Z, A, B = (np.array(col, dtype=np.complex128) for col in zip(*triples))
     S, dist = _projections(Z, A, B)
-    want = [project_segment(z, a, b) for z, a, b in triples]
+    want = [ref.project_segment(z, a, b) for z, a, b in triples]
     assert _bits(S) == _bits([s for s, _ in want])
     assert _bits(dist) == _bits([d for _, d in want])
+
+
+def test_frame_scalar_predicates_equal_the_reference_bit_for_bit():
+    # The one-element calls of the frame regions, over a 1/8 grid, the
+    # points within COORD_TOL of the boundary points and the piece ends,
+    # against the scalar contains and boundary gap they replaced; delta_G
+    # and its error off G as the scalar require_member gives them.
+    points = [complex(i / 8, j / 8) for i in range(-20, 21) for j in range(-4, 21)]
+    points += [bp + e for bp in (-1 + 1j, 1 + 1j, -2 + 0j, 2 + 0j, 0j)
+               for e in (5e-10, -5e-10, 2e-9, 5e-10j, -2e-9j, 1e-9 + 1e-9j)]
+    space = CURVES[0].space
+    for region in CURVES[:2]:
+        for z in points:
+            inside = ref.curve_contains(region, z)
+            assert region.contains(z) is inside
+            assert _bits([region.boundary_gap(z)]) == _bits([ref.curve_boundary_gap(region, z)])
+            got, want = (_outcome(region.boundary_distance, z),
+                         _outcome(ref.boundary_distance, region, z))
+            assert (_bits([got]) == _bits([want])) if inside else got == want
+            assert space.contains(z) is (ref.locate(space.segments, z) is not None)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except QhkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def test_grids_reach_every_kind_of_answer():

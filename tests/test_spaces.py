@@ -21,7 +21,7 @@ from qhkit import (
     quasiconvexity_estimate,
 )
 from qhkit.scenarios import make_region
-from qhkit.spaces import PLANE, project_segment
+from qhkit.spaces import PLANE, _projections
 
 import region_reference as rr
 
@@ -289,11 +289,19 @@ def test_disk_segment_filter_agrees_with_contains_at_the_rim():
     assert disk.segments_inside_many(Z, np.full(len(Z), disk.center)).tolist() == inside
 
 
+def _project(z: complex, a: complex, b: complex) -> tuple[float, float]:
+    """_projections of one point, as floats; the scalar reference gives the same."""
+    S, D = _projections(np.array([z]), np.array([a]), np.array([b]))
+    got = (float(S[0]), float(D[0]))
+    assert got == rr.project_segment(z, a, b)
+    return got
+
+
 def test_segments_longer_than_the_root_of_the_float_range():
     # The squared length overflows; so does b - a in the second segment.
-    assert project_segment(0j, 1e200 + 1j, -1e200 + 1j) == (1e200, 1.0)
-    assert project_segment(0j, -1.7e308 + 1j, 1.7e308 + 1j) == (1.7e308, 1.0)
-    assert project_segment(2e200 + 3j, 1e200 + 1j, -1e200 + 1j) == (0.0, 1e200)
+    assert _project(0j, 1e200 + 1j, -1e200 + 1j) == (1e200, 1.0)
+    assert _project(0j, -1.7e308 + 1j, 1.7e308 + 1j) == (1.7e308, 1.0)
+    assert _project(2e200 + 3j, 1e200 + 1j, -1e200 + 1j) == (0.0, 1e200)
     punctured = make_region("punctured")
     A = np.array([1e200 + 1j, 1e200 + 0j, -1.7e308 + 1j, 1e200 + 1e200j, 1 + 1j])
     B = np.array([-1e200 + 1j, -1e200 + 0j, 1.7e308 + 1j, -1e200 - 1e200j, 2 + 1j])
@@ -313,6 +321,6 @@ def test_dot_products_beyond_the_float_range():
     expected = [True, True, True, False]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert project_segment(0j, a, b) == (0.0, abs(a))
+        assert _project(0j, a, b) == (0.0, abs(a))
         assert [punctured.segment_inside(p, q) for p, q in zip(A.tolist(), B.tolist())] == expected
         assert punctured.segments_inside_many(A, B).tolist() == expected
