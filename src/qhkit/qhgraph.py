@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import random
 import sys
 import threading
@@ -79,22 +80,29 @@ class QhMesh:
     """Graded graph over a region with quasihyperbolic edge weights.
 
     The graph never changes once built.  Its CSR arrays are the head of
-    private buffers (_indptr, _indices, _data) reserved at build with room
-    for one more row, of the query vertex node_count: a search writes its
-    source's anchors there (see _with_source_row), and _lock serialises the
-    queries that use it.  Once build_mesh returns, nothing moves them.
+    private buffers (_indptr, _indices, _data) that _assemble_mesh writes
+    with room for one more row, of the query vertex node_count: a search
+    writes its source's anchors there (see _with_source_row), and _lock
+    serialises the queries that use it.  Nothing moves them.
     """
 
     def __init__(self, region: Region, grading: float, metric: str,
                  coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
-                 graph: sp.csr_matrix, stats: dict):
+                 buffers: tuple[np.ndarray, np.ndarray, np.ndarray], stats: dict):
         self.region = region
         self.grading = grading
         self.metric = metric
         self.coords = coords
         self.delta = delta
         self.spacing = spacing
-        self.graph = graph  # symmetric CSR: each undirected edge stored both ways
+        self._data, self._indices, self._indptr = buffers
+        n, nnz = len(coords), int(self._indptr[-2])
+        # Symmetric CSR, each undirected edge stored both ways; a CSR may keep
+        # storage past indptr[-1], as the query graph's last row does.
+        self.graph = sp.csr_matrix((self._data[:nnz], self._indices[:nnz], self._indptr[:-1]),
+                                   shape=(n, n), copy=False)
+        self._query_graph = sp.csr_matrix((self._data, self._indices, self._indptr),
+                                          shape=(n + 1, n + 1), copy=False)
         self.stats = stats
         self._lock = threading.Lock()
         # Filled by the builders.  Plane quadtrees: the root cell (x0, y0, size)
@@ -105,22 +113,6 @@ class QhMesh:
         self._piece_registry: list[tuple[np.ndarray, np.ndarray]] = []
         self._node_of: dict[tuple[float, float], int] = {}
 
-    def _reserve_room(self) -> None:
-        """Move graph into buffers with room for the row of the query vertex
-        n = node_count and make _query_graph, graph plus n, over them; last in
-        build_mesh, as buffers made beside its temporaries raised peak RSS."""
-        g, n, nnz = self.graph, self.node_count, self.graph.nnz
-        # Anchors: a plane point's host node and its neighbours, 2 on a complex.
-        room = 1 + max(self.stats["degree_max"], 1)
-        self._data, self._indices, self._indptr = (
-            np.concatenate([a, np.zeros(k, a.dtype)])
-            for a, k in ((g.data, room), (g.indices, room), (g.indptr, 1)))
-        self.graph = sp.csr_matrix((self._data[:nnz], self._indices[:nnz], self._indptr[:-1]),
-                                   shape=g.shape, copy=False)
-        self._indptr[-1] = nnz + room  # all the room: a CSR may keep storage past indptr[-1]
-        self._query_graph = sp.csr_matrix((self._data, self._indices, self._indptr),
-                                          shape=(n + 1, n + 1), copy=False)
-
     @property
     def node_count(self) -> int:
         return len(self.coords)
@@ -128,11 +120,6 @@ class QhMesh:
     @property
     def edge_count(self) -> int:
         return self.graph.nnz // 2
-
-    def delta_at(self, z: complex) -> float:
-        """delta'_G(z) on length-metric meshes, delta_G(z) otherwise."""
-        z = self.region.require_member(as_point(z))
-        return float(_region_deltas(self.region, self.metric, np.array([z]))[0])
 
     def neighbors(self, u: int) -> np.ndarray:
         g = self.graph
@@ -176,8 +163,21 @@ class QhMesh:
 def _segment_weights(A, dA, B, dB):
     """Trapezoid rule for the integral of 1/delta along each straight segment
     A -> B, with dA and dB the delta at its ends; arrays or scalars.  Every
-    edge, anchor and segment weight in this module is this expression."""
-    return np.abs(A - B) * (1.0 / dA + 1.0 / dB) / 2.0
+    edge, anchor and segment weight in this module is this expression, by
+    way of _trapezoid."""
+    return _trapezoid(np.abs(A - B), dA, dB)
+
+
+def _trapezoid(L, dA, dB):
+    """_segment_weights from the segment lengths L = |A - B|."""
+    return L * (1.0 / dA + 1.0 / dB) / 2.0
+
+
+def _disc_certified(L, dA, dB):
+    """Where a segment [a, b] of length L lies in G by the delta disc of an
+    end: the open disc B(a, delta(a)) lies in G and is convex.  The factor
+    1 - 2^-40 covers the rounding of L and of delta, a few ulps each."""
+    return L < np.maximum(dA, dB) * (1.0 - 2.0 ** -40)
 
 
 def _region_deltas(region: Region, metric: str, Z: np.ndarray) -> np.ndarray:
@@ -207,25 +207,26 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     the two agree there and only curve complexes change.  Plane quadtrees
     refine breadth first to at most MAX_PLANE_DEPTH levels, one array pass
     per depth through the region's contains_many and boundary_gaps_many;
-    each leaf takes its delta from boundary_gaps_many.  Curve-complex pieces
-    are halved breadth first as well (_piece_cuts), and spaces._cut_pieces,
-    which also cuts component balls, makes the nodes and steps.
-    mesh.stats["stage_s"] holds the seconds of each build stage: refine,
-    stencil, cross_depth, dedupe and assemble for plane meshes, cuts and
-    assemble for curve complexes.
+    each leaf takes its delta from boundary_gaps_many.  A plane pair joins
+    the graph without segments_inside_many when it is shorter than the
+    delta of an end (_disc_certified); mesh.stats["segment_tests"] counts
+    the pairs the predicate tested and "segment_rejections" those it
+    rejected.  Curve-complex pieces are halved breadth first as well
+    (_piece_cuts), and spaces._cut_pieces, which also cuts component balls,
+    makes the nodes and steps, each in G.  _assemble_mesh writes the graph
+    once into the buffers the queries use.  mesh.stats["stage_s"] holds the
+    seconds of each build stage: refine, stencil, cross_depth, dedupe and
+    assemble for plane meshes, cuts and assemble for curve complexes.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
     if metric not in ("euclidean", "length"):
         raise ConfigurationError(f"unknown metric {metric!r}")
     if isinstance(region, CurveRegion):
-        mesh = _build_complex_mesh(region, grading_factor, metric, max_depth)
-    elif max_depth > MAX_PLANE_DEPTH:
+        return _build_complex_mesh(region, grading_factor, metric, max_depth)
+    if max_depth > MAX_PLANE_DEPTH:
         raise ConfigurationError(f"max_depth must be at most {MAX_PLANE_DEPTH} for plane regions")
-    else:
-        mesh = _build_plane_mesh(region, grading_factor, bbox, metric, max_depth)
-    mesh._reserve_room()
-    return mesh
+    return _build_plane_mesh(region, grading_factor, bbox, metric, max_depth)
 
 
 def _cell_keys(d: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -269,22 +270,34 @@ def _build_plane_mesh(region: Region, grading: float,
     spacing = s0 / (1 << D)
     t1 = perf_counter()
 
-    # Same-depth pairs, one _find per offset: the offsets are one-sided, so each pair once.
+    # Same-depth pairs, one _find per offset: the offsets are one-sided, so
+    # each pair once.  same[u, 1 + dx, 1 + dy] marks a same-depth leaf next to
+    # u in touch direction (dx, dy): the passes along (1, 0), (0, 1) and
+    # (1, +-1) give four directions, and the leaves they find the mirrors.
     ids = np.arange(len(keys), dtype=np.int32)
+    same = np.zeros((len(keys), 3, 3), dtype=bool)
     us, vs = [], []
     for di, dj in _BASE_OFFSETS + _RAY_OFFSETS:
         v = _find(keys, D, I + di, J + dj)
-        us.append(ids[v >= 0])
-        vs.append(v[v >= 0])
+        hit = v >= 0
+        us.append(ids[hit])
+        vs.append(v[hit])
+        if max(abs(di), abs(dj)) == 1:
+            same[:, 1 + di, 1 + dj] = hit
+            same[vs[-1], 1 - di, 1 - dj] = True
     t2 = perf_counter()
     # Cross-depth pairs: for each leaf and touch direction, the finest strict
     # ancestor of the neighbour cell that is a leaf.  A neighbour cell that is
-    # itself a leaf has no leaf ancestor, so it is settled at once.  Searching
-    # from the finer side alone finds every touching pair of unequal depths.
-    u = np.repeat(ids, len(_TOUCH_DIRS))
-    dx, dy = np.tile(np.array(_TOUCH_DIRS).T, len(ids))
+    # itself a leaf has no leaf ancestor, so it is settled at once, and only
+    # the other (leaf, direction) entries are made.  Searching from the finer
+    # side alone finds every touching pair of unequal depths.
+    u, t = np.divmod(np.flatnonzero(~np.delete(same.reshape(-1, 9), 4, axis=1)),
+                     len(_TOUCH_DIRS))  # _TOUCH_DIRS order
+    del same
+    u = u.astype(np.int32)
+    dx, dy = np.array(_TOUCH_DIRS)[t].T
     ni, nj, du = I[u] + dx, J[u] + dy, D[u]
-    open_ = _find(keys, du, ni, nj) < 0
+    open_ = np.ones(len(u), dtype=bool)
     for k in range(1, int(D.max()) + 1):
         open_ &= du >= k
         u, ni, nj, du = u[open_], ni[open_], nj[open_], du[open_]
@@ -361,23 +374,37 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
                    coords: np.ndarray, delta: np.ndarray, spacing: np.ndarray,
                    pu: np.ndarray, pv: np.ndarray) -> tuple[QhMesh, np.ndarray, ...]:
     """The mesh over the largest component of the sorted distinct pairs
-    (pu, pv) that pass the segment filter, the mask of kept nodes, and the
-    kept pairs, renumbered.  Filter and weights run over slices of _SLICE
-    pairs; components over the upper triangle, a CSR of the pairs as they
-    stand.  The one conversion lists the lower triangle (pv, pu) first, so
-    rows arrive sorted and 0.0 weights stay entries, as U + U.T would not."""
+    (pu, pv) whose segments lie in G, the mask of kept nodes, and the kept
+    pairs, renumbered.
+
+    On a plane region, a pair that _disc_certified holds is in G, and only
+    the others go to segments_inside_many (stats: segment_tests of them,
+    segment_rejections failed), so delta must be delta_G at the nodes.  The
+    steps of a curve complex are in G as _cut_pieces makes them, and none is
+    tested.  Certificates and weights share |A - B| and run over slices of
+    _SLICE pairs; components over the upper triangle U, a CSR of the pairs as
+    they stand.  The symmetric CSR is written once into the QhMesh buffers,
+    row by row the lower triangle (U.tocsc(), as a CSR of U.T) and then U,
+    each sorted; 0.0 weights stay entries, as U + U.T would not keep them.
+    """
     n, m = len(coords), len(pu)
-    ok, w = np.empty(m, dtype=bool), np.empty(m)
+    plane = not isinstance(region, CurveRegion)
+    ok, w = np.ones(m, dtype=bool), np.empty(m)
+    tested = 0
     for s in range(0, m, _SLICE):
         a, b = pu[s:s + _SLICE], pv[s:s + _SLICE]
-        A, B = coords[a], coords[b]
-        ok[s:s + _SLICE] = region.segments_inside_many(A, B)
-        w[s:s + _SLICE] = _segment_weights(A, delta[a], B, delta[b])
+        A, B, dA, dB = coords.take(a), coords.take(b), delta.take(a), delta.take(b)
+        L = np.abs(A - B)
+        w[s:s + _SLICE] = _trapezoid(L, dA, dB)
+        if plane:
+            rest = np.flatnonzero(~_disc_certified(L, dA, dB))
+            if len(rest):
+                ok[s + rest] = region.segments_inside_many(A[rest], B[rest])
+                tested += len(rest)
     rejected = m - int(np.count_nonzero(ok))
     if rejected:
         pu, pv, w = pu[ok], pv[ok], w[ok]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(pu, minlength=n))])
-    upper = sp.csr_matrix((w, pv, indptr), shape=(n, n), copy=False)
+    upper = _upper(w, pu, pv, n)
     ncomp, labels = connected_components(upper, directed=False)
     keep = np.ones(n, dtype=bool)
     if ncomp > 1:
@@ -386,15 +413,43 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
         kept = keep[pu]  # both ends of a pair share a component
         pu, pv, w = new[pu[kept]], new[pv[kept]], w[kept]
         coords, delta, spacing = coords[keep], delta[keep], spacing[keep]
-    k = len(coords)
-    graph = sp.csr_matrix((np.concatenate([w, w]),
-                           (np.concatenate([pv, pu]), np.concatenate([pu, pv]))),
-                          shape=(k, k))
-    degree, ratio = np.diff(graph.indptr), spacing / delta
+        upper = _upper(w, pu, pv, len(coords))
+    k, nnz = len(coords), 2 * len(pu)
+    below, above = np.bincount(pv, minlength=k), np.bincount(pu, minlength=k)
+    degree = below + above
+    # Room for the query vertex's row: a plane point's host node and its
+    # neighbours, 2 on a complex.
+    dmax = int(degree.max(initial=0))
+    room = 1 + max(dmax, 1)
+    itype = np.int32 if nnz + room <= np.iinfo(np.int32).max else np.int64
+    data, indices = _mapped_zeros(nnz + room, np.float64), _mapped_zeros(nnz + room, itype)
+    # The last row, of the query vertex, holds all the room until a source
+    # row is written.
+    indptr = np.concatenate([[0], np.cumsum(degree), [nnz + room]]).astype(itype)
+    # Row by row, the lower triangle's entries come first.
+    low = np.repeat(np.tile([True, False], k), np.stack((below, above), axis=1).ravel())
+    for part, at in ((upper.tocsc(), low), (upper, ~low)):
+        data[:nnz][at], indices[:nnz][at] = part.data, part.indices
     stats = {"nodes": k, "edges": len(pu), "components": int(ncomp), "dropped_nodes": n - k,
-             "segment_rejections": rejected, "degree_mean": float(degree.mean()),
-             "degree_max": int(degree.max(initial=0)), "realized_grading": float(ratio.max())}
-    return QhMesh(region, grading, metric, coords, delta, spacing, graph, stats), keep, pu, pv
+             "segment_tests": tested, "segment_rejections": rejected,
+             "degree_mean": float(degree.mean()), "degree_max": dmax,
+             "realized_grading": float((spacing / delta).max())}
+    return (QhMesh(region, grading, metric, coords, delta, spacing, (data, indices, indptr), stats),
+            keep, pu, pv)
+
+
+def _mapped_zeros(n: int, dtype) -> np.ndarray:
+    """n zeros in an anonymous mapping of their own.  _assemble_mesh makes
+    the graph's buffers while the build's pair arrays are alive; on the heap
+    the buffers pinned the memory those free below them, and the benchmark's
+    peak RSS rose 5% on mesh-build and 11% on halfplane-single."""
+    return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype=dtype)
+
+
+def _upper(w: np.ndarray, pu: np.ndarray, pv: np.ndarray, n: int) -> sp.csr_matrix:
+    """The upper-triangle CSR of the sorted distinct pairs (pu, pv), weights w."""
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pu, minlength=n))])
+    return sp.csr_matrix((w, pv, indptr), shape=(n, n), copy=False)
 
 
 def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,

@@ -299,7 +299,10 @@ class Region:
     (whether each straight segment [a, b] stays in G).  The mesh builders
     refine, cut, filter and weigh through these, the component balls accept
     and join through them, and the queries attach all their endpoints
-    through them in one pass.  The scalar predicates derive from them:
+    through them in one pass.  At a member z, boundary_gaps_many must be the
+    distance to the whole boundary, delta_G(z), not to a part of it: the
+    plane builder takes every segment shorter than it from z as inside G
+    without calling segments_inside_many (qhgraph._disc_certified).  The scalar predicates derive from them:
     contains, boundary_gap and segment_inside are one-element calls, and
     boundary_distance, delta_G, is the boundary_gap of a member.
     length_boundary_distances_many gives delta'_G of members, which is delta_G

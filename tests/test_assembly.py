@@ -1,26 +1,32 @@
 """Plane- and complex-mesh assembly against the symmetric-COO assembly it
-replaced, and the traced memory of a plane build."""
+replaced, the delta-disc certificate at every scale, and the traced memory
+of a plane build."""
+import cmath
+import math
 import tracemalloc
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from qhkit import build_mesh, qhgraph
-from qhkit.qhgraph import _assemble_mesh, _segment_weights, _unique_pairs
+from qhkit.qhgraph import _assemble_mesh, _disc_certified, _segment_weights, _unique_pairs
 from qhkit.scenarios import make_region
-from qhkit.spaces import HalfPlaneRegion
+from qhkit.spaces import DiskRegion, HalfPlaneRegion, PolygonRegion, PuncturedPlaneRegion
 
 from conftest import HP_BBOX, PP_BBOX
-from test_qhgraph import _COMB, _WalledHalfPlane
+from test_qhgraph import _COMB, _HOLED, _L_SHAPE, _SlitHalfPlane, _slit_mesh
 
 
 def coo_assembly(region, coords, delta, spacing, pu, pv):
-    """The assembly that _assemble_mesh replaced: the segment filter and the
-    weights over the whole pair list, a COO of [pu, pv]/[pv, pu], components
-    of the full graph, then graph[keep][:, keep]."""
+    """The assembly that _assemble_mesh replaced: the segment filter on
+    every pair and the weights over the whole pair list, a COO of
+    [pu, pv]/[pv, pu], components of the full graph, then
+    graph[keep][:, keep]."""
     ok = region.segments_inside_many(coords[pu], coords[pv])
     rejected = len(pu) - int(np.count_nonzero(ok))
     pu, pv = pu[ok], pv[ok]
@@ -97,8 +103,8 @@ def test_plane_builds_match_the_coo_assembly(monkeypatch, name):
         return _assemble_mesh(*args)
 
     monkeypatch.setattr(qhgraph, "_assemble_mesh", spy)
-    mesh = (build_mesh(_WalledHalfPlane(), 0.2, HP_BBOX) if name == "walled"
-            else build_mesh(_COMB, 0.3, max_depth=6))
+    # "walled" builds the slit half-plane, whose wall is part of its boundary.
+    mesh = _slit_mesh() if name == "walled" else build_mesh(_COMB, 0.3, max_depth=6)
     region, _, _, coords, delta, spacing, pu, pv = calls[0]
     assert pu.dtype == pv.dtype == np.int32
     assert_assembly_matches(region, coords, delta, spacing, pu, pv)
@@ -113,16 +119,170 @@ _NODES = st.integers(2, 12)
     st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), min_size=n, max_size=n),
     st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))))
 def test_drawn_pair_sets_match_the_coo_assembly(case):
-    # Points on a small grid, so some coincide (0.0 weights) and the wall
-    # rejects some pairs; loops and repeats are dropped by _unique_pairs.
+    # Points on a small grid, off the slit's wall, so some coincide (0.0
+    # weights) and the wall rejects some pairs; loops and repeats are dropped
+    # by _unique_pairs.
     points, pairs = case
     coords = np.array([complex(x, y) for x, y in points])
     pairs = [(a, b) for a, b in pairs if a != b]
     pu, pv = _sorted_pairs(pairs, len(coords))
     assert pu.dtype == pv.dtype == np.int32
     assert list(zip(pu.tolist(), pv.tolist())) == sorted({(min(p), max(p)) for p in pairs})
-    assert_assembly_matches(_WalledHalfPlane(), coords, coords.imag, np.full(len(coords), 0.5),
-                            pu, pv)
+    region = _SlitHalfPlane()
+    assert_assembly_matches(region, coords, region.boundary_gaps_many(coords),
+                            np.full(len(coords), 0.5), pu, pv)
+
+
+def _perimeter_point(polygon, u):
+    """The point a fraction u of the way along the edges of polygon, taken
+    one after another, each edge an equal share."""
+    edges = [(p, q) for ring in (polygon.outer, *polygon.holes)
+             for p, q in zip(ring, ring[1:] + ring[:1])]
+    k, t = divmod(u * len(edges), 1.0)
+    p, q = edges[int(k)]
+    return p + t * (q - p)
+
+
+# Each region at scale 2^e, the bbox of its unit-scale mesh, and a boundary
+# point of the unit-scale region for each u in [0, 1).
+_SCALED = {
+    "halfplane": (lambda s: HalfPlaneRegion(), (-2.0, 2.0, 0.0, 4.0),
+                  lambda u: complex(4.0 * u - 2.0, 0.0)),
+    "punctured": (lambda s: PuncturedPlaneRegion(), PP_BBOX, lambda u: 0j),
+    "disk": (lambda s: DiskRegion(0j, s), (-1.0, 1.0, -1.0, 1.0),
+             lambda u: cmath.rect(1.0, 2.0 * math.pi * u)),
+    "l-shape": (lambda s: PolygonRegion([z * s for z in _L_SHAPE.outer]), (0.0, 2.0, 0.0, 2.0),
+                lambda u: _perimeter_point(_L_SHAPE, u)),
+    "holed": (lambda s: PolygonRegion([z * s for z in _HOLED.outer],
+                                      [[z * s for z in h] for h in _HOLED.holes]),
+              (0.0, 4.0, 0.0, 4.0), lambda u: _perimeter_point(_HOLED, u)),
+}
+
+
+def _exact_sq_distance(z, p, q):
+    """The squared distance from z to the segment [p, q], in fractions."""
+    (x, y), (px, py), (qx, qy) = ((Fraction(w.real), Fraction(w.imag)) for w in (z, p, q))
+    dx, dy = qx - px, qy - py
+    t = min(max(((x - px) * dx + (y - py) * dy) / (dx * dx + dy * dy), 0), 1)
+    return (x - px - t * dx) ** 2 + (y - py - t * dy) ** 2
+
+
+def _exactly_in_the_disc(name, region, z, w):
+    """Whether |z - w| < delta_G(z) holds exactly: squared distances in
+    fractions, or mpmath at 200 bits on the disk, whose delta is R - |z|."""
+    if name == "disk":
+        with mpmath.workprec(200):
+            (x, y), (u, v) = ((mpmath.mpf(c.real), mpmath.mpf(c.imag)) for c in (z, w))
+            return mpmath.hypot(x - u, y - v) < region.radius - mpmath.hypot(x, y)
+    length_sq = ((Fraction(z.real) - Fraction(w.real)) ** 2
+                 + (Fraction(z.imag) - Fraction(w.imag)) ** 2)
+    if name == "halfplane":
+        return length_sq < Fraction(z.imag) ** 2
+    if name == "punctured":
+        return length_sq < Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    rings = (region.outer, *region.holes)
+    return length_sq < min(_exact_sq_distance(z, p, q) for ring in rings
+                           for p, q in zip(ring, ring[1:] + ring[:1]))
+
+
+def _centre(x0, y0, s0, d, i, j):
+    """The centre of quadtree cell (d, i, j), as qhgraph._refine computes it."""
+    s = s0 / (1 << d)
+    return complex(x0 + i * s + s / 2.0, y0 + j * s + s / 2.0), s
+
+
+_NEAR = st.integers(-6, 6)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_SCALED)), st.integers(-60, 60), st.integers(1, 24),
+       st.floats(0.0, 1.0, exclude_max=True), _NEAR, _NEAR, st.integers(0, 3),
+       st.integers(0, 2 * len(qhgraph._BASE_OFFSETS + qhgraph._RAY_OFFSETS) - 1))
+def test_disc_certificates_of_quadtree_pairs_hold_exactly_at_every_scale(name, e, d, u, m, n,
+                                                                        lift, pick):
+    # A candidate pair as the builder makes one in the bbox of the region
+    # scaled by 2^e: a leaf a at depth d, up to 6 cells from the boundary
+    # point u, and either a same-depth leaf along a stencil offset (lift 0)
+    # or the depth d - lift cell over a touching neighbour.  Leaves at any
+    # grading <= 0.5 are at least two spacings inside G, so these pairs span
+    # the certificate's edge, |a - b| = max(delta(a), delta(b)).  The
+    # certificate calls no float filter, so their absolute tolerances (the
+    # punctured 1e-12, the polygon eps) do not enter.
+    make, (x0, x1, y0, y1), boundary = _SCALED[name]
+    scale = 2.0 ** e
+    region = make(scale)
+    x0, x1, y0, y1 = x0 * scale, x1 * scale, y0 * scale, y1 * scale
+    s0 = max(x1 - x0, y1 - y0)
+    p, h = boundary(u) * scale, s0 / (1 << d)
+    i, j = int((p.real - x0) // h) + m, int((p.imag - y0) // h) + n
+    a, s = _centre(x0, y0, s0, d, i, j)
+    if lift == 0:
+        offsets = qhgraph._BASE_OFFSETS + qhgraph._RAY_OFFSETS
+        di, dj = offsets[pick % len(offsets)]
+        sign = 1 if pick < len(offsets) else -1
+        b, t = _centre(x0, y0, s0, d, i + sign * di, j + sign * dj)
+    else:
+        assume(lift < d)
+        dx, dy = qhgraph._TOUCH_DIRS[pick % len(qhgraph._TOUCH_DIRS)]
+        b, t = _centre(x0, y0, s0, d - lift, (i + dx) >> lift, (j + dy) >> lift)
+    A, B = np.array([a]), np.array([b])
+    dA, dB = region.boundary_gaps_many(A), region.boundary_gaps_many(B)
+    assume(region.contains(a) and region.contains(b) and dA[0] >= 2 * s and dB[0] >= 2 * t)
+    if _disc_certified(np.abs(A - B), dA, dB)[0]:
+        end, other = (a, b) if dA[0] >= dB[0] else (b, a)
+        assert _exactly_in_the_disc(name, region, end, other)
+
+
+@pytest.mark.parametrize("e", [-60, 0, 60])
+@pytest.mark.parametrize("name", sorted(_SCALED))
+def test_disc_certificates_of_built_pairs_hold_exactly(monkeypatch, name, e):
+    # Drawn pairs seldom come within a few percent of the certificate's edge,
+    # while coarse builds have such pairs (232 of the disk's at grading 0.5
+    # lie in [1, 1 + 2^-6) times the larger delta): every candidate pair
+    # certified within 2^-10 of the edge is checked exactly.
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _assemble_mesh(*args)
+
+    monkeypatch.setattr(qhgraph, "_assemble_mesh", spy)
+    make, (x0, x1, y0, y1), _ = _SCALED[name]
+    s = 2.0 ** e
+    for grading in (0.5, 0.4, 0.3):
+        calls.clear()
+        build_mesh(make(s), grading, (x0 * s, x1 * s, y0 * s, y1 * s), max_depth=8)
+        region, _, _, coords, delta, _, pu, pv = calls[0]
+        L, dA, dB = np.abs(coords[pu] - coords[pv]), delta[pu], delta[pv]
+        near = _disc_certified(L, dA, dB) & (L >= np.maximum(dA, dB) * (1.0 - 2.0 ** -10))
+        for k in np.flatnonzero(near):
+            a, b = complex(coords[pu[k]]), complex(coords[pv[k]])
+            end, other = (a, b) if dA[k] >= dB[k] else (b, a)
+            assert _exactly_in_the_disc(name, region, end, other)
+
+
+@pytest.mark.parametrize("e", [-60, -40, 40])
+@pytest.mark.parametrize("name, grading, max_depth", [("punctured", 0.2, 12),
+                                                      ("l-shape", 0.2, 7)])
+def test_certified_plane_meshes_scale_by_powers_of_two(name, grading, max_depth, e):
+    # The certificate is scale-free, and it holds every pair of these two
+    # meshes, so no absolute filter tolerance drops a pair at tiny scales: at
+    # 2^-40 the punctured build at grading 0.1 kept 2,384 of 7,332 nodes while
+    # every pair went through the filter.  Pairs left to the polygon filter
+    # still fail its eps = 1e-12 there: the L-shape at 0.3/6 loses all 192.
+    make, (x0, x1, y0, y1), _ = _SCALED[name]
+
+    def build(s):
+        return build_mesh(make(s), grading, (x0 * s, x1 * s, y0 * s, y1 * s),
+                          max_depth=max_depth)
+
+    unit, scaled, s = build(1.0), build(2.0 ** e), 2.0 ** e
+    assert scaled.coords.tobytes() == (unit.coords * s).tobytes()
+    assert scaled.delta.tobytes() == (unit.delta * s).tobytes()
+    for got, want in zip((scaled._indptr, scaled._indices, scaled._data),
+                         (unit._indptr, unit._indices, unit._data)):
+        assert got.tobytes() == want.tobytes()
+    assert scaled.stats["segment_tests"] == unit.stats["segment_tests"] == 0
 
 
 @pytest.mark.parametrize("domain, bbox", [("punctured", PP_BBOX), ("halfplane", HP_BBOX)])
@@ -135,4 +295,6 @@ def test_plane_build_peak_stays_near_the_graph(domain, bbox):
     finally:
         tracemalloc.stop()
     final = mesh._data.nbytes + mesh._indices.nbytes + mesh._indptr.nbytes
-    assert peak <= 4.5 * final
+    # _data and _indices live in mappings of their own, which tracemalloc
+    # does not see; with them added, the traced peak bounds the true one.
+    assert peak + mesh._data.nbytes + mesh._indices.nbytes <= 4.5 * final

@@ -62,6 +62,8 @@ def test_qh_stats_go_to_stderr_and_leave_the_report_alone(tmp_path, capsys):
     stats = json.loads(line.removeprefix("stats: "))
     assert stats["mesh"]["nodes"] > 0 and stats["query"]["sources"] == 1
     assert (stats["query"]["dijkstra_guessed"], stats["query"]["dijkstra_retried"]) == (1, 0)
+    # The delta disc certifies every pair of this mesh, so the filter tests none.
+    assert (stats["mesh"]["segment_tests"], stats["mesh"]["segment_rejections"]) == (0, 0)
     stages = stats["mesh"]["stage_s"]
     assert list(stages) == ["refine", "stencil", "cross_depth", "dedupe", "assemble"]
     assert all(t >= 0.0 for t in stages.values())

@@ -17,7 +17,7 @@ import pytest
 
 from qhkit import ConfigurationError, CurveComplexSpace, Segment, build_mesh
 from qhkit.qhgraph import _assemble_mesh, _unique_pairs
-from qhkit.scenarios import make_region
+from qhkit.scenarios import default_mesh_params, make_region
 from qhkit.spaces import COORD_TOL, CurveRegion, _coord_key
 
 import region_reference as rr
@@ -50,6 +50,22 @@ def mesh_digest(mesh) -> str:
 def test_frame_euclidean_mesh_digest(name):
     mesh = build_mesh(make_region(name), 0.05, metric="euclidean", max_depth=12)
     assert mesh_digest(mesh) == EUCLIDEAN_MESH_SHA256[name]
+
+
+def assert_edges_inside(mesh):
+    """segments_inside_many holds on every edge: _assemble_mesh tests no
+    complex step, so the steps _cut_pieces makes must all be open."""
+    g = mesh.graph.tocoo()
+    assert mesh.region.segments_inside_many(mesh.coords[g.row], mesh.coords[g.col]).all()
+    assert mesh.stats["segment_tests"] == mesh.stats["segment_rejections"] == 0
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "length"])
+@pytest.mark.parametrize("name", sorted(EUCLIDEAN_MESH_SHA256))
+def test_frame_mesh_edges_stay_inside(name, metric):
+    p = default_mesh_params(name)
+    assert_edges_inside(build_mesh(make_region(name), p["grading_factor"], metric=metric,
+                                   max_depth=p["max_depth"]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +175,7 @@ def test_cut_sweep_matches_the_recursive_builder(seed):
                 if isinstance(want, str):
                     assert got == want, case
                     continue
+                assert_edges_inside(got)
                 assert mesh_digest(got) == mesh_digest(want), case
                 for key in ("nodes", "edges", "components", "dropped_nodes",
                             "segment_rejections", "capped_cells"):

@@ -247,11 +247,43 @@ def test_capped_cells_count_what_the_depth_cap_stops(disk_mesh, pp_mesh_005, ome
 
 class _WalledHalfPlane(HalfPlaneRegion):
     """The half-plane whose segment filter also rejects crossings of the
-    wall Re z = 0, Im z > 2 (the region itself is unchanged)."""
+    wall Re z = 0, Im z > 2 (the region itself is unchanged).  Its wall is
+    in neither contains_many nor boundary_gaps_many, against the Region
+    contract that the delta disc relies on, so only the refine test uses it;
+    _SlitHalfPlane stands in for it elsewhere."""
 
     def segments_inside_many(self, A, B):
         crosses = (np.sign(A.real) != np.sign(B.real)) & (np.minimum(A.imag, B.imag) > 2.0)
         return super().segments_inside_many(A, B) & ~crosses
+
+
+class _SlitHalfPlane(HalfPlaneRegion):
+    """The half-plane less the wall Re z = 1/4, Im z >= 2, which is part of
+    its boundary.  At grading 0.5 the leaves two spacings from the wall have
+    stencil pairs across it, which the delta disc never certifies, as each
+    such segment meets the boundary; at grading 0.5 and max_depth 8, 14 of
+    them reach the filter and fail it."""
+
+    name = "slit-halfplane"
+    WALL = 0.25
+
+    def contains_many(self, Z):
+        return super().contains_many(Z) & ~((Z.real == self.WALL) & (Z.imag >= 2.0))
+
+    def boundary_gaps_many(self, Z):
+        x, y = Z.real - self.WALL, Z.imag
+        return np.minimum(np.abs(y), np.hypot(x, np.maximum(2.0 - y, 0.0)))
+
+    def segments_inside_many(self, A, B):
+        xa, xb = A.real - self.WALL, B.real - self.WALL
+        with np.errstate(all="ignore"):
+            y = A.imag + xa / (xa - xb) * (B.imag - A.imag)  # where [a, b] meets the wall's line
+        crosses = (xa * xb <= 0.0) & (xa != xb) & (y >= 2.0)
+        return self.contains_many(A) & self.contains_many(B) & ~crosses
+
+
+def _slit_mesh():
+    return build_mesh(_SlitHalfPlane(), 0.5, HP_BBOX, max_depth=8)
 
 
 def _stack_refine(region, grading, bbox, max_depth):
@@ -313,12 +345,29 @@ def test_refine_sweep_matches_the_stack_loop(name):
     assert keys.tobytes() == qhgraph._cell_keys(D, I, J).tobytes()
 
 
-def test_segment_rejections_count_filtered_pairs(halfplane):
-    plain = build_mesh(halfplane, 0.2, HP_BBOX)
-    walled = build_mesh(_WalledHalfPlane(), 0.2, HP_BBOX)
-    assert walled.stats["dropped_nodes"] == 0
-    assert walled.stats["segment_rejections"] > 0
-    assert walled.stats["edges"] + walled.stats["segment_rejections"] == plain.stats["edges"]
+def test_segment_rejections_count_filtered_pairs(monkeypatch):
+    calls = []
+    assemble = qhgraph._assemble_mesh
+
+    def spy(*args):
+        calls.append(args)
+        return assemble(*args)
+
+    monkeypatch.setattr(qhgraph, "_assemble_mesh", spy)
+    slit = _slit_mesh()
+    region, _, _, coords, delta, _, pu, pv = calls[0]
+    st = slit.stats
+    assert st["dropped_nodes"] == 0
+    assert 0 < st["segment_rejections"] < st["segment_tests"] < len(pu)
+    assert st["edges"] + st["segment_rejections"] == len(pu)
+    # Every pair left to the filter is one the delta disc does not certify,
+    # and the filter over all pairs rejects just the pairs it rejected.
+    L, dA, dB = np.abs(coords[pu] - coords[pv]), delta[pu], delta[pv]
+    certified = qhgraph._disc_certified(L, dA, dB)
+    assert np.count_nonzero(~certified) == st["segment_tests"]
+    inside = region.segments_inside_many(coords[pu], coords[pv])
+    assert inside[certified].all()
+    assert np.count_nonzero(~inside) == st["segment_rejections"]
 
 
 def test_mesh_is_connected_and_positive_delta(hp_mesh_01, pp_mesh_005):
