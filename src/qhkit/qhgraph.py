@@ -173,11 +173,20 @@ def _trapezoid(L, dA, dB):
     return L * (1.0 / dA + 1.0 / dB) / 2.0
 
 
-def _disc_certified(L, dA, dB):
+def _disc_certified(L, dA, dB, slack):
     """Where a segment [a, b] of length L lies in G by the delta disc of an
     end: the open disc B(a, delta(a)) lies in G and is convex.  The factor
-    1 - 2^-40 covers the rounding of L and of delta, a few ulps each."""
-    return L < np.maximum(dA, dB) * (1.0 - 2.0 ** -40)
+    1 - 2^-40 covers the relative rounding of L and of delta, a few ulps
+    each, and slack (_gap_slack) the absolute rounding of delta."""
+    return L < np.maximum(dA, dB) * (1.0 - 2.0 ** -40) - slack
+
+
+def _gap_slack(region: Region, coords: np.ndarray) -> float:
+    """8 ulps of the largest magnitude that the deltas at coords compute
+    with, the nodes' own or the region's gap_scale(): a polygon's or disk's
+    delta rounds by an ulp of it, however small delta is."""
+    return 8.0 * float(np.spacing(max(float(np.abs(coords).max(initial=0.0)),
+                                      region.gap_scale())))
 
 
 def _region_deltas(region: Region, metric: str, Z: np.ndarray) -> np.ndarray:
@@ -391,13 +400,14 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
     plane = not isinstance(region, CurveRegion)
     ok, w = np.ones(m, dtype=bool), np.empty(m)
     tested = 0
+    slack = _gap_slack(region, coords) if plane else 0.0
     for s in range(0, m, _SLICE):
         a, b = pu[s:s + _SLICE], pv[s:s + _SLICE]
         A, B, dA, dB = coords.take(a), coords.take(b), delta.take(a), delta.take(b)
         L = np.abs(A - B)
         w[s:s + _SLICE] = _trapezoid(L, dA, dB)
         if plane:
-            rest = np.flatnonzero(~_disc_certified(L, dA, dB))
+            rest = np.flatnonzero(~_disc_certified(L, dA, dB, slack))
             if len(rest):
                 ok[s + rest] = region.segments_inside_many(A[rest], B[rest])
                 tested += len(rest)
@@ -439,11 +449,17 @@ def _assemble_mesh(region: Region, grading: float, metric: str,
 
 
 def _mapped_zeros(n: int, dtype) -> np.ndarray:
-    """n zeros in an anonymous mapping of their own.  _assemble_mesh makes
-    the graph's buffers while the build's pair arrays are alive; on the heap
-    the buffers pinned the memory those free below them, and the benchmark's
-    peak RSS rose 5% on mesh-build and 11% on halfplane-single."""
-    return np.frombuffer(mmap.mmap(-1, n * np.dtype(dtype).itemsize), dtype=dtype)
+    """n zeros in a private anonymous mapping of their own.  _assemble_mesh
+    makes the graph's buffers while the build's pair arrays are alive; on the
+    heap the buffers pinned the memory those free below them, and the
+    benchmark's peak RSS rose 5% on mesh-build and 11% on halfplane-single.
+    Private, as heap memory is: a forked process writes its source rows into
+    a copy of its own."""
+    size = n * np.dtype(dtype).itemsize
+    if hasattr(mmap, "MAP_PRIVATE"):
+        return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+                             dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype)  # Windows: no fork
 
 
 def _upper(w: np.ndarray, pu: np.ndarray, pv: np.ndarray, n: int) -> sp.csr_matrix:

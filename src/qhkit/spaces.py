@@ -302,7 +302,10 @@ class Region:
     through them in one pass.  At a member z, boundary_gaps_many must be the
     distance to the whole boundary, delta_G(z), not to a part of it: the
     plane builder takes every segment shorter than it from z as inside G
-    without calling segments_inside_many (qhgraph._disc_certified).  The scalar predicates derive from them:
+    without calling segments_inside_many (qhgraph._disc_certified).  Its
+    rounding must stay within a few ulps of the largest of |z| and
+    gap_scale(), the largest magnitude of the region's own that it computes
+    with.  The scalar predicates derive from them:
     contains, boundary_gap and segment_inside are one-element calls, and
     boundary_distance, delta_G, is the boundary_gap of a member.
     length_boundary_distances_many gives delta'_G of members, which is delta_G
@@ -324,6 +327,9 @@ class Region:
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def gap_scale(self) -> float:
+        return 0.0
 
     def contains(self, z: complex) -> bool:
         return bool(self.contains_many(np.array([as_point(z)]))[0])
@@ -466,6 +472,9 @@ class DiskRegion(Region):
     def boundary_gaps_many(self, Z: np.ndarray) -> np.ndarray:
         return np.abs(self.radius - _moduli(Z, self.center))
 
+    def gap_scale(self) -> float:
+        return abs(self.center) + self.radius
+
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self.contains_many(A) & self.contains_many(B)
 
@@ -521,6 +530,9 @@ class PolygonRegion(Region):
         dist = _projections(Z, self._a, self._b)[1]
         # min() keeps its first value when that is nan, and skips a later nan.
         return np.where(np.isnan(dist[0]), np.nan, np.fmin.reduce(dist, axis=0))
+
+    def gap_scale(self) -> float:
+        return float(np.abs(self._a).max())
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         ok = self.contains_many(A) & self.contains_many(B)

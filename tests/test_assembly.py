@@ -6,7 +6,6 @@ import math
 import tracemalloc
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +13,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from qhkit import build_mesh, qhgraph
-from qhkit.qhgraph import _assemble_mesh, _disc_certified, _segment_weights, _unique_pairs
+from qhkit.qhgraph import (_assemble_mesh, _disc_certified, _gap_slack, _segment_weights,
+                           _unique_pairs)
 from qhkit.scenarios import make_region
 from qhkit.spaces import DiskRegion, HalfPlaneRegion, PolygonRegion, PuncturedPlaneRegion
 
@@ -167,75 +167,91 @@ def _exact_sq_distance(z, p, q):
     return (x - px - t * dx) ** 2 + (y - py - t * dy) ** 2
 
 
+def _exact_sq_modulus(z, w):
+    """|z - w|^2 in fractions."""
+    return (Fraction(z.real) - Fraction(w.real)) ** 2 + (Fraction(z.imag) - Fraction(w.imag)) ** 2
+
+
 def _exactly_in_the_disc(name, region, z, w):
-    """Whether |z - w| < delta_G(z) holds exactly: squared distances in
-    fractions, or mpmath at 200 bits on the disk, whose delta is R - |z|."""
-    if name == "disk":
-        with mpmath.workprec(200):
-            (x, y), (u, v) = ((mpmath.mpf(c.real), mpmath.mpf(c.imag)) for c in (z, w))
-            return mpmath.hypot(x - u, y - v) < region.radius - mpmath.hypot(x, y)
-    length_sq = ((Fraction(z.real) - Fraction(w.real)) ** 2
-                 + (Fraction(z.imag) - Fraction(w.imag)) ** 2)
+    """Whether |z - w| < delta_G(z) holds exactly, in fractions.  On a disk,
+    delta is R - |z - c|: with l = |z - w|^2, q = |z - c|^2 and
+    r = R^2 - l - q, |z - w| < R - |z - c| exactly when r > 0 and
+    4lq < r^2."""
+    length_sq = _exact_sq_modulus(z, w)
+    if name.startswith("disk"):
+        q = _exact_sq_modulus(z, region.center)
+        r = Fraction(region.radius) ** 2 - length_sq - q
+        return r > 0 and 4 * length_sq * q < r * r
     if name == "halfplane":
         return length_sq < Fraction(z.imag) ** 2
     if name == "punctured":
-        return length_sq < Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+        return length_sq < _exact_sq_modulus(z, 0j)
     rings = (region.outer, *region.holes)
     return length_sq < min(_exact_sq_distance(z, p, q) for ring in rings
                            for p, q in zip(ring, ring[1:] + ring[:1]))
 
 
-def _centre(x0, y0, s0, d, i, j):
-    """The centre of quadtree cell (d, i, j), as qhgraph._refine computes it."""
-    s = s0 / (1 << d)
-    return complex(x0 + i * s + s / 2.0, y0 + j * s + s / 2.0), s
+def _candidate_pairs(x0, y0, s0, d, i, j):
+    """The pairs the builder may make from the depth-d leaves (i + m, j + n),
+    |m|, |n| <= 6: to a same-depth leaf along a stencil offset, either way,
+    and to the depth d - lift cell over a touching neighbour, lift 1 to 3;
+    each end with its cell size."""
+    near = np.arange(-6, 7)
+    I, J = (np.repeat(i + near, 13), np.tile(j + near, 13))
+    offsets = np.array(qhgraph._BASE_OFFSETS + qhgraph._RAY_OFFSETS)
+    offsets = np.concatenate([offsets, -offsets])
+    ends = [(0, I[:, None] + offsets[:, 0], J[:, None] + offsets[:, 1])]
+    touch = np.array(qhgraph._TOUCH_DIRS)
+    ends += [(lift, (I[:, None] + touch[:, 0]) >> lift, (J[:, None] + touch[:, 1]) >> lift)
+             for lift in range(1, min(3, d - 1) + 1)]
+    A, B, S, T = [], [], [], []
+    for lift, bi, bj in ends:
+        s, t = s0 / (1 << d), s0 / (1 << (d - lift))
+        # qhgraph._refine's centres: x0 + i * s + s / 2.0, in the same order.
+        a = (x0 + I * s + s / 2.0) + 1j * (y0 + J * s + s / 2.0)
+        b = (x0 + bi * t + t / 2.0) + 1j * (y0 + bj * t + t / 2.0)
+        A.append(np.broadcast_to(a[:, None], b.shape).ravel())
+        B.append(b.ravel())
+        S.append(np.full(b.size, s))
+        T.append(np.full(b.size, t))
+    return tuple(np.concatenate(X) for X in (A, B, S, T))
 
 
-_NEAR = st.integers(-6, 6)
-
-
-@settings(max_examples=600, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(_SCALED)), st.integers(-60, 60), st.integers(1, 24),
-       st.floats(0.0, 1.0, exclude_max=True), _NEAR, _NEAR, st.integers(0, 3),
-       st.integers(0, 2 * len(qhgraph._BASE_OFFSETS + qhgraph._RAY_OFFSETS) - 1))
-def test_disc_certificates_of_quadtree_pairs_hold_exactly_at_every_scale(name, e, d, u, m, n,
-                                                                        lift, pick):
-    # A candidate pair as the builder makes one in the bbox of the region
-    # scaled by 2^e: a leaf a at depth d, up to 6 cells from the boundary
-    # point u, and either a same-depth leaf along a stencil offset (lift 0)
-    # or the depth d - lift cell over a touching neighbour.  Leaves at any
-    # grading <= 0.5 are at least two spacings inside G, so these pairs span
-    # the certificate's edge, |a - b| = max(delta(a), delta(b)).  The
-    # certificate calls no float filter, so their absolute tolerances (the
-    # punctured 1e-12, the polygon eps) do not enter.
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_disc_certificates_of_quadtree_pairs_hold_exactly_at_every_scale(name, e, d, u):
+    # The candidate pairs the builder can make in the bbox of the region
+    # scaled by 2^e from the depth-d leaves within 6 cells of the boundary
+    # point u.  Leaves at any grading <= 0.5 are at least two spacings inside
+    # G, so the pairs between such leaves span the certificate's edge,
+    # |a - b| = max(delta(a), delta(b)); each one it certifies within 2^-10
+    # of that edge is checked exactly.  The certificate calls no float
+    # filter, so their absolute tolerances (the punctured 1e-12, the polygon
+    # eps) do not enter.
     make, (x0, x1, y0, y1), boundary = _SCALED[name]
     scale = 2.0 ** e
     region = make(scale)
     x0, x1, y0, y1 = x0 * scale, x1 * scale, y0 * scale, y1 * scale
     s0 = max(x1 - x0, y1 - y0)
     p, h = boundary(u) * scale, s0 / (1 << d)
-    i, j = int((p.real - x0) // h) + m, int((p.imag - y0) // h) + n
-    a, s = _centre(x0, y0, s0, d, i, j)
-    if lift == 0:
-        offsets = qhgraph._BASE_OFFSETS + qhgraph._RAY_OFFSETS
-        di, dj = offsets[pick % len(offsets)]
-        sign = 1 if pick < len(offsets) else -1
-        b, t = _centre(x0, y0, s0, d, i + sign * di, j + sign * dj)
-    else:
-        assume(lift < d)
-        dx, dy = qhgraph._TOUCH_DIRS[pick % len(qhgraph._TOUCH_DIRS)]
-        b, t = _centre(x0, y0, s0, d - lift, (i + dx) >> lift, (j + dy) >> lift)
-    A, B = np.array([a]), np.array([b])
+    A, B, S, T = _candidate_pairs(x0, y0, s0, d, int((p.real - x0) // h),
+                                  int((p.imag - y0) // h))
     dA, dB = region.boundary_gaps_many(A), region.boundary_gaps_many(B)
-    assume(region.contains(a) and region.contains(b) and dA[0] >= 2 * s and dB[0] >= 2 * t)
-    if _disc_certified(np.abs(A - B), dA, dB)[0]:
-        end, other = (a, b) if dA[0] >= dB[0] else (b, a)
-        assert _exactly_in_the_disc(name, region, end, other)
+    leaves = (region.contains_many(A) & region.contains_many(B) & (dA >= 2 * S)
+              & (dB >= 2 * T))
+    assume(leaves.any())
+    A, B, dA, dB = A[leaves], B[leaves], dA[leaves], dB[leaves]
+    L = np.abs(A - B)
+    # The builder's slack covers all its nodes; these pairs give the least.
+    slack = _gap_slack(region, np.append(A, B))
+    near = _disc_certified(L, dA, dB, slack) & (L >= np.maximum(dA, dB) * (1.0 - 2.0 ** -10))
+    for k in np.flatnonzero(near):
+        end, other = (A[k], B[k]) if dA[k] >= dB[k] else (B[k], A[k])
+        assert _exactly_in_the_disc(name, region, complex(end), complex(other))
 
 
-@pytest.mark.parametrize("e", [-60, 0, 60])
-@pytest.mark.parametrize("name", sorted(_SCALED))
-def test_disc_certificates_of_built_pairs_hold_exactly(monkeypatch, name, e):
+def _assert_near_certified_pairs_hold(monkeypatch, name, region, bbox, max_depth):
     # Drawn pairs seldom come within a few percent of the certificate's edge,
     # while coarse builds have such pairs (232 of the disk's at grading 0.5
     # lie in [1, 1 + 2^-6) times the larger delta): every candidate pair
@@ -247,18 +263,53 @@ def test_disc_certificates_of_built_pairs_hold_exactly(monkeypatch, name, e):
         return _assemble_mesh(*args)
 
     monkeypatch.setattr(qhgraph, "_assemble_mesh", spy)
-    make, (x0, x1, y0, y1), _ = _SCALED[name]
-    s = 2.0 ** e
     for grading in (0.5, 0.4, 0.3):
         calls.clear()
-        build_mesh(make(s), grading, (x0 * s, x1 * s, y0 * s, y1 * s), max_depth=8)
-        region, _, _, coords, delta, _, pu, pv = calls[0]
+        build_mesh(region, grading, bbox, max_depth=max_depth)
+        _, _, _, coords, delta, _, pu, pv = calls[0]
         L, dA, dB = np.abs(coords[pu] - coords[pv]), delta[pu], delta[pv]
-        near = _disc_certified(L, dA, dB) & (L >= np.maximum(dA, dB) * (1.0 - 2.0 ** -10))
+        near = (_disc_certified(L, dA, dB, _gap_slack(region, coords))
+                & (L >= np.maximum(dA, dB) * (1.0 - 2.0 ** -10)))
         for k in np.flatnonzero(near):
             a, b = complex(coords[pu[k]]), complex(coords[pv[k]])
             end, other = (a, b) if dA[k] >= dB[k] else (b, a)
             assert _exactly_in_the_disc(name, region, end, other)
+
+
+@pytest.mark.parametrize("e", [-60, 0, 60])
+@pytest.mark.parametrize("name", sorted(_SCALED))
+def test_disc_certificates_of_built_pairs_hold_exactly(monkeypatch, name, e):
+    make, (x0, x1, y0, y1), _ = _SCALED[name]
+    s = 2.0 ** e
+    _assert_near_certified_pairs_hold(monkeypatch, name, make(s), (x0 * s, x1 * s, y0 * s, y1 * s),
+                                      max_depth=8)
+
+
+_SHIFT = 1000.1 + 999.7j
+
+
+@pytest.mark.parametrize("name, region, bbox", [
+    ("disk", DiskRegion(_SHIFT, 1.0), None),
+    ("l-shape", PolygonRegion([z + _SHIFT for z in _L_SHAPE.outer]), None),
+    ("holed", PolygonRegion([z + _SHIFT for z in _HOLED.outer],
+                            [[z + _SHIFT for z in h] for h in _HOLED.holes]), None),
+])
+def test_disc_certificates_of_translated_pairs_hold_exactly(monkeypatch, name, region, bbox):
+    # Far from the origin a disk's or polygon's delta rounds by an ulp of the
+    # coordinates, about 1e-13 here, which is 1e-10 of the smallest deltas at
+    # depth 12: the relative margin 2^-40 alone would not cover it.
+    _assert_near_certified_pairs_hold(monkeypatch, name, region, bbox, max_depth=12)
+
+
+def test_disc_certificate_leaves_pairs_within_the_gap_rounding():
+    # a lies on the holed square's edge from 4j to 0 (Re a = 0), yet its
+    # delta rounds to 2.2e-16, twice |a - b|; the slack, 8 ulps of 4,
+    # leaves the pair to the filter.
+    a = 1.1288078977264961j
+    A, B = np.array([a]), np.array([a + 1.1e-16])
+    dA, dB = _HOLED.boundary_gaps_many(A), _HOLED.boundary_gaps_many(B)
+    assert _exact_sq_distance(a, 4j, 0j) == 0 and np.abs(A - B)[0] < dA[0]
+    assert not _disc_certified(np.abs(A - B), dA, dB, _gap_slack(_HOLED, np.append(A, B)))[0]
 
 
 @pytest.mark.parametrize("e", [-60, -40, 40])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 import sys
 import threading
@@ -363,7 +364,7 @@ def test_segment_rejections_count_filtered_pairs(monkeypatch):
     # Every pair left to the filter is one the delta disc does not certify,
     # and the filter over all pairs rejects just the pairs it rejected.
     L, dA, dB = np.abs(coords[pu] - coords[pv]), delta[pu], delta[pv]
-    certified = qhgraph._disc_certified(L, dA, dB)
+    certified = qhgraph._disc_certified(L, dA, dB, qhgraph._gap_slack(region, coords))
     assert np.count_nonzero(~certified) == st["segment_tests"]
     inside = region.segments_inside_many(coords[pu], coords[pv])
     assert inside[certified].all()
@@ -779,6 +780,27 @@ def test_source_rows_are_written_after_the_mesh_entries(request, hp_mesh_005, ha
         att = qhgraph._attach(m, Z)
         assert np.diff(att.starts)[att.node < 0].max() <= room
         assert len(Z) >= 250
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_writes_leave_the_parents_buffers_alone(hp_mesh_01):
+    # The query buffers are private, as heap memory is: a forked child that
+    # queries, then overwrites the graph and its room, changes none of the
+    # parent's bytes.
+    mesh = hp_mesh_01
+    before = mesh._data.tobytes(), mesh._indices.tobytes()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            qh_distance(mesh, 0.3 + 0.7j, -0.4 + 1.3j)
+            mesh._data[:] = -1.0
+            mesh._indices[:] = 0
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert (mesh._data.tobytes(), mesh._indices.tobytes()) == before
 
 
 def test_queries_leave_the_mesh_graph_unchanged(hp_mesh_01, halfplane):
