@@ -54,6 +54,11 @@ from .spaces import (
 _BASE_OFFSETS = [(di, dj) for di in range(-3, 4) for dj in range(-3, 4)
                  if (di > 0 or (di == 0 and dj > 0))]
 _RAY_OFFSETS = [(4, 1), (4, -1), (4, 3), (4, -3), (3, 4), (3, -4), (1, 4), (1, -4)]
+# The same offsets turned forward in key order (dj > 0, or dj == 0 and di >
+# 0), by row: (dj, the sorted di of the row).  Rows dj = 0..4.
+_STENCIL_ROWS = [(row, sorted({di if dj > 0 or (dj == 0 and di > 0) else -di
+                               for di, dj in _BASE_OFFSETS + _RAY_OFFSETS if abs(dj) == row}))
+                 for row in range(5)]
 _TOUCH_DIRS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
 
 DEFAULT_GRADING = 0.1
@@ -224,8 +229,11 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
     (_piece_cuts), and spaces._cut_pieces, which also cuts component balls,
     makes the nodes and steps, each in G.  _assemble_mesh writes the graph
     once into the buffers the queries use.  mesh.stats["stage_s"] holds the
-    seconds of each build stage: refine, stencil, cross_depth, dedupe and
-    assemble for plane meshes, cuts and assemble for curve complexes.
+    seconds of each build stage: refine, stencil (the same-depth pairs, one
+    searchsorted per stencil row), cross_depth (the ancestor search), dedupe
+    (the distinct cross-depth pairs, merged after the same-depth ones of
+    each row) and assemble for plane meshes, cuts and assemble for curve
+    complexes.
     """
     if not (0.0 < grading_factor <= 0.5):
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
@@ -279,21 +287,39 @@ def _build_plane_mesh(region: Region, grading: float,
     spacing = s0 / (1 << D)
     t1 = perf_counter()
 
-    # Same-depth pairs, one _find per offset: the offsets are one-sided, so
-    # each pair once.  same[u, 1 + dx, 1 + dy] marks a same-depth leaf next to
-    # u in touch direction (dx, dy): the passes along (1, 0), (0, 1) and
-    # (1, +-1) give four directions, and the leaves they find the mirrors.
-    ids = np.arange(len(keys), dtype=np.int32)
-    same = np.zeros((len(keys), 3, 3), dtype=bool)
-    us, vs = [], []
-    for di, dj in _BASE_OFFSETS + _RAY_OFFSETS:
-        v = _find(keys, D, I + di, J + dj)
-        hit = v >= 0
-        us.append(ids[hit])
-        vs.append(v[hit])
-        if max(abs(di), abs(dj)) == 1:
-            same[:, 1 + di, 1 + dj] = hit
-            same[vs[-1], 1 - di, 1 - dj] = True
+    # Same-depth pairs, one searchsorted per stencil row.  The leaves of row
+    # j + dj in columns i + lo .. i + hi are among the width = hi - lo + 1
+    # keys from the first one at or past base = (d << 50) + ((j + dj) << 25)
+    # + (i + lo).  base is additive, so a window that starts before column 0
+    # lands past the end of row j + dj - 1, where no leaf is; padded ends the
+    # keys with values no window reaches.  A key is a pair where its distance
+    # from base is a stencil offset of the row, less lo.  The offsets point
+    # forward, so each pair comes once, from its lower end, and each row of
+    # win lists a leaf's partners in key order, the pairs where hit holds.
+    # same[u, 1 + dx, 1 + dy] marks a same-depth leaf next to u in touch
+    # direction (dx, dy): the pairs along (1, 0), (+-1, 1) and (0, 1) give
+    # four directions, and the leaves they find the mirrors.
+    n = len(keys)
+    same = np.zeros((n, 3, 3), dtype=bool)
+    widths = [dis[-1] - dis[0] + 1 for _, dis in _STENCIL_ROWS]
+    padded = np.append(keys, np.full(max(widths), np.iinfo(np.int64).max))
+    win = np.empty((n, sum(widths)), dtype=np.int32)
+    hit = np.empty(win.shape, dtype=bool)
+    col = 0
+    for (dj, dis), width in zip(_STENCIL_ROWS, widths):
+        lo = dis[0]
+        row = np.zeros(width + 1, dtype=bool)  # the row's offsets from lo, then the rest
+        row[np.subtract(dis, lo)] = True
+        base = keys + ((dj << _KEY_BITS) + lo)
+        at = np.searchsorted(keys, base)[:, None] + np.arange(width)
+        rel = padded[at] - base[:, None]
+        ok = row.take(rel, mode="clip")
+        for di in (di for di in dis if dj <= 1 and abs(di) <= 1):  # touch directions
+            touch = np.flatnonzero(ok & (rel == di - lo))
+            same[touch // width, 1 + di, 1 + dj] = True
+            same[at.ravel()[touch], 1 - di, 1 - dj] = True
+        win[:, col:col + width], hit[:, col:col + width] = at, ok
+        col += width
     t2 = perf_counter()
     # Cross-depth pairs: for each leaf and touch direction, the finest strict
     # ancestor of the neighbour cell that is a leaf.  A neighbour cell that is
@@ -307,17 +333,30 @@ def _build_plane_mesh(region: Region, grading: float,
     dx, dy = np.array(_TOUCH_DIRS)[t].T
     ni, nj, du = I[u] + dx, J[u] + dy, D[u]
     open_ = np.ones(len(u), dtype=bool)
+    # Empty starts, for a build whose leaves all have depth 0.
+    fine, coarse = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
     for k in range(1, int(D.max()) + 1):
         open_ &= du >= k
         u, ni, nj, du = u[open_], ni[open_], nj[open_], du[open_]
         v = _find(keys, du - k, ni >> k, nj >> k)
         open_ = v < 0
-        us.append(u[~open_])
-        vs.append(v[~open_])
+        fine.append(u[~open_])
+        coarse.append(v[~open_])
     t3 = perf_counter()
-    pu, pv = _unique_pairs(np.concatenate(us, dtype=np.int32),
-                           np.concatenate(vs, dtype=np.int32), len(keys))
-    del us, vs  # freed before the assembly, whose peak is the build's
+    # The distinct cross-depth pairs, sorted.  Their lower end is the coarse
+    # leaf and their upper end is deeper than its same-depth partners, so in
+    # each row of pu they follow the same-depth pairs, and counts per row
+    # place every pair: the pair list is never sorted.
+    clo, chi = _unique_pairs(np.concatenate(coarse, dtype=np.int32),
+                             np.concatenate(fine, dtype=np.int32))
+    del fine, coarse
+    level, across = np.count_nonzero(hit, axis=1), np.bincount(clo, minlength=n)
+    pu = np.repeat(np.arange(n, dtype=np.int32), level + across)
+    pv = np.empty(len(pu), dtype=np.int32)
+    first = np.repeat(np.tile([True, False], n), np.stack((level, across), axis=1).ravel())
+    pv[first] = win[hit]
+    pv[~first] = chi
+    del win, hit, first, clo, chi  # freed before the assembly, whose peak is the build's
     t4 = perf_counter()
 
     mesh, keep, pu, pv = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
@@ -369,14 +408,15 @@ def _refine(region: Region, grading: float, bbox: tuple[float, float, float, flo
     return keys[order], D[order], I[order], J[order], coords[order], delta[order], capped
 
 
-def _unique_pairs(u: np.ndarray, v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _unique_pairs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct unordered pairs of the int32 or int64 ids u, v as int32
-    (lo, hi) arrays, sorted by lo, then hi, via one int64 key sorted in place."""
-    key = np.multiply(np.minimum(u, v), n, dtype=np.int64)
-    key += np.maximum(u, v)
+    (lo, hi) arrays, sorted by lo, then hi, via one int64 key lo << 32 | hi
+    sorted in place."""
+    key = np.minimum(u, v).astype(np.int64) << 32
+    key |= np.maximum(u, v)
     key.sort()
-    lo, hi = np.divmod(key[np.diff(key, prepend=-1) != 0], n)
-    return lo.astype(np.int32), hi.astype(np.int32)
+    key = key[np.diff(key, prepend=-1) != 0]
+    return (key >> 32).astype(np.int32), (key & 0xFFFFFFFF).astype(np.int32)
 
 
 def _assemble_mesh(region: Region, grading: float, metric: str,
@@ -487,7 +527,7 @@ def _build_complex_mesh(region: CurveRegion, grading: float, metric: str,
     np.maximum.at(spacing, node[k[member[k]]], gap[member[k]])
 
     t1 = perf_counter()
-    pu, pv = _unique_pairs(node[u], node[v], len(coords))
+    pu, pv = _unique_pairs(node[u], node[v])
     mesh, keep, _, _ = _assemble_mesh(region, grading, metric, coords, delta, spacing, pu, pv)
     final = np.full(len(P), -1)
     final[member] = np.where(keep, np.cumsum(keep) - 1, -1)
@@ -567,18 +607,19 @@ def _attach(m: QhMesh, Z: np.ndarray) -> _Attachment:
     Membership is one contains_many call.  A plane point takes its host cell
     from _host_cells, and is an exact node when its coordinate key is the
     host's; otherwise its candidates are the host and its mesh neighbours in
-    CSR order, kept where segments_inside_many joins them.  A curve-complex
-    point is an exact node by its coordinate key or when a cut of its piece
-    lies within 1e-12 of it; otherwise its candidates are the member cuts
-    just below and above it.  delta (or delta') at the other points is one
-    _region_deltas call, and their anchor weights one _segment_weights call.
+    CSR order, kept where the delta disc certifies them (_disc_certified) or
+    else segments_inside_many joins them.  A curve-complex point is an exact
+    node by its coordinate key or when a cut of its piece lies within 1e-12
+    of it; otherwise its candidates are the member cuts just below and above
+    it.  delta (or delta') at the other points is one _region_deltas call,
+    and their anchor weights one _segment_weights call.
     The first point that fails raises, with the error that attaching the
     points one at a time in order would raise.
     """
     region = m.region
     fail = np.where(region.contains_many(Z), 0, _NOT_MEMBER)
     find = _complex_candidates if m._piece_registry else _plane_candidates
-    node, spacing, owner, cand = find(m, Z, fail)
+    node, spacing, delta, owner, cand = find(m, Z, fail)
     if fail.any():
         k = int(np.argmax(fail != 0))
         z = complex(Z[k])
@@ -586,9 +627,7 @@ def _attach(m: QhMesh, Z: np.ndarray) -> _Attachment:
             raise region.not_member(z, "query point")
         raise ConnectivityError(f"query point {z} {_ATTACH_ERRORS[int(fail[k])]}")
     exact = node >= 0
-    delta = np.empty(len(Z))
     delta[exact] = m.delta[node[exact]]
-    delta[~exact] = _region_deltas(region, m.metric, Z[~exact])
     spacing[exact] = m.spacing[node[exact]]
     weights = _segment_weights(Z[owner], delta[owner], m.coords[cand], m.delta[cand])
     # An exact node is its own anchor at weight 0; anchors stay in candidate order.
@@ -603,8 +642,8 @@ def _attach(m: QhMesh, Z: np.ndarray) -> _Attachment:
 
 def _plane_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.ndarray, ...]:
     """_attach on a plane mesh: each point's exact node (or -1) and spacing,
-    and the (owner, candidate) pairs of the others that segments_inside_many
-    keeps; fail gets _NOT_COVERED and _NOT_JOINED."""
+    the delta of the others, and their (owner, candidate) pairs that
+    _inside keeps; fail gets _NOT_COVERED and _NOT_JOINED."""
     host = np.full(len(Z), -1)
     member = fail == 0
     host[member] = m._host_cells(Z[member])
@@ -621,16 +660,30 @@ def _plane_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.nd
     k = np.arange(len(owner)) - np.repeat(np.cumsum(size) - size, size)
     cand = g.indices[np.maximum(np.repeat(g.indptr[h] - 1, size) + k, 0)].astype(np.intp)
     cand[k == 0] = h
-    keep = m.region.segments_inside_many(Z[owner], m.coords[cand])
+    delta = np.zeros(len(Z))
+    delta[off] = _region_deltas(m.region, m.metric, Z[off])
+    keep = _inside(m.region, Z[owner], delta[owner], m.coords[cand], m.delta[cand])
     fail[off & (np.bincount(owner[keep], minlength=len(Z)) == 0)] = _NOT_JOINED
     spacing = np.where(off, m.spacing[np.maximum(host, 0)], 0.0)
-    return np.where(exact, host, -1), spacing, owner[keep], cand[keep]
+    return np.where(exact, host, -1), spacing, delta, owner[keep], cand[keep]
+
+
+def _inside(region: Region, A: np.ndarray, dA: np.ndarray, B: np.ndarray,
+            dB: np.ndarray) -> np.ndarray:
+    """Whether each segment [a, b] between plane members lies in G, with
+    dA and dB delta_G at the ends: the pairs that _disc_certified holds
+    (slack over the ends) are in G, and segments_inside_many tests the rest."""
+    inside = _disc_certified(np.abs(A - B), dA, dB, _gap_slack(region, np.append(A, B)))
+    rest = np.flatnonzero(~inside)
+    if len(rest):
+        inside[rest] = region.segments_inside_many(A[rest], B[rest])
+    return inside
 
 
 def _complex_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.ndarray, ...]:
     """_attach on a curve-complex mesh: each point's exact node (or -1) and
-    spacing (the farther of its anchor cuts), and the (owner, candidate)
-    pairs of the others; fail gets _ISOLATED."""
+    spacing (the farther of its anchor cuts), the delta (or delta') of the
+    others, and their (owner, candidate) pairs; fail gets _ISOLATED."""
     node = np.full(len(Z), -1)
     member = np.flatnonzero(fail == 0)
     node[member] = [m._node_of.get(_coord_key(z), -1) for z in Z[member].tolist()]
@@ -649,8 +702,10 @@ def _complex_candidates(m: QhMesh, Z: np.ndarray, fail: np.ndarray) -> tuple[np.
         spacing[on] = np.where(near[on] >= 0, np.abs(cuts[kk[:, :2]] - t), -np.inf).max(axis=1)
     off = (fail == 0) & (node < 0)
     fail[off & (near < 0).all(axis=1)] = _ISOLATED
+    delta = np.zeros(len(Z))
+    delta[off] = _region_deltas(m.region, m.metric, Z[off])
     owner, c = np.nonzero(off[:, None] & (near >= 0))
-    return node, spacing, owner, near[owner, c]
+    return node, spacing, delta, owner, near[owner, c]
 
 
 def _canonical(x: complex, y: complex) -> bool:
@@ -869,12 +924,14 @@ def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
     """A likely Dijkstra limit for one source row of a plane mesh:
     _GUESS_FACTOR times the largest, over the row's pairs (a, b), sum of
     _segment_weights over _GUESS_PIECES equal sub-segments of a -> b, an
-    upper estimate of k_G(a, b); inf when some segment leaves G."""
+    upper estimate of k_G(a, b); inf when some segment leaves G (_inside,
+    with delta at b from the same boundary_gaps_many call as on the pieces)."""
     A, B = (np.array([job[i] for job in jobs], dtype=np.complex128) for i in (0, 1))
-    if not m.region.segments_inside_many(A, B).all():
-        return np.inf
     P = A[:, None] + (B - A)[:, None] * (np.arange(_GUESS_PIECES + 1) / _GUESS_PIECES)
-    d = m.region.boundary_gaps_many(P.ravel()).reshape(P.shape)  # delta on segments in G
+    d = m.region.boundary_gaps_many(np.append(P.ravel(), B))
+    dB, d = d[P.size:], d[:P.size].reshape(P.shape)
+    if not _inside(m.region, A, d[:, 0], B, dB).all():
+        return np.inf
     w = _segment_weights(P[:, :-1], d[:, :-1], P[:, 1:], d[:, 1:])
     return _GUESS_FACTOR * float(w.sum(axis=1).max())
 
@@ -908,7 +965,8 @@ def _direct_weights(m: QhMesh, att: _Attachment, todo: list[tuple]) -> np.ndarra
     """For each pair, the weight of the straight segment between its
     endpoints, or inf.  A pair gets one when its endpoints are distinct,
     within 3 spacings, not two mesh nodes joined by an edge, and the segment
-    stays in G: one segments_inside_many call over the pairs left."""
+    stays in G: on a plane mesh by _inside, on a curve complex by one
+    segments_inside_many call over the pairs left."""
     ea, eb = (np.array([job[k] for job in todo], dtype=np.intp) for k in (2, 3))
     pa, pb = att.point[ea], att.point[eb]
     near = (ea != eb) & (_moduli(pa, pb) <= 3.0 * np.maximum(att.spacing[ea], att.spacing[eb]))
@@ -916,7 +974,11 @@ def _direct_weights(m: QhMesh, att: _Attachment, todo: list[tuple]) -> np.ndarra
         near[i] = att.node[eb[i]] not in m.neighbors(att.node[ea[i]])  # joined by an edge
     direct = np.full(len(todo), np.inf)
     if near.any():
-        near[near] = m.region.segments_inside_many(pa[near], pb[near])
+        if m._piece_registry:
+            near[near] = m.region.segments_inside_many(pa[near], pb[near])
+        else:
+            near[near] = _inside(m.region, pa[near], att.delta[ea[near]],
+                                 pb[near], att.delta[eb[near]])
         direct[near] = _segment_weights(pa[near], att.delta[ea[near]],
                                         pb[near], att.delta[eb[near]])
     return direct

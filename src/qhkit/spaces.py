@@ -300,9 +300,9 @@ class Region:
     refine, cut, filter and weigh through these, the component balls accept
     and join through them, and the queries attach all their endpoints
     through them in one pass.  At a member z, boundary_gaps_many must be the
-    distance to the whole boundary, delta_G(z), not to a part of it: the
-    plane builder takes every segment shorter than it from z as inside G
-    without calling segments_inside_many (qhgraph._disc_certified).  Its
+    distance to the whole boundary, delta_G(z), not to a part of it: plane
+    builds and queries take every segment shorter than it from z as inside
+    G without calling segments_inside_many (qhgraph._disc_certified).  Its
     rounding must stay within a few ulps of the largest of |z| and
     gap_scale(), the largest magnitude of the region's own that it computes
     with.  The scalar predicates derive from them:
@@ -496,8 +496,11 @@ class PolygonRegion(Region):
     number ray casting, the crossings XOR-accumulated per ring, and a gap
     above 0; the gap is the least _projections distance to an edge, as
     Python's min() takes it; a segment stays inside when both ends do, the
-    orientation tests (with their bounding-box rule, both to within 1e-12)
-    find no edge that it meets, and its midpoint is inside.
+    orientation tests (with their bounding-box rule) find no edge that it
+    meets, and its midpoint is inside.  Their tolerances scale with the
+    polygon's size s, the larger side of its outer ring's bounding box:
+    1e-12 s^4 for the products of two orientations, 1e-12 s for the boxes,
+    so a polygon scaled by 2^e keeps every segment it kept.
     """
 
     bounded = True
@@ -515,6 +518,8 @@ class PolygonRegion(Region):
         self._a = np.array([z for ring in rings for z in ring])[:, None]
         self._b = np.array([z for ring in rings for z in ring[1:] + ring[:1]])[:, None]
         self._starts = np.cumsum([0] + [len(ring) for ring in rings[:-1]])
+        outer = np.array(self.outer)
+        self._size = float(max(np.ptp(outer.real), np.ptp(outer.imag)))
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         x, y = Z.real, Z.imag
@@ -537,10 +542,10 @@ class PolygonRegion(Region):
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         ok = self.contains_many(A) & self.contains_many(B)
         a, b, p, q = A[ok], B[ok], self._a, self._b
-        eps = 1e-12
+        eps, eps4 = 1e-12 * self._size, 1e-12 * self._size ** 4
         with np.errstate(all="ignore"):
-            meets = ((_orient(a, b, p) * _orient(a, b, q) < eps)
-                     & (_orient(p, q, a) * _orient(p, q, b) < eps))
+            meets = ((_orient(a, b, p) * _orient(a, b, q) < eps4)
+                     & (_orient(p, q, a) * _orient(p, q, b) < eps4))
             for part in (np.real, np.imag):
                 a_, b_, p_, q_ = part(a), part(b), part(p), part(q)
                 meets &= (np.maximum(np.minimum(a_, b_), np.minimum(p_, q_))

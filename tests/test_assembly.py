@@ -70,7 +70,7 @@ def _points(*zs):
 
 def _sorted_pairs(pairs, n):
     u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    return _unique_pairs(u, v, n)
+    return _unique_pairs(u, v)
 
 
 def test_equal_largest_components_keep_the_lowest_numbered():
@@ -312,15 +312,21 @@ def test_disc_certificate_leaves_pairs_within_the_gap_rounding():
     assert not _disc_certified(np.abs(A - B), dA, dB, _gap_slack(_HOLED, np.append(A, B)))[0]
 
 
+# The pairs that the delta disc leaves to segments_inside_many, by build.
+_FILTERED = {("l-shape", 0.3, 6): 192}
+
+
 @pytest.mark.parametrize("e", [-60, -40, 40])
 @pytest.mark.parametrize("name, grading, max_depth", [("punctured", 0.2, 12),
-                                                      ("l-shape", 0.2, 7)])
+                                                      ("l-shape", 0.2, 7),
+                                                      ("l-shape", 0.3, 6)])
 def test_certified_plane_meshes_scale_by_powers_of_two(name, grading, max_depth, e):
-    # The certificate is scale-free, and it holds every pair of these two
+    # The certificate is scale-free, and it holds every pair of the first two
     # meshes, so no absolute filter tolerance drops a pair at tiny scales: at
     # 2^-40 the punctured build at grading 0.1 kept 2,384 of 7,332 nodes while
-    # every pair went through the filter.  Pairs left to the polygon filter
-    # still fail its eps = 1e-12 there: the L-shape at 0.3/6 loses all 192.
+    # every pair went through the filter.  The L-shape at 0.3/6 leaves 192
+    # pairs to the polygon filter, whose tolerances scale with the polygon:
+    # with an absolute eps = 1e-12 all 192 failed at 2^-40.
     make, (x0, x1, y0, y1), _ = _SCALED[name]
 
     def build(s):
@@ -333,7 +339,9 @@ def test_certified_plane_meshes_scale_by_powers_of_two(name, grading, max_depth,
     for got, want in zip((scaled._indptr, scaled._indices, scaled._data),
                          (unit._indptr, unit._indices, unit._data)):
         assert got.tobytes() == want.tobytes()
-    assert scaled.stats["segment_tests"] == unit.stats["segment_tests"] == 0
+    tests = _FILTERED.get((name, grading, max_depth), 0)
+    assert scaled.stats["segment_tests"] == unit.stats["segment_tests"] == tests
+    assert scaled.stats["segment_rejections"] == unit.stats["segment_rejections"] == 0
 
 
 @pytest.mark.parametrize("domain, bbox", [("punctured", PP_BBOX), ("halfplane", HP_BBOX)])

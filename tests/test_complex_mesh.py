@@ -130,7 +130,7 @@ def scalar_complex_mesh(region: CurveRegion, grading: float, metric: str, max_de
         registry.append((cuts, ids))
     if len(coords) < 2:
         raise ConfigurationError("grading left fewer than two usable mesh nodes")
-    pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T, len(coords))
+    pu, pv = _unique_pairs(*np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
     mesh, keep, _, _ = _assemble_mesh(region, grading, metric,
                                       np.array(coords, dtype=np.complex128),
                                       np.array(delta, dtype=np.float64),

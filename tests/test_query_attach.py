@@ -205,6 +205,31 @@ def test_one_pass_attach_of_no_points(meshes):
         assert qhgraph.qh_distance_many(mesh, []) == []
 
 
+def test_certified_query_segments_skip_the_segment_filter(meshes, monkeypatch):
+    # A half-plane point's anchors lie a few spacings from it, well inside
+    # its delta disc, so attaching tests no anchor segment; neither does a
+    # near pair's straight segment.  A far pair's first search guesses its
+    # limit from its straight segment, which no disc certifies: one call,
+    # of one segment.
+    mesh = meshes["halfplane"]
+    region, calls = mesh.region, []
+    filter_ = region.segments_inside_many
+
+    def spy(A, B):
+        calls.append(len(A))
+        return filter_(A, B)
+
+    monkeypatch.setattr(region, "segments_inside_many", spy)
+    a, b = 0.1234 + 1.0123j, 0.1571 + 1.0321j
+    att = qhgraph._attach(mesh, np.array([a, b]))
+    assert (att.node < 0).all() and (np.diff(att.starts) > 1).all()
+    assert calls == []
+    near = qhgraph.qh_distance(mesh, a, b)
+    assert near.node_path == (a, b) and calls == []  # the direct segment wins
+    qhgraph.qh_distance(mesh, -1.234 + 0.51j, 1.37 + 2.9j)
+    assert calls == [1]
+
+
 def test_scalar_length_forms_raise_for_points_off_the_complex():
     region = make_region("frame-omega")
     with pytest.raises(MembershipError, match=r"^x \(0\.5\+0\.5j\) is not in the complex space"):
