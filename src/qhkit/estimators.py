@@ -27,6 +27,7 @@ from .spaces import (COORD_TOL, CurveRegion, Region, _moduli, _modulus, as_point
                      component_ball, disk_point, sample_pairs)
 
 _N_DIRECTIONS = 64  # deterministic angular resolution for L_f / l_f probing
+_ALPHAS = tuple(a / 20.0 for a in range(1, 21))  # estimate_semisolid's alpha grid
 
 
 @dataclass(frozen=True)
@@ -394,14 +395,13 @@ def estimate_local_weak_qs(f: MapSpec, spec: SampleSpec,
 # Semisolidity
 # ---------------------------------------------------------------------------
 
-def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
-                       alphas: Sequence[float] = tuple(a / 20.0 for a in range(1, 21))
-                       ) -> PropertyReport:
+def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec) -> PropertyReport:
     """Scatter of (k_G(x,y), k_G'(f x, f y)) with envelope fits.
 
     Reports the best linear slope  s = max k'/k  and the power-envelope pair
     (mu, alpha) minimizing mu subject to k' <= mu max(t^alpha, t) over the
-    scatter (grid search on alpha; max-ratio is the faithful envelope).
+    scatter (grid search on alpha over _ALPHAS; max-ratio is the faithful
+    envelope).
     k_src and k_img are distance backends (mesh or analytic oracle).
     """
     pairs = sample_pairs(k_src.sample_points, random.Random(spec.seed), spec.count)
@@ -420,7 +420,7 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
                         list(zip(t_arr.tolist(), u_arr.tolist())), {})
 
     best_mu, best_alpha = math.inf, 1.0
-    for alpha in alphas:
+    for alpha in _ALPHAS:
         env = np.maximum(t_arr ** alpha, t_arr)
         mu = float(np.max(u_arr / env))
         if mu < best_mu:

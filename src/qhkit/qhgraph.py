@@ -592,6 +592,11 @@ class _Attachment:
         lo, hi = self.starts[e], self.starts[e + 1]
         return self.nodes[lo:hi], self.weights[lo:hi]
 
+    def reach(self, dist: np.ndarray) -> np.ndarray:
+        """min over each endpoint's anchors a of dist[a] + w_a, for every
+        endpoint (each has at least one anchor once _attach returns)."""
+        return np.minimum.reduceat(dist[self.nodes] + self.weights, self.starts[:-1])
+
 
 # Why _attach rejects an endpoint, by code; 1 is require_member's MembershipError.
 _NOT_MEMBER, _NOT_COVERED, _NOT_JOINED, _ISOLATED = 1, 2, 3, 4
@@ -742,8 +747,11 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     The endpoints are put in canonical pair order (a, then b) and made
     distinct by coordinate key, the first point of each key standing for
     all; _attach then hooks them all into the mesh in one array pass, and
-    the first endpoint that fails raises.  The straight segments of the near
-    pairs are tested in one segments_inside_many call before the searches.
+    the first endpoint that fails raises.  Its anchor table, in which an
+    exact node is its own anchor at weight 0, is the one table that the
+    source rows, limits, slacks and targets read.  The straight segments of
+    the near pairs are tested in one segments_inside_many call before the
+    searches.
 
     Each source stops at a limit.  A source with a finite landmark bound
     from the rows already searched (ALT search, see _Limits) takes it.  On
@@ -863,54 +871,37 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     return results
 
 
-class _Ends:
-    """The anchors and weights of a list of endpoints of an attachment, its
-    flat arrays sliced and concatenated; an exact node is its own anchor with
-    weight 0."""
-
-    def __init__(self, att: _Attachment, ends: list[int]):
-        ends = np.asarray(ends, dtype=np.intp)
-        lo = att.starts[ends]
-        self.sizes = att.starts[ends + 1] - lo
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        flat = np.repeat(lo - self.starts, self.sizes) + np.arange(self.sizes.sum())
-        self.nodes, self.weights = att.nodes[flat], att.weights[flat]
-
-    def reach(self, dist: np.ndarray) -> np.ndarray:
-        """min over each endpoint's anchors a of dist[a] + w_a."""
-        return np.minimum.reduceat(dist[self.nodes] + self.weights, self.starts)
-
-
 class _Limits:
     """Dijkstra limits of the source rows, from the rows searched before them.
 
     Through the source of row r, with D its distance row,
     d(s, t) <= min_a (w_a + D[a]) + min_b (D[b] + w_b) + 2 slack_r for a
-    pair (s, t), a over the anchors of s and b over those of t.  Each row
+    pair (s, t), a over the anchors of s and b over those of t, both minima
+    read from the call's one anchor table (_Attachment.reach).  Each row
     tightens the bound of every pair of the batch, and the limit of a row is
     the largest bound over its pairs widened by 1e-9 relative.  It is inf
     while some bound is, as for the first row, and qh_distance_many then
-    guesses a limit on plane meshes (see _segment_guess).  slack_r is 0 for
-    a mesh-node source, whose row is d(source, .) itself.  Other sources
+    guesses a limit on plane meshes (see _segment_guess).  Other sources
     cannot route through an off-mesh source, so its bound passes through its
-    cheapest anchor and slack_r is from _slacks; the last row helps no later
-    source and gets no slack.
+    cheapest anchor; slack_r is from _slacks, which is 0 for a mesh-node
+    source, whose row is d(source, .) itself.
     """
 
     def __init__(self, graph: sp.csr_matrix, att: _Attachment, sources: list[int],
                  targets: list[list[int]]):
-        # Each pair's source ends, then its target ends.
-        self._ends = _Ends(att, [e for s, ts in zip(sources, targets) for t in ts for e in (s, t)])
-        self._first = np.cumsum([0] + [len(ts) for ts in targets])
+        counts = [len(ts) for ts in targets]
+        self._att = att
+        # Each pair's source and target endpoint.
+        self._s = np.repeat(sources, counts)
+        self._t = np.concatenate(targets)
+        self._first = np.cumsum([0] + counts)
         self._bound = np.full(self._first[-1], np.inf)
-        self._slack2 = np.zeros(len(sources))  # 2 slack_r
-        off = [r for r, s in enumerate(sources[:-1]) if att.node[s] < 0]
-        if off:
-            self._slack2[off] = 2.0 * _slacks(graph, att, [sources[r] for r in off])
+        self._slack2 = 2.0 * _slacks(graph, att)[sources]  # 2 slack_r
 
     def add_row(self, r: int, dist: np.ndarray) -> None:
-        reach = self._ends.reach(dist)
-        np.minimum(self._bound, reach[0::2] + reach[1::2] + self._slack2[r], out=self._bound)
+        reach = self._att.reach(dist)
+        np.minimum(self._bound, reach[self._s] + reach[self._t] + self._slack2[r],
+                   out=self._bound)
 
     def limit(self, r: int) -> float:
         return float(self._bound[self._first[r]:self._first[r + 1]].max()) * (1.0 + 1e-9)
@@ -936,23 +927,24 @@ def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
     return _GUESS_FACTOR * float(w.sum(axis=1).max())
 
 
-def _slacks(graph: sp.csr_matrix, att: _Attachment, sources: list[int]) -> np.ndarray:
-    """For each off-mesh source endpoint, an s with d(k0, x) <= D[x] + s at
-    every mesh node x, where D is the source's distance row and k0 its
-    cheapest anchor (the first of equal weights).
+def _slacks(graph: sp.csr_matrix, att: _Attachment) -> np.ndarray:
+    """For each endpoint of the anchor table, an s with d(k0, x) <= D[x] + s
+    at every mesh node x, where D is the distance row of a search from the
+    endpoint and k0 its cheapest anchor (the first of equal weights).
 
     With anchors k and weights w_k, D[x] = min_k (w_k + d(k, x)), and
     d(k0, x) <= graph[k0, k] + d(k, x) gives s = max_k (graph[k0, k] - w_k),
     taking graph[k0, k0] = 0.  s is inf when some anchor is not a mesh
-    neighbour of k0.
+    neighbour of k0.  An exact node is its own anchor at weight 0, so its
+    s is 0.
     """
-    ends = _Ends(att, sources)
-    owner = np.repeat(np.arange(len(sources)), ends.sizes)
-    cheapest = np.lexsort((ends.weights, owner))[ends.starts]  # stable: first of equals
-    k0 = np.repeat(ends.nodes[cheapest], ends.sizes)
-    edge = np.asarray(graph[k0, ends.nodes]).ravel()  # 0 off the row of k0
-    edge[(edge == 0.0) & (ends.nodes != k0)] = np.inf
-    return np.maximum.reduceat(edge - ends.weights, ends.starts)
+    sizes = np.diff(att.starts)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    cheapest = np.lexsort((att.weights, owner))[att.starts[:-1]]  # stable: first of equals
+    k0 = np.repeat(att.nodes[cheapest], sizes)
+    edge = np.asarray(graph[k0, att.nodes]).ravel()  # 0 off the row of k0
+    edge[(edge == 0.0) & (att.nodes != k0)] = np.inf
+    return np.maximum.reduceat(edge - att.weights, att.starts[:-1])
 
 
 def _spacing(att: _Attachment, job: tuple) -> tuple[float, float]:
@@ -964,14 +956,15 @@ def _spacing(att: _Attachment, job: tuple) -> tuple[float, float]:
 def _direct_weights(m: QhMesh, att: _Attachment, todo: list[tuple]) -> np.ndarray:
     """For each pair, the weight of the straight segment between its
     endpoints, or inf.  A pair gets one when its endpoints are distinct,
-    within 3 spacings, not two mesh nodes joined by an edge, and the segment
-    stays in G: on a plane mesh by _inside, on a curve complex by one
-    segments_inside_many call over the pairs left."""
+    within 3 spacings, and the segment stays in G: on a plane mesh by
+    _inside, on a curve complex by one segments_inside_many call over the
+    pairs left.  Two mesh nodes joined by an edge need no exception: an
+    exact node's point and delta are the mesh's, so their segment weighs
+    the edge's weight, which the search reaches no later, and _unwind takes
+    the segment only when it is strictly shorter."""
     ea, eb = (np.array([job[k] for job in todo], dtype=np.intp) for k in (2, 3))
     pa, pb = att.point[ea], att.point[eb]
     near = (ea != eb) & (_moduli(pa, pb) <= 3.0 * np.maximum(att.spacing[ea], att.spacing[eb]))
-    for i in np.flatnonzero(near & (att.node[ea] >= 0) & (att.node[eb] >= 0)).tolist():
-        near[i] = att.node[eb[i]] not in m.neighbors(att.node[ea[i]])  # joined by an edge
     direct = np.full(len(todo), np.inf)
     if near.any():
         if m._piece_registry:
@@ -991,14 +984,10 @@ def _unwind(m: QhMesh, att: _Attachment, job: tuple, direct: float, src: int,
     when the target is not reached."""
     _, _, ea, eb, swap = job
     # Candidates (distance, last graph vertex, final point off the graph).
-    node = int(att.node[eb])
-    if node >= 0:
-        best = (dist[node], node, None)
-    else:
-        nodes, weights = att.anchors(eb)
-        reach = dist[nodes] + weights
-        k = int(np.argmin(reach))  # the first of the least
-        best = (reach[k], int(nodes[k]), complex(att.point[eb]))
+    nodes, weights = att.anchors(eb)
+    reach = dist[nodes] + weights
+    k = int(np.argmin(reach))  # the first of the least
+    best = (reach[k], int(nodes[k]), None if att.node[eb] >= 0 else complex(att.point[eb]))
     if direct < best[0]:
         best = (direct, src, complex(att.point[eb]))
     d, v, tail = best
@@ -1025,11 +1014,13 @@ def _unwind(m: QhMesh, att: _Attachment, job: tuple, direct: float, src: int,
 
 def _with_source_row(m: QhMesh, att: _Attachment, e: int) -> sp.csr_matrix:
     """The mesh graph plus the query vertex n = m.node_count, whose row holds
-    the anchor out-edges of the source endpoint e (none for a mesh node),
-    written into the room after the graph's entries in m's CSR buffers:
-    nothing is copied.  Good until the next call; callers hold m._lock."""
+    the anchor out-edges of the source endpoint e, written into the room
+    after the graph's entries in m's CSR buffers: nothing is copied.  A
+    mesh-node source's row is one 0-weight edge to its node, which its
+    search, run from the node, never uses: no edge leads to the query
+    vertex.  Good until the next call; callers hold m._lock."""
     nnz = m.graph.nnz
-    nodes, weights = att.anchors(e) if att.node[e] < 0 else ((), ())
+    nodes, weights = att.anchors(e)
     end = nnz + len(nodes)
     m._data[nnz:end] = weights
     m._indices[nnz:end] = nodes

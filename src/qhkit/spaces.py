@@ -37,9 +37,9 @@ def as_point(p) -> complex:
     return complex(float(x), float(y))
 
 
-def _coord_key(z: complex, digits: int = 10) -> tuple[float, float]:
+def _coord_key(z: complex) -> tuple[float, float]:
     z = complex(z)  # numpy scalars round like Python floats
-    return (round(z.real, digits), round(z.imag, digits))
+    return (round(z.real, 10), round(z.imag, 10))
 
 
 def disk_point(rng: random.Random, center: complex, radius: float) -> complex:
@@ -310,7 +310,7 @@ class Region:
     boundary_distance, delta_G, is the boundary_gap of a member.
     length_boundary_distances_many gives delta'_G of members, which is delta_G
     in the plane, and length_boundary_distance is its one-element call on
-    curve regions.  sample_points(rng, n) gives what n calls of sample_point
+    a member.  sample_points(rng, n) gives what n calls of sample_point
     give; the rejection samplers draw in batches (_rejection_sample) and
     test each batch with one contains_many call.
     """
@@ -359,7 +359,7 @@ class Region:
 
     def length_boundary_distance(self, z: complex) -> float:
         """delta'_G(z): boundary distance in the length metric of the space."""
-        return self.boundary_distance(z)
+        return float(self.length_boundary_distances_many(np.array([self.require_member(z)]))[0])
 
     def length_boundary_distances_many(self, Z: np.ndarray) -> np.ndarray:
         """delta'_G over a 1-D array of points of G; the plane is convex, so
@@ -629,9 +629,6 @@ class CurveRegion(Region):
         lo, hi = np.minimum(S[:, :n], S[:, n:]), np.maximum(S[:, :n], S[:, n:])
         member = self.boundary_gaps_many(ends) > COORD_TOL
         return (on & ~_blocked(self._arcs, lo, hi)).any(axis=0) & member[:n] & member[n:]
-
-    def length_boundary_distance(self, z: complex) -> float:
-        return float(self.length_boundary_distances_many(np.array([self.require_member(z)]))[0])
 
     def length_boundary_distances_many(self, Z: np.ndarray) -> np.ndarray:
         """delta'_G over a 1-D array of points of G: the least length distance

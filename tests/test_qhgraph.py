@@ -692,6 +692,42 @@ def test_too_small_guess_searches_again(monkeypatch, hp_mesh_01, scale, limited)
     assert (stats["dijkstra_limited"], stats["dijkstra_full"]) == (limited, 2 - limited)
 
 
+@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "omega_mesh",
+                                       "omega_mesh_length"])
+def test_joined_mesh_nodes_give_the_full_search_answer(request, monkeypatch, mesh_name):
+    # Two exact nodes joined by an edge get a direct segment that weighs the
+    # edge, bit for bit, and the search reaches the target no later.  On a
+    # plane mesh, a guess that leaves the target unreached is searched again.
+    mesh = request.getfixturevalue(mesh_name)
+    g = mesh.graph
+    u = np.repeat(np.arange(mesh.node_count), np.diff(g.indptr))
+    weights = qhgraph._segment_weights(mesh.coords[u], mesh.delta[u], mesh.coords[g.indices],
+                                       mesh.delta[g.indices])
+    assert np.array_equal(weights, g.data)
+    rng = random.Random(59)
+    for _ in range(5):
+        i = rng.randrange(mesh.node_count)
+        near = mesh.neighbors(i)
+        j = int(near[np.argmin(np.abs(mesh.coords[near] - mesh.coords[i]))])
+        x, y = complex(mesh.coords[i]), complex(mesh.coords[j])
+        att = qhgraph._attach(mesh, np.array([x, y]))
+        assert np.isfinite(qhgraph._direct_weights(mesh, att, [(x, y, 0, 1, False)])[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(qhgraph, "_segment_guess", lambda m, jobs: math.inf)
+            full = qh_distance(mesh, x, y)
+        assert full.distance <= g[i, j]
+        scales = [1e-6] if not mesh._piece_registry else []
+        for scale in [None] + scales:
+            with monkeypatch.context() as patch:
+                if scale is not None:
+                    patch.setattr(qhgraph, "_segment_guess",
+                                  lambda m, jobs: scale * full.distance)
+                stats = {}
+                got = qh_distance(mesh, x, y, stats)
+            assert (got.distance, got.node_path) == (full.distance, full.node_path)
+            assert stats["dijkstra_retried"] == (scale is not None)
+
+
 def test_no_guess_on_complexes_or_segments_leaving_the_region(omega_mesh, pp_mesh_005):
     for mesh, x, y in ((omega_mesh, 0j, complex(1.5, 0.0)), (pp_mesh_005, -1 + 0j, 1 + 0j)):
         stats = {}
@@ -704,18 +740,23 @@ def test_no_guess_on_complexes_or_segments_leaving_the_region(omega_mesh, pp_mes
                                                      ("omega_mesh", "omega")])
 def test_slack_bounds_the_detour_through_the_cheapest_anchor(request, mesh_name, region_name):
     # d(k0, x) <= D[x] + slack at every mesh node, D being the row of an
-    # off-mesh source and k0 its cheapest anchor.
+    # off-mesh source and k0 its cheapest anchor; an exact node's slack is 0.
     mesh = request.getfixturevalue(mesh_name)
     region = request.getfixturevalue(region_name)
     rng = random.Random(19)
-    att = qhgraph._attach(mesh, np.array([region.sample_point(rng) for _ in range(8)]))
+    points = [region.sample_point(rng) for _ in range(8)]
+    points[1::3] = [complex(mesh.coords[rng.randrange(mesh.node_count)]) for _ in points[1::3]]
+    att = qhgraph._attach(mesh, np.array(points))
+    slacks = qhgraph._slacks(mesh.graph, att)
+    assert len(slacks) == len(points)
+    exact = np.flatnonzero(att.node >= 0).tolist()
+    assert len(exact) == 3 and all(slacks[e] == 0.0 for e in exact)
     off = np.flatnonzero(att.node < 0).tolist()
-    slacks = qhgraph._slacks(mesh.graph, att, off)
     n = mesh.node_count
     rows = [dijkstra(qhgraph._with_source_row(mesh, att, e), directed=True, indices=n)[:n]
             for e in off]
     checked = 0
-    for e, slack, row in zip(off, slacks, rows):
+    for e, slack, row in zip(off, slacks[off], rows):
         nodes, weights = att.anchors(e)
         k0 = nodes[np.argmin(weights)]
         assert slack >= -weights.min()

@@ -198,6 +198,18 @@ def test_one_pass_attach_raises_for_the_first_failing_point(meshes, key):
         assert _error(qhgraph._attach, mesh, np.array(batch)) == want
 
 
+@pytest.mark.parametrize("key", ["halfplane", "punctured", "frame-omega"])
+def test_reach_is_the_least_anchor_distance_of_each_endpoint(meshes, key):
+    mesh = meshes[key]
+    points = [z for z in _points(mesh, 29) if not isinstance(_reference(mesh, z), str)]
+    att = qhgraph._attach(mesh, np.array(points))
+    assert 0 < np.count_nonzero(att.node >= 0) < len(points)
+    dist = np.random.default_rng(3).exponential(size=mesh.node_count + 1)
+    dist[::7] = math.inf
+    want = [min(dist[v] + w for v, w in zip(*att.anchors(e))) for e in range(len(points))]
+    assert _bits(att.reach(dist)) == _bits(want)
+
+
 def test_one_pass_attach_of_no_points(meshes):
     for mesh in meshes.values():
         att = qhgraph._attach(mesh, np.zeros(0, dtype=complex))
