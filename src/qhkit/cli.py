@@ -33,7 +33,6 @@ from .estimators import (
 from .qhgraph import (
     MeshBackend,
     build_mesh,
-    oracle_for,
     qh_distance,
     qh_distance_exact,
 )
@@ -234,9 +233,8 @@ def _dispatch(args) -> int:
             print("stats: " + json.dumps({"mesh": mesh.stats, "query": stats}), file=sys.stderr)
         print(f"k({args.src} -> {args.dst}) = {result.distance:.6f}  "
               f"[{mesh.node_count} nodes, grading {grading}]")
-        oracle = oracle_for(region)
-        if oracle and metric == "euclidean":
-            exact = qh_distance_exact(oracle, src, dst)
+        if region.k_exact_many is not None and metric == "euclidean":
+            exact = qh_distance_exact(region, src, dst)
             rel = abs(result.distance - exact) / exact if exact else 0.0
             print(f"oracle = {exact:.6f}   relative error = {rel:.4%}")
         _emit_report(args, "qh", {"domain": args.domain, "from": [src.real, src.imag],

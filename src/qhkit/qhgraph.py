@@ -5,18 +5,16 @@ the line integral of 1/delta_G, so shortest-path distances converge to k_G as
 the grading factor shrinks (essentially from above: the restricted curve
 family biases upward, quadrature can shave a sliver back).  Plane regions get
 a quadtree refined until cell size <= grading * delta at the cell center;
-curve complexes get an adaptive polyline subdivision.  Analytic oracles for
-the half-plane and the punctured plane back every accuracy claim, and the
-inequality suites for the comparison lemmas live next to the machinery they
-exercise.
+curve complexes get an adaptive polyline subdivision.  The analytic oracles
+of the half-plane and the punctured plane (Region.k_exact_many) back every
+accuracy claim, and the inequality suites for the comparison lemmas live
+next to the machinery they exercise.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import mmap
 import random
-import sys
 import threading
 from dataclasses import dataclass
 from time import perf_counter
@@ -32,11 +30,10 @@ from .errors import (
     MembershipError,
     QhkitError,
 )
+from .scenarios import make_region
 from .spaces import (
     COORD_TOL,
     CurveRegion,
-    HalfPlaneRegion,
-    PuncturedPlaneRegion,
     Region,
     _coord_key,
     _cut_pieces,
@@ -1049,112 +1046,37 @@ def path_qh_length(mesh: QhMesh, result: PathResult) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Analytic oracles
-# ---------------------------------------------------------------------------
-
-def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
-    """Closed-form k_G for the half-plane and the punctured plane.
-
-    HalfPlane: 2 asinh(|x-y| / (2 sqrt(Im x Im y))), the hyperbolic metric
-    (equal to arccosh(1 + |x-y|^2 / (2 Im x Im y)), which loses every digit
-    when the points are close: it returns 0 for 1j -> 1j + 1e-8).
-    PuncturedPlane: sqrt((log|y|-log|x|)^2 + dtheta^2) with dtheta in [0, pi],
-    the flat metric of the log-cylinder.  Both hold at every finite scale:
-    where a product or modulus would leave the float range they are taken
-    in a scaled form (see _halfplane_far and _log_modulus_ratio).  A
-    non-finite point raises MembershipError.
-    """
-    x, y = as_point(x), as_point(y)
-    if not (cmath.isfinite(x) and cmath.isfinite(y)):
-        raise MembershipError("oracle points must be finite")
-    name = domain if isinstance(domain, str) else oracle_for(domain)
-    if name is None:
-        raise ConfigurationError(f"no analytic oracle for {domain!r}")
-    name = name.lower().replace("-", "").replace("_", "")
-    if name in ("halfplane", "upperhalfplane"):
-        if x.imag <= 0 or y.imag <= 0:
-            raise MembershipError("oracle points must lie in the upper half-plane")
-        p = x.imag * y.imag
-        if sys.float_info.min <= p <= sys.float_info.max:
-            try:
-                k = 2.0 * math.asinh(abs(x - y) / (2.0 * math.sqrt(p)))
-            except OverflowError:  # |x - y| beyond the float range
-                k = math.inf
-            if k < math.inf:
-                return k
-        return _halfplane_far(x, y)
-    if name in ("punctured", "puncturedplane"):
-        if x == 0 or y == 0:
-            raise MembershipError("oracle points must avoid the puncture")
-        if x == y:
-            return 0.0
-        du = _log_modulus_ratio(x, y)
-        dth = abs(math.atan2(x.imag, x.real) - math.atan2(y.imag, y.real))
-        if dth > math.pi:
-            dth = 2.0 * math.pi - dth
-        return math.hypot(du, dth)
-    raise ConfigurationError(f"unknown oracle domain {domain!r}")
-
-
-def _halfplane_far(x: complex, y: complex) -> float:
-    """The half-plane oracle where Im x Im y leaves the normal floats or
-    |x - y| overflows: the difference is quartered and the square roots
-    taken one at a time, so no step leaves the float range."""
-    h = math.hypot(0.25 * x.real - 0.25 * y.real, 0.25 * x.imag - 0.25 * y.imag)
-    s = math.sqrt(x.imag) * math.sqrt(y.imag)
-    q = h / s  # |x - y| / (4 sqrt(Im x Im y))
-    if q < 2.0 ** 1000:
-        return 2.0 * math.asinh(2.0 * q)
-    # asinh(r) = log(2 r) to double precision once r exceeds 2^28.
-    return 2.0 * (math.log(4.0) + math.log(h) - math.log(s))
-
-
-def _log_modulus_ratio(x: complex, y: complex) -> float:
-    """log|y| - log|x| for nonzero finite points.  Beyond 2^+-16, where |z|
-    can overflow and the two logarithms lose digits to their size, each
-    point is first scaled by a power of two to unit size, which makes the
-    value exactly invariant under dilations by powers of two."""
-    ex, ey = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (x, y))
-    if max(abs(ex), abs(ey)) <= 16:  # the plain form, whose values the reports pin
-        return math.log(abs(y)) - math.log(abs(x))
-    xs = complex(math.ldexp(x.real, -ex), math.ldexp(x.imag, -ex))
-    ys = complex(math.ldexp(y.real, -ey), math.ldexp(y.imag, -ey))
-    return math.log(abs(ys)) - math.log(abs(xs)) + (ey - ex) * math.log(2.0)
-
-
-def oracle_for(region: Region) -> Optional[str]:
-    if isinstance(region, HalfPlaneRegion):
-        return "halfplane"
-    if isinstance(region, PuncturedPlaneRegion):
-        return "punctured"
-    return None
-
-
-# ---------------------------------------------------------------------------
 # Distance backends (shared by the estimators and the lemma suites)
 # ---------------------------------------------------------------------------
 
 class AnalyticBackend:
-    """Exact k_G via qh_distance_exact; the oracle side of dual-route checks."""
+    """Exact k_G via region.k_exact_many; the oracle side of dual-route checks."""
 
     def __init__(self, region: Region):
-        name = oracle_for(region)
-        if name is None:
+        if region.k_exact_many is None:
             raise ConfigurationError(f"region '{region.name}' has no analytic oracle")
         self.region = region
-        self.domain = name
 
     def distance(self, x, y) -> float:
-        return qh_distance_exact(self.domain, x, y)
+        return self.region.k_exact_many(np.array([as_point(x)]), np.array([as_point(y)]))[0]
 
     def distance_pairs(self, pairs: Sequence[tuple]) -> list[float]:
-        return [qh_distance_exact(self.domain, a, b) for a, b in pairs]
+        Z = np.array([as_point(z) for pair in pairs for z in pair], dtype=complex)
+        return self.region.k_exact_many(Z[0::2], Z[1::2])
 
     def sample_point(self, rng: random.Random) -> complex:
         return self.region.sample_point(rng)
 
     def sample_points(self, rng: random.Random, n: int) -> list[complex]:
         return self.region.sample_points(rng, n)
+
+
+def qh_distance_exact(domain: Union[str, Region], x, y) -> float:
+    """Closed-form k_G(x, y) on a built-in domain named by make_region, or on
+    the region given: the one-element call of its k_exact_many.  A region
+    without one raises ConfigurationError; a point off G, MembershipError."""
+    region = make_region(domain) if isinstance(domain, str) else domain
+    return AnalyticBackend(region).distance(x, y)
 
 
 class MeshBackend:
@@ -1314,8 +1236,11 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     (1) |x-y| <= d(x,y) <= c|x-y| in the ambient space, d from one
         length_distances_many call;
     (2) (1/c) k_G <= k'_G <= c k_G, with k_G and k'_G from the two meshes
-        (or both from analytic oracles when the meshes are omitted).
+        (or both from the region's analytic oracle when both meshes are
+        omitted; omitting one raises ConfigurationError).
     """
+    if (mesh_euclid is None) != (mesh_length is None):
+        raise ConfigurationError("lemma 3.6 takes both meshes or neither")
     c = region.space.quasiconvexity if c is None else c
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.6")
@@ -1332,13 +1257,11 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
         ok = (sep <= d * slack) and (d <= c * sep * slack)
         report.check("3.6(1)", idx, idx, x, y, d, sep, sep, c * sep, ok, d=d, sep=sep)
 
-    if mesh_euclid is not None and mesh_length is not None:
+    if mesh_euclid is not None:
         k_vals = [r.distance for r in qh_distance_many(mesh_euclid, pairs)]
         kp_vals = [r.distance for r in qh_distance_many(mesh_length, pairs)]
-    else:
-        backend = AnalyticBackend(region)
-        k_vals = backend.distance_pairs(pairs)
-        kp_vals = list(k_vals)  # convex ambient: d = |.| hence k' = k
+    else:  # convex ambient: d = |.| hence k' = k
+        k_vals = kp_vals = AnalyticBackend(region).distance_pairs(pairs)
     for idx, ((x, y), k, kp) in enumerate(zip(pairs, k_vals, kp_vals)):
         if k <= 0.0:
             continue

@@ -26,8 +26,6 @@ from .qhgraph import (
     build_mesh,
     lemma34_check,
     lemma36_check,
-    oracle_for,
-    qh_distance_exact,
     qh_distance_many,
 )
 from .scenarios import (
@@ -86,11 +84,12 @@ def repro_example_1_1(seed: int = 11, count: int = 100, mesh_pairs: int = 60,
     f = InversionMap()
     region = f.source_region
     pairs = sample_pairs(region.sample_points, random.Random(seed), count)
-    image_pairs = f.eval_many(np.array(pairs, dtype=complex).ravel()).reshape(-1, 2).tolist()
+    Z = np.array(pairs, dtype=complex)
+    W = f.eval_many(Z.ravel()).reshape(-1, 2)
+    exact = region.k_exact_many(Z[:, 0], Z[:, 1])
+    exact_img = f.image_region.k_exact_many(W[:, 0], W[:, 1])
     worst = 0.0
-    for idx, ((x, y), (fx, fy)) in enumerate(zip(pairs, image_pairs)):
-        k = qh_distance_exact("punctured", x, y)
-        k_img = qh_distance_exact("punctured", fx, fy)
+    for idx, ((x, y), k, k_img) in enumerate(zip(pairs, exact, exact_img)):
         diff = abs(k - k_img)
         worst = max(worst, diff)
         res.rows.append((idx, x.real, x.imag, y.real, y.imag, k_img, k,
@@ -110,7 +109,7 @@ def repro_example_1_1(seed: int = 11, count: int = 100, mesh_pairs: int = 60,
     mesh = build_mesh(region, grading, default_mesh_params("punctured")["bbox"])
     inner = [(x, y) for x, y in pairs[:mesh_pairs]]
     ks = [r.distance for r in qh_distance_many(mesh, inner)]
-    k_imgs = [r.distance for r in qh_distance_many(mesh, image_pairs[:mesh_pairs])]
+    k_imgs = [r.distance for r in qh_distance_many(mesh, W[:mesh_pairs].tolist())]
     worst_rel = max(abs(k - ki) / k for k, ki in zip(ks, k_imgs) if k > 0)
     res.check("isometry-mesh",
               worst_rel <= 0.04,
@@ -201,19 +200,18 @@ def repro_example_3_1(resolution: float = 0.05) -> ReproResult:
 _LEMMA_DOMAINS = ("halfplane", "punctured", "frame-omega", "frame-bottom")
 
 
-def _domain_backend(name: str, grading: float = 0.05):
+def _domain_backend(name: str):
     region = make_region(name)
-    if oracle_for(region) is not None:
-        return region, AnalyticBackend(region), None
-    mesh = build_mesh(region, grading)
-    return region, MeshBackend(mesh), mesh
+    if region.k_exact_many is not None:
+        return region, AnalyticBackend(region)
+    return region, MeshBackend(build_mesh(region, 0.05))
 
 
 def repro_lemma_3_4(seed: int = 7, count: int = 200, eps: float = MESH_TOL) -> ReproResult:
     """Zero violations of the three k_G comparison bounds on every built-in domain."""
     res = ReproResult("lemma-3-4", seed)
     for name in _LEMMA_DOMAINS:
-        region, backend, _ = _domain_backend(name)
+        region, backend = _domain_backend(name)
         report = lemma34_check(region, backend, count=count, seed=seed, eps=eps)
         res.check(f"{name}",
                   report.passed,
@@ -228,7 +226,7 @@ def repro_lemma_3_6(seed: int = 7, count: int = 200, eps: float = MESH_TOL,
     res = ReproResult("lemma-3-6", seed)
     for name in _LEMMA_DOMAINS:
         region = make_region(name)
-        if oracle_for(region) is not None:
+        if region.k_exact_many is not None:
             mesh_e = mesh_l = None  # convex ambient: d = |.| makes k' = k exactly
         else:
             mesh_e = build_mesh(region, grading, metric="euclidean")

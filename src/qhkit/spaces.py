@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -313,11 +314,20 @@ class Region:
     a member.  sample_points(rng, n) gives what n calls of sample_point
     give; the rejection samplers draw in batches (_rejection_sample) and
     test each batch with one contains_many call.
+
+    k_exact_many(X, Y) is the closed-form k_G(x, y) over paired 1-D arrays,
+    as a list of floats, on the regions that have one: the half-plane and
+    the punctured plane, at every finite scale (_halfplane_far,
+    _log_modulus_ratio).  Elsewhere it is None, which is how callers ask
+    whether G has an analytic oracle.  The first point of the pairs, in
+    pair order, that contains_many rejects (non-finite points included)
+    raises not_member.
     """
 
     name: str = "region"
     space: SpaceModel
     bounded: bool = False
+    k_exact_many: Optional[Callable[[np.ndarray, np.ndarray], list[float]]] = None
 
     def contains_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -352,6 +362,15 @@ class Region:
     def not_member(self, z: complex, what: str = "point") -> MembershipError:
         """The error require_member raises for a point z outside G."""
         return MembershipError(f"{what} {z} is not in region '{self.name}'")
+
+    def _member_pairs(self, X: np.ndarray, Y: np.ndarray) -> zip:
+        """The pairs of X and Y as Python complexes, for k_exact_many; the
+        first non-member in pair order raises not_member."""
+        in_x, in_y = self.contains_many(X), self.contains_many(Y)
+        if not (in_x & in_y).all():
+            i = int(np.argmin(in_x & in_y))
+            raise self.not_member(complex(Y[i] if in_x[i] else X[i]))
+        return zip(X.tolist(), Y.tolist())
 
     def boundary_distance(self, z: complex) -> float:
         """delta_G(z): distance from z to the boundary of G in the ambient metric."""
@@ -402,6 +421,57 @@ class Region:
         return {"kind": type(self).__name__, "name": self.name}
 
 
+def _halfplane_k(x: complex, y: complex) -> float:
+    """k_G of the upper half-plane: the hyperbolic metric
+    2 asinh(|x-y| / (2 sqrt(Im x Im y))), equal to
+    acosh(1 + |x-y|^2 / (2 Im x Im y)), which loses every digit when the
+    points are close (it returns 0 for 1j -> 1j + 1e-8)."""
+    p = x.imag * y.imag
+    if sys.float_info.min <= p <= sys.float_info.max:
+        k = 2.0 * math.asinh(_modulus(x - y) / (2.0 * math.sqrt(p)))
+        if k < math.inf:
+            return k
+    return _halfplane_far(x, y)
+
+
+def _halfplane_far(x: complex, y: complex) -> float:
+    """The half-plane k_G where Im x Im y leaves the normal floats or
+    |x - y| overflows: the difference is quartered and the square roots
+    taken one at a time, so no step leaves the float range."""
+    h = math.hypot(0.25 * x.real - 0.25 * y.real, 0.25 * x.imag - 0.25 * y.imag)
+    s = math.sqrt(x.imag) * math.sqrt(y.imag)
+    q = h / s  # |x - y| / (4 sqrt(Im x Im y))
+    if q < 2.0 ** 1000:
+        return 2.0 * math.asinh(2.0 * q)
+    # asinh(r) = log(2 r) to double precision once r exceeds 2^28.
+    return 2.0 * (math.log(4.0) + math.log(h) - math.log(s))
+
+
+def _punctured_k(x: complex, y: complex) -> float:
+    """k_G of the punctured plane: sqrt((log|y| - log|x|)^2 + dtheta^2) with
+    dtheta in [0, pi], the flat metric of the log-cylinder."""
+    if x == y:
+        return 0.0
+    du = _log_modulus_ratio(x, y)
+    dth = abs(math.atan2(x.imag, x.real) - math.atan2(y.imag, y.real))
+    if dth > math.pi:
+        dth = 2.0 * math.pi - dth
+    return math.hypot(du, dth)
+
+
+def _log_modulus_ratio(x: complex, y: complex) -> float:
+    """log|y| - log|x| for nonzero finite points.  Beyond 2^+-16, where |z|
+    can overflow and the two logarithms lose digits to their size, each
+    point is first scaled by a power of two to unit size, which makes the
+    value exactly invariant under dilations by powers of two."""
+    ex, ey = (math.frexp(max(abs(z.real), abs(z.imag)))[1] for z in (x, y))
+    if max(abs(ex), abs(ey)) <= 16:  # the plain form, whose values the reports pin
+        return math.log(abs(y)) - math.log(abs(x))
+    xs = complex(math.ldexp(x.real, -ex), math.ldexp(x.imag, -ex))
+    ys = complex(math.ldexp(y.real, -ey), math.ldexp(y.imag, -ey))
+    return math.log(abs(ys)) - math.log(abs(xs)) + (ey - ex) * math.log(2.0)
+
+
 class HalfPlaneRegion(Region):
     """Upper half-plane {Im z > 0} inside the Euclidean plane; delta = Im z."""
 
@@ -420,6 +490,9 @@ class HalfPlaneRegion(Region):
 
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (A.imag > 0.0) & (B.imag > 0.0)
+
+    def k_exact_many(self, X: np.ndarray, Y: np.ndarray) -> list[float]:
+        return [_halfplane_k(x, y) for x, y in self._member_pairs(X, Y)]
 
     def sample_point(self, rng: random.Random) -> complex:
         x0, x1, y0, y1 = self.sample_window
@@ -445,6 +518,9 @@ class PuncturedPlaneRegion(Region):
     def segments_inside_many(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return (self.contains_many(A) & self.contains_many(B)
                 & (_projections(0j, A, B)[1] > 1e-12))
+
+    def k_exact_many(self, X: np.ndarray, Y: np.ndarray) -> list[float]:
+        return [_punctured_k(x, y) for x, y in self._member_pairs(X, Y)]
 
     def sample_point(self, rng: random.Random) -> complex:
         r0, r1 = self.sample_radii

@@ -284,7 +284,7 @@ def estimate_semisolid(f: MapSpec, k_src, k_img, spec: SampleSpec,
     def backend_info(backend) -> dict:
         mesh = getattr(backend, "mesh", None)
         if mesh is None:
-            return {"kind": "analytic", "domain": getattr(backend, "domain", "?")}
+            return {"kind": "analytic", "domain": backend.region.name}
         return {"kind": "mesh", "grading": mesh.grading, "metric": mesh.metric,
                 "nodes": mesh.node_count}
 

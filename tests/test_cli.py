@@ -37,6 +37,15 @@ def test_qh_subcommand_prints_oracle(capsys):
                        "--from", "0,1", "--to", "0,2", "--grading", "0.2")
     assert code == 0
     assert "oracle = 0.693147" in out
+    # On the log-cylinder, 1 -> 2i is log 2 along and pi / 2 around.
+    code, out, _ = run(capsys, "qh", "--domain", "punctured",
+                       "--from", "1,0", "--to", "0,2", "--grading", "0.2")
+    assert code == 0
+    assert f"oracle = {math.hypot(math.pi / 2, math.log(2.0)):.6f}" in out
+    code, out, _ = run(capsys, "qh", "--domain", "disk",
+                       "--from", "0,0", "--to", "0.5,0", "--grading", "0.2")
+    assert code == 0
+    assert out.startswith("k(") and "oracle = " not in out
 
 
 def test_qh_near_mesh_nodes_match_oracle(capsys):

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import sys
 import threading
 
@@ -487,6 +488,44 @@ def test_oracles_are_invariant_under_dilation(c, e):
             continue
         assert math.isfinite(k_lam)
         assert math.isclose(k_lam, k, rel_tol=1e-12, abs_tol=abs_tol)
+
+
+_DILATED = st.tuples(_GRID, _HEIGHT, st.integers(-996, 996)).map(
+    lambda t: complex(t[0], t[1]) * 2.0 ** t[2])
+
+
+@given(st.lists(st.tuples(_DILATED, _DILATED), max_size=12))
+def test_oracle_batches_match_the_per_pair_oracle_bit_for_bit(pairs):
+    # Points of the dilation test's 2^e grid, members of both oracle regions.
+    for name in ("halfplane", "punctured"):
+        region = make_region(name)
+        batch = AnalyticBackend(region).distance_pairs(pairs)
+        assert batch == [qh_distance_exact(name, x, y) for x, y in pairs]
+        assert batch == [qh_distance_exact(region, x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("halfplane", -1j), ("halfplane", 2.0 + 0j), ("halfplane", complex(math.nan, 1.0)),
+    ("punctured", 0j), ("punctured", complex(math.inf, 1.0)),
+])
+def test_oracle_batch_raises_on_its_first_non_member_in_pair_order(name, bad):
+    later = complex(math.nan, math.nan)  # also off G, but after bad in pair order
+    backend = AnalyticBackend(make_region(name))
+    for pairs in ([(1j, 2j), (1 + 1j, bad), (later, 3j)], [(1j, 2j), (bad, later), (2j, 1j)]):
+        with pytest.raises(MembershipError, match=re.escape(f"point {bad} is not in region '{name}'")):
+            backend.distance_pairs(pairs)
+    assert backend.distance_pairs([]) == []
+
+
+def test_regions_without_an_oracle_and_unknown_names_raise_configuration_errors(omega):
+    for domain in ("disk", "frame-omega", "frame-bottom", make_region("disk"), omega):
+        with pytest.raises(ConfigurationError, match="no analytic oracle"):
+            qh_distance_exact(domain, 0.1j, 0.2j)
+    with pytest.raises(ConfigurationError, match="no analytic oracle"):
+        AnalyticBackend(omega)
+    for name in ("nowhere", "upperhalfplane", "Half-Plane", "punctured_plane"):
+        with pytest.raises(ConfigurationError, match=f"unknown domain '{name}'; choose from"):
+            qh_distance_exact(name, 1j, 2j)
 
 
 @pytest.mark.parametrize("x, y, k", [
@@ -1048,6 +1087,13 @@ def test_lemma36_oracle_domains(halfplane, punctured):
 def test_lemma36_omega(omega, omega_mesh, omega_mesh_length):
     report = lemma36_check(omega, omega_mesh, omega_mesh_length, count=120, seed=7)
     assert report.passed, report.violations[:3]
+
+
+def test_lemma36_refuses_a_lone_mesh(halfplane, omega, hp_mesh_01, omega_mesh):
+    for region, mesh in ((halfplane, hp_mesh_01), (omega, omega_mesh)):
+        for meshes in ((mesh, None), (None, mesh)):
+            with pytest.raises(ConfigurationError, match="both meshes or neither"):
+                lemma36_check(region, *meshes, count=10, seed=7)
 
 
 class _UnitBackend:
