@@ -236,6 +236,8 @@ def build_mesh(region: Region, grading_factor: float = DEFAULT_GRADING,
         raise ConfigurationError("grading_factor must lie in (0, 0.5]")
     if metric not in ("euclidean", "length"):
         raise ConfigurationError(f"unknown metric {metric!r}")
+    if max_depth < 0:
+        raise ConfigurationError(f"max_depth must be >= 0, got {max_depth}")
     if isinstance(region, CurveRegion):
         return _build_complex_mesh(region, grading_factor, metric, max_depth)
     if max_depth > MAX_PLANE_DEPTH:
@@ -275,6 +277,8 @@ def _build_plane_mesh(region: Region, grading: float,
             raise ConfigurationError(
                 f"region '{region.name}' has no default bbox; pass bbox=(x0, x1, y0, y1)")
     x0, x1, y0, y1 = map(float, bbox)
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ConfigurationError(f"bbox must be finite, got {bbox}")
     if not (x1 > x0 and y1 > y0):
         raise ConfigurationError(f"degenerate bbox {bbox}")
     s0 = max(x1 - x0, y1 - y0)
@@ -746,24 +750,19 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     all; _attach then hooks them all into the mesh in one array pass, and
     the first endpoint that fails raises.  Its anchor table, in which an
     exact node is its own anchor at weight 0, is the one table that the
-    source rows, limits, slacks and targets read.  The straight segments of
-    the near pairs are tested in one segments_inside_many call before the
-    searches.
+    source rows, limits, slacks and targets read.  One pass over the pairs'
+    straight segments (_straight_segments) gives the near pairs' direct
+    weights and each pair's guess.
 
-    Each source stops at a limit.  A source with a finite landmark bound
-    from the rows already searched (ALT search, see _Limits) takes it.  On
-    a plane mesh, any other source, the first one included, guesses its
-    limit from the straight segments of its pairs (see _segment_guess);
-    curve complexes and sources with a segment leaving G search the whole
-    graph.  scipy drops only the relaxations above the limit, so every
-    vertex within it settles through the same relaxations as in a full
-    search: a limited row is exact wherever it is finite, and an answer
-    within the limit, the near-pair straight segment included, is the full
-    search's.  A guess can be too small: a row with an answer above the
-    limit is searched again up to its largest answer, and a row with a
-    target not reached is searched again in full, so the answers do not
-    change.  Each row is unwound and folded into the bounds right after its
-    search, so one row is held at a time.
+    Every search stops at its row's limit from _Limits, a per-pair bound
+    table that starts at the guesses and that each searched row tightens.
+    scipy drops only the relaxations above the limit, so a limited row is
+    exact wherever it is finite, and an answer within the limit, the
+    near-pair straight segment included, is the full search's.  A guess can
+    be too small: a row with an answer above the limit is searched again up
+    to its largest answer, and a row with a target not reached is searched
+    again in full, so the answers do not change.  Each row is unwound and
+    folded into the bounds right after its search.
 
     Each source's row is written, just before its search, into the room the
     mesh reserves after its own CSR entries (see _with_source_row), so
@@ -773,12 +772,12 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     stats, when given, receives the counts sources, appended_rows, anchors
     (over the distinct endpoints), dijkstra_full and dijkstra_limited (the
     searches by their limit, reruns included), dijkstra_guessed (searches
-    whose limit is a segment guess), dijkstra_retried (searches run again
+    whose limit is a pair's guess), dijkstra_retried (searches run again
     after a guess missed) and reached (finite distances summed over the
     searches), and the seconds attach_s (the one attach pass over the
-    distinct endpoints), bound_s (limits, guesses and slacks), dijkstra_s
-    (the searches and their row writes) and unwind_s (the near-pair
-    segments and the paths).
+    distinct endpoints), bound_s (the segment pass, limits and slacks),
+    dijkstra_s (the searches and their row writes) and unwind_s (the
+    paths).
     """
     t0 = perf_counter()
     index: dict[tuple[float, float], int] = {}  # coordinate key -> endpoint
@@ -796,8 +795,6 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
         todo.append((a, b, *ends, swap))
     att = _attach(m, np.array(points, dtype=complex))
     t1 = perf_counter()
-    direct = _direct_weights(m, att, todo)
-    t2 = perf_counter()
 
     n = m.node_count
     node = att.node.tolist()
@@ -815,14 +812,14 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
     # Mesh-node sources by id, then off-mesh ones by first appearance.
     jobs = sorted(rows.values(), key=lambda js: vertex(todo[js[0]][2]))
     sources = [todo[js[0]][2] for js in jobs]
+    t2 = perf_counter()
+    ea, eb = (np.array([job[k] for job in todo], dtype=np.intp) for k in (2, 3))
+    direct, guess = _straight_segments(m, att, ea, eb)
+    limits = _Limits(m.graph, att, ea, eb, jobs, guess)
+    counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
+                            "dijkstra_retried", "reached"), 0)
+    times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t2, dijkstra_s=0.0, unwind_s=0.0)
     with m._lock:  # the source row lives in the mesh's reserved room
-        t3 = perf_counter()
-        limits = _Limits(m.graph, att, sources,
-                         [[todo[i][3] for i in js] for js in jobs]) if len(sources) > 1 else None
-        counts = dict.fromkeys(("dijkstra_full", "dijkstra_limited", "dijkstra_guessed",
-                                "dijkstra_retried", "reached"), 0)
-        times = dict(attach_s=t1 - t0, bound_s=perf_counter() - t3, dijkstra_s=0.0,
-                     unwind_s=t2 - t1)
 
         def search(r: int, limit: float) -> np.ndarray:
             t1 = perf_counter()
@@ -842,10 +839,8 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
 
         for r in range(len(sources)):
             t0 = perf_counter()
-            limit = limits.limit(r) if r else np.inf
-            if limit == np.inf and not m._piece_registry:
-                limit = _segment_guess(m, [todo[i] for i in jobs[r]])
-                counts["dijkstra_guessed"] += limit < np.inf
+            limit, guessed = limits.limit(r)
+            counts["dijkstra_guessed"] += guessed
             times["bound_s"] += perf_counter() - t0
             dist = search(r, limit)
             # A limited row is exact wherever it is finite, so an answer within
@@ -869,59 +864,74 @@ def qh_distance_many(m: QhMesh, pairs: Sequence[tuple],
 
 
 class _Limits:
-    """Dijkstra limits of the source rows, from the rows searched before them.
+    """Dijkstra limits of the source rows from one per-pair bound table: a
+    row's limit is the largest bound over its pairs, widened by 1e-9.
 
-    Through the source of row r, with D its distance row,
-    d(s, t) <= min_a (w_a + D[a]) + min_b (D[b] + w_b) + 2 slack_r for a
-    pair (s, t), a over the anchors of s and b over those of t, both minima
-    read from the call's one anchor table (_Attachment.reach).  Each row
-    tightens the bound of every pair of the batch, and the limit of a row is
-    the largest bound over its pairs widened by 1e-9 relative.  It is inf
-    while some bound is, as for the first row, and qh_distance_many then
-    guesses a limit on plane meshes (see _segment_guess).  Other sources
-    cannot route through an off-mesh source, so its bound passes through its
-    cheapest anchor; slack_r is from _slacks, which is 0 for a mesh-node
-    source, whose row is d(source, .) itself.
+    Each pair's bound starts at its guess (_straight_segments), and each
+    searched row r tightens every bound by the landmark bound of ALT search:
+    with D the row, d(s, t) <= min_a (w_a + D[a]) + min_b (D[b] + w_b) +
+    2 slack_r, a over the anchors of s and b over those of t, both read from
+    the call's one anchor table (_Attachment.reach).  Other sources cannot
+    route through an off-mesh source, so its bound passes through its
+    cheapest anchor; slack_r is from _slacks, 0 for a mesh-node source,
+    computed at the first add_row, so a call with one source never pays it.
     """
 
-    def __init__(self, graph: sp.csr_matrix, att: _Attachment, sources: list[int],
-                 targets: list[list[int]]):
-        counts = [len(ts) for ts in targets]
-        self._att = att
-        # Each pair's source and target endpoint.
-        self._s = np.repeat(sources, counts)
-        self._t = np.concatenate(targets)
-        self._first = np.cumsum([0] + counts)
-        self._bound = np.full(self._first[-1], np.inf)
-        self._slack2 = 2.0 * _slacks(graph, att)[sources]  # 2 slack_r
+    def __init__(self, graph: sp.csr_matrix, att: _Attachment, ea: np.ndarray,
+                 eb: np.ndarray, jobs: list[list[int]], guess: np.ndarray):
+        pairs = np.array([i for js in jobs for i in js], dtype=np.intp)
+        self._graph, self._att = graph, att
+        # Each pair's endpoints and guess, row by row.
+        self._s, self._t, self._guess = ea[pairs], eb[pairs], guess[pairs]
+        self._bound = self._guess.copy()
+        self._first = np.cumsum([0] + [len(js) for js in jobs])
+        self._slack2: Optional[np.ndarray] = None  # 2 slack of each endpoint
 
     def add_row(self, r: int, dist: np.ndarray) -> None:
+        if self._slack2 is None:
+            self._slack2 = 2.0 * _slacks(self._graph, self._att)
         reach = self._att.reach(dist)
-        np.minimum(self._bound, reach[self._s] + reach[self._t] + self._slack2[r],
-                   out=self._bound)
+        np.minimum(self._bound, reach[self._s] + reach[self._t]
+                   + self._slack2[self._s[self._first[r]]], out=self._bound)
 
-    def limit(self, r: int) -> float:
-        return float(self._bound[self._first[r]:self._first[r + 1]].max()) * (1.0 + 1e-9)
+    def limit(self, r: int) -> tuple[float, bool]:
+        """The limit of row r, and whether it is a pair's guess."""
+        k = self._first[r] + int(np.argmax(self._bound[self._first[r]:self._first[r + 1]]))
+        bound = self._bound[k]
+        return float(bound) * (1.0 + 1e-9), bool(bound == self._guess[k] < np.inf)
 
 
-_GUESS_PIECES = 16   # sub-segments per segment in _segment_guess
+_GUESS_PIECES = 16   # sub-segments per segment of a guess
 _GUESS_FACTOR = 1.1  # covers the mesh's overshoot of the segment's integral
 
 
-def _segment_guess(m: QhMesh, jobs: list[tuple]) -> float:
-    """A likely Dijkstra limit for one source row of a plane mesh:
-    _GUESS_FACTOR times the largest, over the row's pairs (a, b), sum of
-    _segment_weights over _GUESS_PIECES equal sub-segments of a -> b, an
-    upper estimate of k_G(a, b); inf when some segment leaves G (_inside,
-    with delta at b from the same boundary_gaps_many call as on the pieces)."""
-    A, B = (np.array([job[i] for job in jobs], dtype=np.complex128) for i in (0, 1))
-    P = A[:, None] + (B - A)[:, None] * (np.arange(_GUESS_PIECES + 1) / _GUESS_PIECES)
-    d = m.region.boundary_gaps_many(np.append(P.ravel(), B))
-    dB, d = d[P.size:], d[:P.size].reshape(P.shape)
-    if not _inside(m.region, A, d[:, 0], B, dB).all():
-        return np.inf
-    w = _segment_weights(P[:, :-1], d[:, :-1], P[:, 1:], d[:, 1:])
-    return _GUESS_FACTOR * float(w.sum(axis=1).max())
+def _straight_segments(m: QhMesh, att: _Attachment, ea: np.ndarray,
+                       eb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The straight segment a -> b of each pair of endpoints (ea, eb) in one
+    array pass: per-pair arrays (direct, guess), both inf where the segment
+    leaves G (_inside on a plane mesh, one segments_inside_many call on a
+    curve complex).  direct is the segment's _segment_weights where a and b
+    lie within 3 spacings, else inf.  guess, a likely Dijkstra limit, is
+    _GUESS_FACTOR times the trapezoid sum over _GUESS_PIECES equal
+    sub-segments, an upper estimate of k_G(a, b); the ends' points and
+    deltas are att's, the inner deltas from one _region_deltas call.  Two
+    mesh nodes joined by an edge need no exception: an exact node's point
+    and delta are the mesh's, so their segment weighs the edge's weight,
+    which the search reaches no later, and _unwind takes the segment only
+    when it is strictly shorter."""
+    A, B, dA, dB = att.point[ea], att.point[eb], att.delta[ea], att.delta[eb]
+    inside = (m.region.segments_inside_many(A, B) if m._piece_registry
+              else _inside(m.region, A, dA, B, dB))
+    L = _moduli(A, B)
+    direct = np.where(inside & (L <= 3.0 * np.maximum(att.spacing[ea], att.spacing[eb])),
+                      _segment_weights(A, dA, B, dB), np.inf)
+    inner = A[inside, None] + (B - A)[inside, None] * (np.arange(1, _GUESS_PIECES) / _GUESS_PIECES)
+    d = np.column_stack([dA[inside], _region_deltas(m.region, m.metric, inner.ravel())
+                         .reshape(inner.shape), dB[inside]])
+    guess = np.full(len(ea), np.inf)
+    guess[inside] = _GUESS_FACTOR * _trapezoid(L[inside, None] / _GUESS_PIECES, d[:, :-1],
+                                               d[:, 1:]).sum(axis=1)
+    return direct, guess
 
 
 def _slacks(graph: sp.csr_matrix, att: _Attachment) -> np.ndarray:
@@ -948,30 +958,6 @@ def _spacing(att: _Attachment, job: tuple) -> tuple[float, float]:
     """The endpoint spacings of a pair, in the caller's order."""
     _, _, ea, eb, swap = job
     return tuple(att.spacing[[eb, ea] if swap else [ea, eb]].tolist())
-
-
-def _direct_weights(m: QhMesh, att: _Attachment, todo: list[tuple]) -> np.ndarray:
-    """For each pair, the weight of the straight segment between its
-    endpoints, or inf.  A pair gets one when its endpoints are distinct,
-    within 3 spacings, and the segment stays in G: on a plane mesh by
-    _inside, on a curve complex by one segments_inside_many call over the
-    pairs left.  Two mesh nodes joined by an edge need no exception: an
-    exact node's point and delta are the mesh's, so their segment weighs
-    the edge's weight, which the search reaches no later, and _unwind takes
-    the segment only when it is strictly shorter."""
-    ea, eb = (np.array([job[k] for job in todo], dtype=np.intp) for k in (2, 3))
-    pa, pb = att.point[ea], att.point[eb]
-    near = (ea != eb) & (_moduli(pa, pb) <= 3.0 * np.maximum(att.spacing[ea], att.spacing[eb]))
-    direct = np.full(len(todo), np.inf)
-    if near.any():
-        if m._piece_registry:
-            near[near] = m.region.segments_inside_many(pa[near], pb[near])
-        else:
-            near[near] = _inside(m.region, pa[near], att.delta[ea[near]],
-                                 pb[near], att.delta[eb[near]])
-        direct[near] = _segment_weights(pa[near], att.delta[ea[near]],
-                                        pb[near], att.delta[eb[near]])
-    return direct
 
 
 def _unwind(m: QhMesh, att: _Attachment, job: tuple, direct: float, src: int,
@@ -1157,6 +1143,8 @@ def lemma34_check(region: Region, backend, *, count: int = 200, seed: int = 7,
         |x-y| <= delta_G(x)/(3c) or k <= 1.
     eps is the mesh tolerance applied multiplicatively to each bound.
     """
+    if count < 1:
+        raise ConfigurationError(f"lemma 3.4 needs count >= 1, got {count}")
     c = region.space.quasiconvexity if c is None else c
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.4")
@@ -1241,6 +1229,8 @@ def lemma36_check(region: Region, mesh_euclid: Optional[QhMesh],
     """
     if (mesh_euclid is None) != (mesh_length is None):
         raise ConfigurationError("lemma 3.6 takes both meshes or neither")
+    if count < 1:
+        raise ConfigurationError(f"lemma 3.6 needs count >= 1, got {count}")
     c = region.space.quasiconvexity if c is None else c
     if c is None:
         raise ConfigurationError("quasiconvexity constant required for lemma 3.6")

@@ -189,6 +189,12 @@ def test_ball_at_a_huge_center_is_one_line_error(capsys, domain, center):
     # A witness point rounds onto the base point; no pairs to compare.
     (("repro", "example-1-8", "--n", "1e17"), "rounds onto its base"),
     (("repro", "example-1-1", "--count", "0"), "example-1-1 needs count >= 1"),
+    # A suite over no pairs would pass vacuously.
+    (("repro", "lemma-3-6", "--count", "0"), "lemma 3.6 needs count >= 1, got 0"),
+    (("repro", "lemma-3-4", "--count", "-1"), "lemma 3.4 needs count >= 1, got -1"),
+    # An infinite bbox side would reach the quadtree as inf and nan cells.
+    (("qh", "--domain", "halfplane", "--bbox", "0,inf,0.1,1", "--from", "0.5,0.5", "--to",
+      "0.5,0.7"), "bbox must be finite, got (0.0, inf, 0.1, 1.0)"),
 ])
 def test_fine_complex_ball_and_degenerate_repro_are_one_line_errors(capsys, argv, message):
     code, _, err = run(capsys, *argv)

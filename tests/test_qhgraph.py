@@ -100,6 +100,18 @@ def test_the_array_predicates_are_the_whole_region_contract():
     assert r.distance == path_qh_length(mesh, r) > 0.0
 
 
+@pytest.mark.parametrize("region_name, bbox, max_depth, message", [
+    ("halfplane", HP_BBOX, -1, "max_depth must be >= 0, got -1"),
+    ("omega", None, -1, "max_depth must be >= 0, got -1"),
+    ("halfplane", (0.0, math.inf, 0.1, 1.0), 12, "bbox must be finite, got (0.0, inf, 0.1, 1.0)"),
+])
+def test_negative_depth_and_infinite_bbox_are_configuration_errors(request, region_name, bbox,
+                                                                    max_depth, message):
+    region = request.getfixturevalue(region_name)
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        build_mesh(region, 0.2, bbox, max_depth=max_depth)
+
+
 def test_bbox_missing_the_region_fails():
     disk = DiskRegion(0j, 1.0)
     with pytest.raises(ConfigurationError):
@@ -699,19 +711,31 @@ def _l_shape_mesh():
                       max_depth=6)
 
 
-@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "disk_mesh", "l_shape"])
+def _patch_guess(patch, guess):
+    """Make every pair's guess the float guess, keeping its direct weight."""
+    segments = qhgraph._straight_segments
+    patch.setattr(qhgraph, "_straight_segments", lambda m, att, ea, eb:
+                  (segments(m, att, ea, eb)[0], np.full(len(ea), guess)))
+
+
+@pytest.mark.parametrize("mesh_name", ["hp_mesh_01", "pp_mesh_005", "disk_mesh", "l_shape",
+                                       "omega_mesh", "omega_mesh_length"])
 def test_guessed_limits_give_the_full_search_answers(request, monkeypatch, mesh_name):
+    # Of 30 single queries, frame-omega guesses 12: only pairs on one piece.
+    guessed = 10 if mesh_name.startswith("omega") else 20
     mesh = _l_shape_mesh() if mesh_name == "l_shape" else request.getfixturevalue(mesh_name)
-    pairs = sample_pairs(_covered(mesh, mesh.region.sample_points), random.Random(53), 60)
+    sample = mesh.region.sample_points
+    pairs = sample_pairs(sample if mesh._piece_registry else _covered(mesh, sample),
+                         random.Random(53), 60)
     stats = [{} for _ in pairs[:30]]
-    guessed = [qh_distance(mesh, x, y, st) for (x, y), st in zip(pairs, stats)]
+    guessed_singles = [qh_distance(mesh, x, y, st) for (x, y), st in zip(pairs, stats)]
     batch_stats = {}
     guessed_batch = qh_distance_many(mesh, pairs, batch_stats)
-    assert sum(st["dijkstra_guessed"] for st in stats) >= 20
+    assert sum(st["dijkstra_guessed"] for st in stats) >= guessed
     assert sum(st["dijkstra_retried"] for st in stats + [batch_stats]) == 0
-    monkeypatch.setattr(qhgraph, "_segment_guess", lambda m, jobs: math.inf)
+    _patch_guess(monkeypatch, math.inf)
     full = [qh_distance(mesh, x, y) for x, y in pairs[:30]]
-    for g, f in zip(guessed + guessed_batch, full + qh_distance_many(mesh, pairs)):
+    for g, f in zip(guessed_singles + guessed_batch, full + qh_distance_many(mesh, pairs)):
         assert g.distance == f.distance
         assert g.node_path == f.node_path
 
@@ -723,7 +747,7 @@ def test_too_small_guess_searches_again(monkeypatch, hp_mesh_01, scale, limited)
     # row is run again in full.
     x, y = 0.3 + 0.7j, -0.9 + 1.6j
     full = qh_distance(hp_mesh_01, x, y)
-    monkeypatch.setattr(qhgraph, "_segment_guess", lambda m, jobs: scale * full.distance)
+    _patch_guess(monkeypatch, scale * full.distance)
     stats = {}
     again = qh_distance(hp_mesh_01, x, y, stats)
     assert (again.distance, again.node_path) == (full.distance, full.node_path)
@@ -735,8 +759,8 @@ def test_too_small_guess_searches_again(monkeypatch, hp_mesh_01, scale, limited)
                                        "omega_mesh_length"])
 def test_joined_mesh_nodes_give_the_full_search_answer(request, monkeypatch, mesh_name):
     # Two exact nodes joined by an edge get a direct segment that weighs the
-    # edge, bit for bit, and the search reaches the target no later.  On a
-    # plane mesh, a guess that leaves the target unreached is searched again.
+    # edge, bit for bit, and the search reaches the target no later.  A guess
+    # that leaves the target unreached is searched again.
     mesh = request.getfixturevalue(mesh_name)
     g = mesh.graph
     u = np.repeat(np.arange(mesh.node_count), np.diff(g.indptr))
@@ -750,28 +774,30 @@ def test_joined_mesh_nodes_give_the_full_search_answer(request, monkeypatch, mes
         j = int(near[np.argmin(np.abs(mesh.coords[near] - mesh.coords[i]))])
         x, y = complex(mesh.coords[i]), complex(mesh.coords[j])
         att = qhgraph._attach(mesh, np.array([x, y]))
-        assert np.isfinite(qhgraph._direct_weights(mesh, att, [(x, y, 0, 1, False)])[0])
+        direct, _ = qhgraph._straight_segments(mesh, att, np.array([0]), np.array([1]))
+        assert np.isfinite(direct[0])
         with monkeypatch.context() as patch:
-            patch.setattr(qhgraph, "_segment_guess", lambda m, jobs: math.inf)
+            _patch_guess(patch, math.inf)
             full = qh_distance(mesh, x, y)
         assert full.distance <= g[i, j]
-        scales = [1e-6] if not mesh._piece_registry else []
-        for scale in [None] + scales:
+        for scale in (None, 1e-6):
             with monkeypatch.context() as patch:
                 if scale is not None:
-                    patch.setattr(qhgraph, "_segment_guess",
-                                  lambda m, jobs: scale * full.distance)
+                    _patch_guess(patch, scale * full.distance)
                 stats = {}
                 got = qh_distance(mesh, x, y, stats)
             assert (got.distance, got.node_path) == (full.distance, full.node_path)
             assert stats["dijkstra_retried"] == (scale is not None)
 
 
-def test_no_guess_on_complexes_or_segments_leaving_the_region(omega_mesh, pp_mesh_005):
-    for mesh, x, y in ((omega_mesh, 0j, complex(1.5, 0.0)), (pp_mesh_005, -1 + 0j, 1 + 0j)):
+def test_no_guess_across_pieces_or_on_segments_leaving_the_region(omega_mesh, pp_mesh_005):
+    # Guessed: a pair on one piece of the complex.  Searched in full: a pair
+    # across pieces, and a segment through the puncture.
+    for mesh, x, y, guessed in ((omega_mesh, 0j, 1.5 + 0j, 1), (omega_mesh, 0j, 2 + 0.5j, 0),
+                                (pp_mesh_005, -1 + 0j, 1 + 0j, 0)):
         stats = {}
         qh_distance(mesh, x, y, stats)
-        assert (stats["dijkstra_guessed"], stats["dijkstra_full"]) == (0, 1)
+        assert (stats["dijkstra_guessed"], stats["dijkstra_full"]) == (guessed, 1 - guessed)
 
 
 @pytest.mark.parametrize("mesh_name, region_name", [("hp_mesh_01", "halfplane"),
@@ -1087,6 +1113,13 @@ def test_lemma36_oracle_domains(halfplane, punctured):
 def test_lemma36_omega(omega, omega_mesh, omega_mesh_length):
     report = lemma36_check(omega, omega_mesh, omega_mesh_length, count=120, seed=7)
     assert report.passed, report.violations[:3]
+
+
+def test_lemma_suites_refuse_an_empty_sample(halfplane):
+    with pytest.raises(ConfigurationError, match="lemma 3.4 needs count >= 1, got 0"):
+        lemma34_check(halfplane, AnalyticBackend(halfplane), count=0)
+    with pytest.raises(ConfigurationError, match="lemma 3.6 needs count >= 1, got -1"):
+        lemma36_check(halfplane, None, None, count=-1)
 
 
 def test_lemma36_refuses_a_lone_mesh(halfplane, omega, hp_mesh_01, omega_mesh):
